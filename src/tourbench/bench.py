@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -140,7 +141,8 @@ def run_experiment(
     """Run ``trials`` independent trials of one solver configuration.
 
     Trial results are identical for any parallelism level; workers only
-    change how the fixed per-trial seeds are scheduled.
+    change how the fixed per-trial seeds are scheduled. At most one worker
+    per trial and per CPU is started, and a single worker runs in-process.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -150,10 +152,12 @@ def run_experiment(
     if instance.n < 2:
         raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     payloads = [(instance, config, trial_id, experiment_seed) for trial_id in range(trials)]
-    if parallelism == 1:
+    # The pool forks every worker up front, so cap it by what can be used.
+    workers = min(parallelism, trials, os.cpu_count() or 1)
+    if workers == 1:
         records = [_run_trial(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, payloads))
     return ExperimentStats.from_trials(tuple(records))
 

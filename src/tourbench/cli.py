@@ -1,7 +1,8 @@
 """Command-line interface: solve, bench, compare, and oracle subcommands.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 instance parse
-error, 4 run aborted (step budget exhausted on every run).
+Exit codes: 0 success, 2 usage, configuration or file error, 3 instance
+parse error (including distances too large to be finite), 4 run aborted
+(step budget exhausted on every run).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    CSV_HEADER,
     compare,
     format_comparison_csv,
     format_comparison_json,
@@ -55,15 +57,19 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     )
 
 
+def _ga_variant(cli_variant: str) -> str:
+    """The GA crossover behind the CLI's shared baseline/modified naming."""
+    return "reversal_invariant" if cli_variant == "modified" else "baseline"
+
+
 def _solver_config(args: argparse.Namespace):
     if args.algorithm == "ga":
-        variant = "reversal_invariant" if args.variant == "modified" else "baseline"
         return GaConfig(
             population_size=args.population,
             mutation_rate=args.mutation_rate,
             max_generations=args.generations,
             max_stall_generations=args.stall,
-            crossover_variant=variant,
+            crossover_variant=_ga_variant(args.variant),
             elitism=args.elitism,
             seed=args.seed,
         )
@@ -102,12 +108,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        header = "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations"
         row = (
             f"0,{args.seed},{result.best_length!r},{result.wall_time_ms!r},"
             f"{result.fitness_evaluations},{result.iterations}"
         )
-        _emit(header + "\n" + row + "\n", args.out)
+        _emit(CSV_HEADER + "\n" + row + "\n", args.out)
     else:
         lines = [
             f"instance {instance.name} n={instance.n} metric={instance.metric.kind}",
@@ -140,17 +145,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     base = _solver_config(args)
     if args.algorithm == "ga":
-        variant_a = "reversal_invariant" if args.variant_a == "modified" else "baseline"
-        variant_b = "reversal_invariant" if args.variant_b == "modified" else "baseline"
+        pop_a = args.population if args.population_a is None else args.population_a
+        pop_b = args.population if args.population_b is None else args.population_b
         config_a = dataclasses.replace(
-            base,
-            crossover_variant=variant_a,
-            population_size=args.population_a or args.population,
+            base, crossover_variant=_ga_variant(args.variant_a), population_size=pop_a
         )
         config_b = dataclasses.replace(
-            base,
-            crossover_variant=variant_b,
-            population_size=args.population_b or args.population,
+            base, crossover_variant=_ga_variant(args.variant_b), population_size=pop_b
         )
     else:
         config_a = dataclasses.replace(base, variant=args.variant_a)
@@ -306,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except RunAbortedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ABORTED
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

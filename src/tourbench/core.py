@@ -27,6 +27,7 @@ __all__ = [
     "neighbors",
     "random_tour",
     "reverse",
+    "row_lengths",
     "tour_length",
     "transpose",
 ]
@@ -107,8 +108,9 @@ class Metric:
         raise ValueError(f"unknown metric {text!r}")
 
     def distance(self, a: Point, b: Point) -> float:
-        # Must mirror pairwise() operation for operation so cached tables and
-        # direct evaluation agree bit for bit.
+        # Scalar reference for pairwise(): the tests check the table against
+        # it entry by entry, so it must mirror pairwise() operation for
+        # operation. Evaluation itself reads the table.
         dx = a.x - b.x
         dy = a.y - b.y
         if self.kind == "euclidean":
@@ -135,46 +137,38 @@ class Metric:
 class Instance:
     """A named set of points with a metric.
 
-    With ``cache_distances`` (the default) an n-by-n distance table is built
-    lazily on first use and reused by every evaluation; without it each
-    distance is recomputed from the coordinates.
+    The read-only n-by-n distance table is built once, on construction, and
+    every evaluation reads it. Points so far apart that a distance overflows
+    to a non-finite value are rejected with ValueError.
     """
 
-    def __init__(
-        self,
-        name: str,
-        points: Sequence[Point],
-        metric: Metric | None = None,
-        cache_distances: bool = True,
-    ) -> None:
+    def __init__(self, name: str, points: Sequence[Point], metric: Metric | None = None) -> None:
         self.name = str(name)
         self.points = tuple(points)
         if not self.points:
             raise ValueError("an instance needs at least one point")
         self.metric = metric if metric is not None else Metric.euclidean()
-        self.cache_distances = bool(cache_distances)
-        self._table: np.ndarray | None = None
         xs = np.array([p.x for p in self.points], dtype=np.float64)
         ys = np.array([p.y for p in self.points], dtype=np.float64)
-        self._xs, self._ys = xs, ys
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            table = self.metric.pairwise(xs, ys)
+        if not np.isfinite(table).all():
+            raise ValueError(
+                f"instance {self.name!r} has a non-finite {self.metric.kind} distance; "
+                "the points are too far apart for float64"
+            )
+        table.setflags(write=False)
+        self._table = table
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def distance(self, i: int, j: int) -> float:
-        if self._table is not None:
-            return float(self._table[i, j])
-        return self.metric.distance(self.points[i], self.points[j])
+        return float(self._table[i, j])
 
     def distance_table(self) -> np.ndarray:
-        """The n-by-n distance table (cached when enabled)."""
-        if self._table is None:
-            table = self.metric.pairwise(self._xs, self._ys)
-            table.setflags(write=False)
-            if not self.cache_distances:
-                return table
-            self._table = table
+        """The read-only n-by-n distance table."""
         return self._table
 
     def __repr__(self) -> str:
@@ -245,33 +239,32 @@ def distance(metric: Metric, a: Point, b: Point) -> float:
     return metric.distance(a, b)
 
 
+def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
+    """Closed-tour lengths of the k tours stored as the rows of a (k, n) array.
+
+    Each row's edges, the wrap-around edge included, are sorted ascending
+    before accumulating, so any two tours over the same edge set get the
+    identical float. In particular a tour, its reversal, and its rotations
+    all evaluate bit-for-bit equal. Every tour length in the library comes
+    from here.
+    """
+    if rows.ndim != 2 or rows.shape[1] != instance.n:
+        raise ValueError(f"tours of shape {rows.shape} for an instance of {instance.n} points")
+    nxt = np.empty_like(rows)
+    nxt[:, :-1] = rows[:, 1:]
+    nxt[:, -1] = rows[:, 0]
+    edges = instance.distance_table()[rows, nxt]
+    edges.sort(axis=1)
+    # np.cumsum is a sequential scan; np.sum pairs terms and may differ.
+    return np.cumsum(edges, axis=1)[:, -1]
+
+
 def tour_length(instance: Instance, tour: Tour) -> float:
     """Length of the closed tour: consecutive edges plus the wrap-around edge.
 
-    Edge lengths are sorted ascending before accumulating, so any two tours
-    over the same edge set return the identical float. In particular a tour,
-    its reversal, and its rotations all evaluate bit-for-bit equal.
+    See row_lengths for the summation order.
     """
-    order = tour.order
-    if order.size != instance.n:
-        raise ValueError(f"tour has {order.size} entries for an instance of {instance.n} points")
-    if instance.cache_distances:
-        table = instance.distance_table()
-        edges = table[order, np.roll(order, -1)]
-        # np.cumsum is a sequential scan; np.sum pairs terms and may differ.
-        return float(np.cumsum(np.sort(edges))[-1])
-    points = instance.points
-    metric = instance.metric
-    edge_lengths = []
-    for k in range(order.size):
-        a = points[order[k]]
-        b = points[order[(k + 1) % order.size]]
-        edge_lengths.append(metric.distance(a, b))
-    edge_lengths.sort()
-    total = 0.0
-    for value in edge_lengths:
-        total += value
-    return total
+    return float(row_lengths(instance, tour.order[None, :])[0])
 
 
 def fitness(instance: Instance, tour: Tour) -> float:

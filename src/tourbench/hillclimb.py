@@ -24,6 +24,7 @@ from .core import (
     VisitHook,
     make_rng,
     random_tour,
+    row_lengths,
     tour_length,
 )
 
@@ -135,17 +136,6 @@ def _neighbor_orders(tour: Tour) -> np.ndarray:
     return rows
 
 
-def _row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
-    """tour_length of every row, computed with the same sorted accumulation."""
-    table = instance.distance_table()
-    nxt = np.empty_like(rows)
-    nxt[:, :-1] = rows[:, 1:]
-    nxt[:, -1] = rows[:, 0]
-    edges = table[rows, nxt]
-    edges.sort(axis=1)
-    return np.cumsum(edges, axis=1)[:, -1]
-
-
 def _steepest_counted(
     instance: Instance, tour: Tour, forbidden: VisitedSet | None
 ) -> tuple[Tour, float, int] | None:
@@ -163,7 +153,7 @@ def _steepest_counted(
             return None
         keep = np.flatnonzero(allowed)
         rows = rows[keep]
-    lengths = _row_lengths(instance, rows)
+    lengths = row_lengths(instance, rows)
     k = int(np.argmin(lengths))  # first minimum = lexicographically first pair
     return Tour(rows[k]), float(lengths[k]), int(rows.shape[0])
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Tour, tour_length
+from .core import Instance, Tour, row_lengths, tour_length
 
 __all__ = ["BRUTE_FORCE_MAX", "HELD_KARP_MAX", "ExactResult", "brute_force", "held_karp"]
 
@@ -46,14 +46,7 @@ def brute_force(instance: Instance) -> ExactResult:
     rest = [p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
     tours = np.zeros((len(rest), n), dtype=np.int64)
     tours[:, 1:] = np.array(rest, dtype=np.int64)
-    table = instance.distance_table()
-    nxt = np.empty_like(tours)
-    nxt[:, :-1] = tours[:, 1:]
-    nxt[:, -1] = tours[:, 0]
-    edges = table[tours, nxt]
-    # Row-wise sort then cumsum matches tour_length's sorted accumulation.
-    edges.sort(axis=1)
-    lengths = np.cumsum(edges, axis=1)[:, -1]
+    lengths = row_lengths(instance, tours)
     best = int(np.argmin(lengths))  # first minimum = lexicographically smallest
     return ExactResult(Tour(tours[best]), float(lengths[best]), len(rest))
 

@@ -48,16 +48,20 @@ class TsplibHeader:
     edge_weight_type: str | None = None
 
 
-def parse_tsplib(
-    text: str,
-    metric: Metric | None = None,
-    cache_distances: bool = True,
-) -> tuple[Instance, TsplibHeader]:
+def _make_instance(name: str, points: list[Point], metric: Metric | None) -> Instance:
+    try:
+        return Instance(name, points, metric=metric)
+    except ValueError as err:  # e.g. distances that overflow float64
+        raise ParseError(str(err)) from None
+
+
+def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, TsplibHeader]:
     """Parse TSPLIB NODE_COORD_SECTION data into an instance.
 
     Raises ParseError (with the offending line number) for a missing or
     malformed DIMENSION, bad coordinate rows, duplicate or out-of-range node
-    indices, and row counts that disagree with DIMENSION.
+    indices, and row counts that disagree with DIMENSION; and without a line
+    number for points so far apart that a distance is not finite.
     """
     lines = text.splitlines()
     name = type_ = comment = edge_weight_type = None
@@ -132,16 +136,10 @@ def parse_tsplib(
             f"NODE_COORD_SECTION has {seen} points but DIMENSION says {dimension}", last_line
         )
     header = TsplibHeader(name, type_, comment, dimension, edge_weight_type)
-    instance = Instance(name or "unnamed", coords, metric=metric, cache_distances=cache_distances)
-    return instance, header
+    return _make_instance(name or "unnamed", coords, metric), header
 
 
-def parse_coord_list(
-    text: str,
-    name: str = "coords",
-    metric: Metric | None = None,
-    cache_distances: bool = True,
-) -> Instance:
+def parse_coord_list(text: str, name: str = "coords", metric: Metric | None = None) -> Instance:
     """Parse one point per line, ``x y`` or ``x,y``; ``#`` starts a comment."""
     points: list[Point] = []
     last = 1
@@ -159,7 +157,7 @@ def parse_coord_list(
             raise ParseError(f"could not parse coordinates from {raw.strip()!r}", idx) from None
     if len(points) < 2:
         raise ParseError(f"need at least two points, got {len(points)}", last)
-    return Instance(name, points, metric=metric, cache_distances=cache_distances)
+    return _make_instance(name, points, metric)
 
 
 def _format_coordinate(v: float) -> str:
@@ -202,17 +200,12 @@ def detect_format(text: str) -> str:
     return "coords"
 
 
-def parse_instance_text(
-    text: str,
-    name: str = "coords",
-    metric: Metric | None = None,
-    cache_distances: bool = True,
-) -> Instance:
+def parse_instance_text(text: str, name: str = "coords", metric: Metric | None = None) -> Instance:
     """Parse instance text in either supported format, detected automatically."""
     if detect_format(text) == "tsplib":
-        instance, _ = parse_tsplib(text, metric=metric, cache_distances=cache_distances)
+        instance, _ = parse_tsplib(text, metric=metric)
         return instance
-    return parse_coord_list(text, name=name, metric=metric, cache_distances=cache_distances)
+    return parse_coord_list(text, name=name, metric=metric)
 
 
 def bundled_names() -> list[str]:
@@ -221,25 +214,17 @@ def bundled_names() -> list[str]:
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".tsp"))
 
 
-def bundled_instance(
-    name: str,
-    metric: Metric | None = None,
-    cache_distances: bool = True,
-) -> Instance:
+def bundled_instance(name: str, metric: Metric | None = None) -> Instance:
     """Load a bundled instance such as ``att48`` by name."""
     path = resources.files("tourbench.data") / f"{name}.tsp"
     if not path.is_file():
         raise FileNotFoundError(f"no bundled instance named {name!r}; have {bundled_names()}")
-    instance, _ = parse_tsplib(path.read_text(), metric=metric, cache_distances=cache_distances)
+    instance, _ = parse_tsplib(path.read_text(), metric=metric)
     return instance
 
 
-def load_instance(
-    path: str | Path,
-    metric: Metric | None = None,
-    cache_distances: bool = True,
-) -> Instance:
+def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:
     """Load an instance from a file path, detecting the format from content."""
     p = Path(path)
     text = p.read_text()
-    return parse_instance_text(text, name=p.stem, metric=metric, cache_distances=cache_distances)
+    return parse_instance_text(text, name=p.stem, metric=metric)

@@ -5,9 +5,9 @@ import numpy as np
 from tourbench.core import Instance, Metric, Point
 
 
-def make_instance(coords, metric=None, name="test", cache_distances=True):
+def make_instance(coords, metric=None, name="test"):
     points = tuple(Point(float(x), float(y)) for x, y in coords)
-    return Instance(name=name, points=points, metric=metric, cache_distances=cache_distances)
+    return Instance(name=name, points=points, metric=metric)
 
 
 def random_instance(rng, n, lo=0.0, hi=100.0, name="rand"):
@@ -18,5 +18,5 @@ def random_instance(rng, n, lo=0.0, hi=100.0, name="rand"):
 SQUARE = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0))
 
 
-def square_instance(metric=None, cache_distances=True):
-    return make_instance(SQUARE, metric=metric, name="square", cache_distances=cache_distances)
+def square_instance(metric=None):
+    return make_instance(SQUARE, metric=metric, name="square")

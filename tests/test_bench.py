@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance
+from tourbench import bench
 from tourbench.bench import (
     CSV_HEADER,
     ComparisonReport,
@@ -141,6 +142,40 @@ class TestRunExperiment:
     def test_rejects_single_point_instance(self):
         with pytest.raises(ConfigurationError):
             run_experiment(make_instance([(0, 0)]), HcConfig(), trials=1)
+
+    @pytest.mark.parametrize("parallelism, trials, cpus, expected", [
+        (64, 3, 8, [3]),  # no more workers than trials
+        (64, 10, 4, [4]),  # nor than CPUs
+        (2, 10, 8, [2]),
+        (8, 10, 1, []),  # one usable worker runs in-process
+        (8, 1, 8, []),
+        (8, 10, None, []),  # an unknown CPU count counts as one
+    ])
+    def test_pool_is_bounded(
+        self, small_instance, monkeypatch, parallelism, trials, cpus, expected
+    ):
+        started = []
+
+        class RecordingPool:
+            """Records the requested worker count and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        stats = run_experiment(small_instance, HcConfig(), trials=trials, parallelism=parallelism)
+        assert started == expected
+        assert len(stats.trials) == trials
 
 
 class TestCompare:

@@ -137,6 +137,25 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("metric", [
+        "euclidean", "manhattan", "wmanhattan:1,1", "wchebyshev:1,1",
+    ])
+    def test_non_finite_distances_are_parse_errors(self, capsys, tmp_path, metric):
+        path = tmp_path / "far.txt"
+        path.write_text("1e308 0\n-1e308 0\n")
+        code, _, err = run_cli(capsys, [
+            "solve", "--instance", str(path), "--metric", metric,
+        ])
+        assert code == EXIT_PARSE
+        assert "non-finite" in err
+
+    def test_out_to_directory_is_a_usage_error(self, capsys, square_file, tmp_path):
+        code, _, err = run_cli(capsys, [
+            "solve", "--instance", square_file, "--algorithm", "hc", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")
+
     def test_step_budget_abort(self, capsys):
         code, _, err = run_cli(capsys, [
             "solve", "--instance", "att48", "--algorithm", "hc", "--max-steps", "1",
@@ -237,6 +256,15 @@ class TestCompare:
         doc = json.loads(out)
         assert len(doc["a"]["trials"]) == len(doc["b"]["trials"]) == 2
         assert doc["a"]["trials"][0]["seed"] == doc["b"]["trials"][0]["seed"]
+
+    @pytest.mark.parametrize("flag", ["--population-a", "--population-b"])
+    def test_zero_arm_population_is_rejected(self, capsys, square_file, flag):
+        code, _, err = run_cli(capsys, [
+            "compare", "--instance", square_file, "--algorithm", "ga",
+            "--population", "8", flag, "0", "--generations", "2", "--trials", "1",
+        ])
+        assert code == EXIT_CONFIG
+        assert "population_size" in err
 
 
 class TestOracle:

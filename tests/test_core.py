@@ -17,6 +17,7 @@ from tourbench.core import (
     neighbors,
     random_tour,
     reverse,
+    row_lengths,
     tour_length,
     transpose,
 )
@@ -76,7 +77,7 @@ class TestMetric:
                 assert m.distance(a, b) == m.distance(b, a)
 
     def test_pairwise_matches_scalar_exactly(self):
-        """Cached tables and direct evaluation must agree bit for bit."""
+        """The distance table and the scalar reference agree bit for bit."""
         rng = np.random.default_rng(7)
         coords = rng.uniform(-100, 100, size=(12, 2))
         pts = [Point(float(x), float(y)) for x, y in coords]
@@ -132,13 +133,14 @@ class TestInstance:
         assert np.array_equal(table, table.T)
         assert np.all(np.diag(table) == 0.0)
 
-    def test_uncached_instance_recomputes(self):
-        inst = square_instance(cache_distances=False)
-        t1 = inst.distance_table()
-        t2 = inst.distance_table()
-        assert t1 is not t2
-        assert np.array_equal(t1, t2)
-        assert inst.distance(1, 3) == Metric.euclidean().distance(inst.points[1], inst.points[3])
+    @pytest.mark.parametrize("metric", [
+        Metric.euclidean(), Metric.manhattan(),
+        Metric.weighted_manhattan(1.0, 1.0), Metric.weighted_chebyshev(1.0, 1.0),
+    ])
+    def test_rejects_non_finite_distances(self, metric):
+        # Both coordinates are finite, but their difference overflows float64.
+        with pytest.raises(ValueError, match="non-finite"):
+            make_instance([(1e308, 0.0), (-1e308, 0.0)], metric=metric)
 
 
 class TestTour:
@@ -198,14 +200,23 @@ class TestTourLength:
             total += e
         assert tour_length(inst, t) == total
 
-    def test_cached_equals_uncached(self):
+    def test_row_lengths_match_sorted_edge_sums(self):
+        """Each row of the batch kernel equals the scalar sorted-edge sum."""
         rng = np.random.default_rng(13)
-        coords = rng.uniform(-10, 10, size=(15, 2))
-        cached = make_instance(coords)
-        plain = make_instance(coords, cache_distances=False)
-        for _ in range(20):
-            t = random_tour(15, rng)
-            assert tour_length(cached, t) == tour_length(plain, t)
+        inst = make_instance(rng.uniform(-10, 10, size=(15, 2)))
+        rows = np.array([rng.permutation(15) for _ in range(20)])
+        lengths = row_lengths(inst, rows)
+        assert lengths.shape == (20,)
+        for row, length in zip(rows, lengths):
+            total = 0.0
+            for e in sorted(inst.distance(row[k], row[(k + 1) % 15]) for k in range(15)):
+                total += e
+            assert length == total
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5)])
+    def test_row_lengths_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError):
+            row_lengths(square_instance(), np.zeros(shape, dtype=np.int64))
 
     def test_reversal_and_rotation_are_exact(self):
         """Same cycle, same float, regardless of traversal."""

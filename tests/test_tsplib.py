@@ -95,6 +95,11 @@ class TestParseTsplib:
     def test_parse_error_is_value_error(self):
         assert issubclass(ParseError, ValueError)
 
+    def test_rejects_non_finite_distances(self):
+        text = "NAME : far\nDIMENSION : 2\nNODE_COORD_SECTION\n1 1e308 0\n2 -1e308 0\nEOF\n"
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_tsplib(text)
+
 
 class TestParseCoordList:
     def test_space_and_comma_forms(self):
@@ -115,6 +120,10 @@ class TestParseCoordList:
     def test_rejects_single_point(self):
         with pytest.raises(ParseError):
             parse_coord_list("0 0\n")
+
+    def test_rejects_non_finite_distances(self):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_coord_list("0 1e308\n0 -1e308\n", metric=Metric.manhattan())
 
     def test_named(self):
         assert parse_coord_list("0 0\n1 1\n", name="pair").name == "pair"
