@@ -117,8 +117,9 @@ def _solve_once(instance: Instance, config: SolverConfig):
     raise ConfigurationError(f"unsupported config type {type(config).__name__}")
 
 
-def _run_trial(payload) -> TrialRecord:
-    instance, config, trial_id, experiment_seed = payload
+def _run_trial(
+    instance: Instance, config: SolverConfig, experiment_seed: int, trial_id: int
+) -> TrialRecord:
     seed = derive_trial_seed(experiment_seed, trial_id)
     result = _solve_once(instance, dataclasses.replace(config, seed=seed))
     return TrialRecord(
@@ -129,6 +130,21 @@ def _run_trial(payload) -> TrialRecord:
         fitness_evaluations=result.fitness_evaluations,
         iterations=result.iterations,
     )
+
+
+# What every trial of a pooled experiment shares, set once in each worker
+# process by _init_worker: the instance, with its n-by-n table, is sent once
+# per worker and the tasks themselves are bare trial ids.
+_worker_experiment = None
+
+
+def _init_worker(instance: Instance, config: SolverConfig, experiment_seed: int) -> None:
+    global _worker_experiment
+    _worker_experiment = (instance, config, experiment_seed)
+
+
+def _run_pooled_trial(trial_id: int) -> TrialRecord:
+    return _run_trial(*_worker_experiment, trial_id)
 
 
 def run_experiment(
@@ -151,14 +167,17 @@ def run_experiment(
     config.validate()
     if instance.n < 2:
         raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
-    payloads = [(instance, config, trial_id, experiment_seed) for trial_id in range(trials)]
     # The pool forks every worker up front, so cap it by what can be used.
     workers = min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:
-        records = [_run_trial(p) for p in payloads]
+        records = [_run_trial(instance, config, experiment_seed, k) for k in range(trials)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, payloads))
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(instance, config, experiment_seed),
+        ) as pool:
+            records = list(pool.map(_run_pooled_trial, range(trials)))
     return ExperimentStats.from_trials(tuple(records))
 
 

@@ -21,9 +21,7 @@ from .core import (
     RunResult,
     Tour,
     make_rng,
-    random_tour,
-    reverse,
-    tour_length,
+    row_lengths,
 )
 
 __all__ = [
@@ -73,15 +71,19 @@ class GaConfig:
             )
 
 
+def _random_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniformly random tours over ``n`` points as a (size, n) array."""
+    if n < 2:
+        raise ValueError(f"need at least two points, got {n}")
+    return np.array([rng.permutation(n) for _ in range(size)])
+
+
 def init_population(
     instance: Instance, size: int, rng: np.random.Generator
 ) -> list[tuple[Tour, float]]:
     """Random members paired with their lengths."""
-    population = []
-    for _ in range(size):
-        t = random_tour(instance.n, rng)
-        population.append((t, tour_length(instance, t)))
-    return population
+    rows = _random_rows(instance.n, size, rng)
+    return [(Tour(row), float(length)) for row, length in zip(rows, row_lengths(instance, rows))]
 
 
 class _RouletteWheel:
@@ -89,9 +91,9 @@ class _RouletteWheel:
 
     Weight of a member is (longest length - own length) plus a floor
     proportional to the longest length, so shorter tours are strictly
-    favored while every member keeps a real chance. Draws match
-    select_parent for the same rng state; building the wheel once per
-    generation just hoists the shared prefix-sum work.
+    favored while every member keeps a real chance. A draw is split in two
+    so a generation can take all of its scalar draws first: ``spin`` takes
+    one number from the rng, ``land`` maps a batch of spins to members.
     """
 
     __slots__ = ("cum", "total")
@@ -102,12 +104,17 @@ class _RouletteWheel:
         self.cum = np.cumsum(weights)
         self.total = float(self.cum[-1])
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def spin(self, rng: np.random.Generator) -> float:
         if self.total <= 0.0:
             # All lengths zero (duplicate points): fall back to uniform.
             return int(rng.integers(self.cum.size))
-        k = int(np.searchsorted(self.cum, rng.random() * self.total, side="right"))
-        return min(k, self.cum.size - 1)
+        return rng.random() * self.total
+
+    def land(self, spins: list[float]) -> np.ndarray:
+        if self.total <= 0.0:
+            return np.array(spins, dtype=np.int64)
+        k = np.searchsorted(self.cum, spins, side="right")
+        return np.minimum(k, self.cum.size - 1)
 
 
 def select_parent(
@@ -115,11 +122,23 @@ def select_parent(
 ) -> Tour:
     """Roulette-wheel pick over length-based weights; shorter is likelier."""
     lengths = np.array([length for _, length in population], dtype=np.float64)
-    return population[_RouletteWheel(lengths).draw(rng)][0]
+    wheel = _RouletteWheel(lengths)
+    return population[int(wheel.land([wheel.spin(rng)])[0])][0]
 
 
 def _draw_split(n: int, rng: np.random.Generator) -> int:
     return int(rng.integers(1, n))
+
+
+def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int] | None:
+    """Mutation draws for one child: the rate draw, then two distinct positions."""
+    if rate <= 0.0 or rng.random() >= rate:
+        return None
+    i = int(rng.integers(n))
+    j = int(rng.integers(n))
+    while j == i:
+        j = int(rng.integers(n))
+    return i, j
 
 
 def _check_parents(p1: Tour, p2: Tour, split: int | None) -> None:
@@ -130,6 +149,47 @@ def _check_parents(p1: Tour, p2: Tour, split: int | None) -> None:
         raise ValueError("crossover needs tours over at least two points")
     if split is not None and not 1 <= split <= n - 1:
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
+
+
+def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Baseline crossover of each row pair of two (k, n) parent arrays.
+
+    Every city of ``p2`` goes to one position of the child. A city inside
+    ``p1``'s prefix goes where ``p1`` has it; the others fill the positions
+    from the split on, in ``p2``'s order, placed by a running count.
+    """
+    k, n = p1.shape
+    rows = np.arange(k)[:, None]
+    where_in_p1 = np.empty_like(p1)
+    where_in_p1[rows, p1] = np.arange(n)
+    dest = where_in_p1[rows, p2]
+    tail = dest >= splits[:, None]
+    dest = np.where(tail, splits[:, None] + np.cumsum(tail, axis=1) - 1, dest)
+    child = np.empty_like(p1)
+    child[rows, dest] = p2
+    return child
+
+
+def _offspring(
+    instance: Instance, p1: np.ndarray, p2: np.ndarray, splits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Children of (k, n) parent rows and their lengths.
+
+    ``splits`` is (k, 1) for baseline crossover. With a second column the
+    crossover is reversal-invariant: a second child is bred from the
+    reversed mate at that split, and the shorter of the two is kept, the tie
+    going to the unreversed mate's child. Costs one length evaluation per
+    child per column.
+    """
+    children = _crossover_rows(p1, p2, splits[:, 0])
+    lengths = row_lengths(instance, children)
+    if splits.shape[1] == 2:
+        flipped = _crossover_rows(p1, p2[:, ::-1], splits[:, 1])
+        flipped_lengths = row_lengths(instance, flipped)
+        shorter = flipped_lengths < lengths
+        children = np.where(shorter[:, None], flipped, children)
+        lengths = np.where(shorter, flipped_lengths, lengths)
+    return children, lengths
 
 
 def crossover_baseline(
@@ -144,29 +204,7 @@ def crossover_baseline(
         if rng is None:
             raise ValueError("provide either a split position or an rng")
         split = _draw_split(len(p1), rng)
-    head = p1.order[:split]
-    taken = np.zeros(len(p1), dtype=bool)
-    taken[head] = True
-    tail = p2.order[~taken[p2.order]]
-    return Tour(np.concatenate([head, tail]))
-
-
-def _offspring_reversal_invariant(
-    p1: Tour, p2: Tour, split1: int, split2: int, instance: Instance
-) -> tuple[Tour, float]:
-    """Shorter of the children bred from the mate and the reversed mate.
-
-    The mate's child uses split1, the reversed mate's child uses split2.
-    Exactly two length evaluations; the tie goes to the unreversed mate's
-    child.
-    """
-    c1 = crossover_baseline(p1, p2, split1)
-    c2 = crossover_baseline(p1, reverse(p2), split2)
-    l1 = tour_length(instance, c1)
-    l2 = tour_length(instance, c2)
-    if l2 < l1:
-        return c2, l2
-    return c1, l1
+    return Tour(_crossover_rows(p1.order[None, :], p2.order[None, :], np.array([split]))[0])
 
 
 def crossover_reversal_invariant(
@@ -187,11 +225,11 @@ def crossover_reversal_invariant(
     if split is None:
         if rng is None:
             raise ValueError("provide either a split position or an rng")
-        split1 = _draw_split(len(p1), rng)
-        split2 = _draw_split(len(p1), rng)
+        splits = [_draw_split(len(p1), rng), _draw_split(len(p1), rng)]
     else:
-        split1 = split2 = split
-    return _offspring_reversal_invariant(p1, p2, split1, split2, instance)[0]
+        splits = [split, split]
+    children, _ = _offspring(instance, p1.order[None, :], p2.order[None, :], np.array([splits]))
+    return Tour(children[0])
 
 
 def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
@@ -202,17 +240,12 @@ def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    if rate <= 0.0:
+    if len(tour) < 2:
+        raise ValueError("mutation needs a tour over at least two points")
+    swap = _draw_swap(len(tour), rate, rng)
+    if swap is None:
         return tour
-    if rng.random() >= rate:
-        return tour
-    n = len(tour)
-    i = int(rng.integers(n))
-    j = int(rng.integers(n))
-    while j == i:
-        j = int(rng.integers(n))
-    if i > j:
-        i, j = j, i
+    i, j = swap
     arr = tour.order.copy()
     arr[i], arr[j] = arr[j], arr[i]
     return Tour(arr)
@@ -235,54 +268,60 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
         raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     rng = make_rng(config.seed)
     started = time.perf_counter()
-    n = instance.n
-    reversal = config.crossover_variant == "reversal_invariant"
+    n, size, rate = instance.n, config.population_size, config.mutation_rate
+    columns = 2 if config.crossover_variant == "reversal_invariant" else 1
 
-    population = init_population(instance, config.population_size, rng)
-    evaluations = len(population)
-    best_tour, best_length = min(population, key=lambda member: member[1])
+    population = _random_rows(n, size, rng)
+    lengths = row_lengths(instance, population)
+    evaluations = size
+    best = int(np.argmin(lengths))
+    best_row, best_length = population[best], float(lengths[best])
     generations = 0
     stall = 0
     while generations < config.max_generations and stall < config.max_stall_generations:
-        lengths = np.array([length for _, length in population], dtype=np.float64)
+        # Every scalar draw of the generation, in the per-offspring order
+        # (two parents, the splits, the mutation), so the stream, and with
+        # it every result, does not depend on how the rest is batched.
         wheel = _RouletteWheel(lengths)
-        offspring: list[tuple[Tour, float]] = []
-        for _ in range(config.population_size):
-            p1 = population[wheel.draw(rng)][0]
-            p2 = population[wheel.draw(rng)][0]
-            if reversal:
-                split1 = _draw_split(n, rng)
-                split2 = _draw_split(n, rng)
-                child, length = _offspring_reversal_invariant(
-                    p1, p2, split1, split2, instance
-                )
-                evaluations += 2
-            else:
-                child = crossover_baseline(p1, p2, _draw_split(n, rng))
-                length = tour_length(instance, child)
-                evaluations += 1
-            mutated = mutate(child, config.mutation_rate, rng)
-            if mutated is not child:
-                child = mutated
-                length = tour_length(instance, child)
-                evaluations += 1
-            offspring.append((child, length))
+        spins, splits, swaps = [], [], []
+        for k in range(size):
+            spins.append(wheel.spin(rng))
+            spins.append(wheel.spin(rng))
+            for _ in range(columns):
+                splits.append(_draw_split(n, rng))
+            swap = _draw_swap(n, rate, rng)
+            if swap is not None:
+                swaps.append((k, *swap))
+        parents = wheel.land(spins).reshape(size, 2)
+        offspring, offspring_lengths = _offspring(
+            instance,
+            population[parents[:, 0]],
+            population[parents[:, 1]],
+            np.array(splits).reshape(size, columns),
+        )
+        evaluations += size * columns
+        if swaps:
+            rows, i, j = np.array(swaps).T
+            offspring[rows, i], offspring[rows, j] = offspring[rows, j], offspring[rows, i]
+            offspring_lengths[rows] = row_lengths(instance, offspring[rows])
+            evaluations += rows.size
         if config.elitism:
-            incumbent = min(population, key=lambda member: member[1])
-            worst = max(range(len(offspring)), key=lambda k: offspring[k][1])
-            offspring[worst] = incumbent
-        population = offspring
+            incumbent = int(np.argmin(lengths))
+            worst = int(np.argmax(offspring_lengths))
+            offspring[worst] = population[incumbent]
+            offspring_lengths[worst] = lengths[incumbent]
+        population, lengths = offspring, offspring_lengths
         generations += 1
-        gen_tour, gen_length = min(population, key=lambda member: member[1])
-        if gen_length < best_length:
-            best_tour, best_length = gen_tour, gen_length
+        gen = int(np.argmin(lengths))
+        if lengths[gen] < best_length:
+            best_row, best_length = population[gen], float(lengths[gen])
             stall = 0
         else:
             stall += 1
         if on_generation is not None:
             on_generation(generations, best_length)
     return RunResult(
-        best_tour=best_tour,
+        best_tour=Tour(best_row),
         best_length=best_length,
         iterations=generations,
         fitness_evaluations=evaluations,

@@ -20,7 +20,7 @@ from tourbench.bench import (
     format_trials_csv,
     run_experiment,
 )
-from tourbench.core import ConfigurationError
+from tourbench.core import ConfigurationError, Instance
 from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
 
@@ -97,6 +97,33 @@ def small_instance():
     return random_instance(np.random.default_rng(83), 6)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that records its arguments and runs in-process."""
+    log = {"workers": [], "initargs": [], "items": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            log["workers"].append(max_workers)
+            log["initargs"].append(initargs)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            log["items"].extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
 class TestRunExperiment:
     def test_records_are_ordered_with_derived_seeds(self, small_instance):
         stats = run_experiment(small_instance, HcConfig(), trials=5, experiment_seed=9)
@@ -152,30 +179,25 @@ class TestRunExperiment:
         (8, 10, None, []),  # an unknown CPU count counts as one
     ])
     def test_pool_is_bounded(
-        self, small_instance, monkeypatch, parallelism, trials, cpus, expected
+        self, small_instance, monkeypatch, recording_pool, parallelism, trials, cpus, expected
     ):
-        started = []
-
-        class RecordingPool:
-            """Records the requested worker count and maps in-process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         stats = run_experiment(small_instance, HcConfig(), trials=trials, parallelism=parallelism)
-        assert started == expected
+        assert recording_pool["workers"] == expected
         assert len(stats.trials) == trials
+
+    def test_pool_tasks_carry_no_instance(self, small_instance, monkeypatch, recording_pool):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+        config = HcConfig(restarts=1)
+        pooled = run_experiment(small_instance, config, trials=5, experiment_seed=3, parallelism=2)
+        # The instance goes to each worker once; the tasks are bare trial ids.
+        assert recording_pool["initargs"] == [(small_instance, config, 3)]
+        assert recording_pool["items"] == [0, 1, 2, 3, 4]
+        assert not any(isinstance(item, Instance) for item in recording_pool["items"])
+        serial = run_experiment(small_instance, config, trials=5, experiment_seed=3)
+        assert format_trials_csv(pooled, include_timing=False) == format_trials_csv(
+            serial, include_timing=False
+        )
 
 
 class TestCompare:

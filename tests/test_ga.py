@@ -209,6 +209,11 @@ class TestMutate:
         with pytest.raises(ValueError):
             mutate(Tour([0, 1]), 1.2, make_rng(0))
 
+    def test_rejects_one_point_tour(self):
+        # No two distinct positions exist, so the swap draw could never end.
+        with pytest.raises(ValueError):
+            mutate(Tour([0]), 1.0, make_rng(0))
+
 
 class TestRunGa:
     def test_solves_square_with_reversal_invariant(self):

@@ -38,6 +38,10 @@ def _instance(kind: str, n: int) -> Instance:
     return Instance(f"{kind}-{n}", points, metric)
 
 
+def _coincident() -> Instance:
+    return Instance("coincident", [Point(3.0, 3.0)] * 7)
+
+
 def _solver_entry(result) -> dict:
     return {
         "length": float.hex(result.best_length),
@@ -57,14 +61,14 @@ def _exact_entry(result) -> dict:
     }
 
 
-def _ga(instance_fn, variant, seed, population, generations):
+def _ga(instance_fn, variant, seed, population, generations, mutation_rate=0.2, elitism=True):
     config = GaConfig(
         population_size=population,
-        mutation_rate=0.2,
+        mutation_rate=mutation_rate,
         max_generations=generations,
         max_stall_generations=generations,
         crossover_variant=variant,
-        elitism=True,
+        elitism=elitism,
         seed=seed,
     )
     return lambda: _solver_entry(run_ga(instance_fn(), config))
@@ -90,8 +94,18 @@ def _cases() -> dict:
                 cases[f"brute_force-{tag}"] = lambda inst=inst: _exact_entry(brute_force(inst()))
             cases[f"held_karp-{tag}"] = lambda inst=inst: _exact_entry(held_karp(inst()))
     att48 = lambda: bundled_instance("att48")  # noqa: E731
+    euclidean13 = lambda: _instance("euclidean", 13)  # noqa: E731
     for variant in ("baseline", "reversal_invariant"):
         cases[f"ga-{variant}-att48"] = _ga(att48, variant, 48, 24, 6)
+        # Every length is zero, so the roulette wheel falls back to uniform
+        # draws; the mutation count (in the evaluations) follows the stream.
+        cases[f"ga-{variant}-coincident"] = _ga(_coincident, variant, 7, 12, 8, mutation_rate=0.5)
+        cases[f"ga-{variant}-no-elitism-euclidean-n13"] = _ga(
+            euclidean13, variant, 13, 16, 12, mutation_rate=0.3, elitism=False
+        )
+        cases[f"ga-{variant}-no-elitism-att48"] = _ga(
+            att48, variant, 49, 24, 6, mutation_rate=0.3, elitism=False
+        )
     return cases
 
 
