@@ -25,6 +25,7 @@ __all__ = [
     "fitness",
     "make_rng",
     "neighbors",
+    "random_rows",
     "random_tour",
     "reverse",
     "row_lengths",
@@ -295,11 +296,16 @@ def neighbors(tour: Tour) -> Iterator[Tour]:
     return (transpose(tour, i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 
-def random_tour(n: int, rng: np.random.Generator) -> Tour:
-    """Uniformly random tour over ``n`` points."""
+def random_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniformly random tours over ``n`` points as a (size, n) array."""
     if n < 2:
         raise ValueError(f"need at least two points, got {n}")
-    return Tour(rng.permutation(n))
+    return np.array([rng.permutation(n) for _ in range(size)])
+
+
+def random_tour(n: int, rng: np.random.Generator) -> Tour:
+    """Uniformly random tour over ``n`` points."""
+    return Tour(random_rows(n, 1, rng)[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:

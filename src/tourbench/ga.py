@@ -21,6 +21,7 @@ from .core import (
     RunResult,
     Tour,
     make_rng,
+    random_rows,
     row_lengths,
 )
 
@@ -71,18 +72,11 @@ class GaConfig:
             )
 
 
-def _random_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` uniformly random tours over ``n`` points as a (size, n) array."""
-    if n < 2:
-        raise ValueError(f"need at least two points, got {n}")
-    return np.array([rng.permutation(n) for _ in range(size)])
-
-
 def init_population(
     instance: Instance, size: int, rng: np.random.Generator
 ) -> list[tuple[Tour, float]]:
     """Random members paired with their lengths."""
-    rows = _random_rows(instance.n, size, rng)
+    rows = random_rows(instance.n, size, rng)
     return [(Tour(row), float(length)) for row, length in zip(rows, row_lengths(instance, rows))]
 
 
@@ -271,7 +265,7 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     n, size, rate = instance.n, config.population_size, config.mutation_rate
     columns = 2 if config.crossover_variant == "reversal_invariant" else 1
 
-    population = _random_rows(n, size, rng)
+    population = random_rows(n, size, rng)
     lengths = row_lengths(instance, population)
     evaluations = size
     best = int(np.argmin(lengths))

@@ -120,6 +120,8 @@ def recording_pool(monkeypatch):
             log["items"].extend(items)
             return map(fn, items)
 
+    # The initializer runs in this process; restore the global it sets.
+    monkeypatch.setattr(bench, "_worker_experiment", None)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
     return log
 
