@@ -289,7 +289,7 @@ def format_stats_json(
     return json.dumps(doc, indent=2) + "\n"
 
 
-def format_comparison_csv(report: ComparisonReport, include_timing: bool = True) -> str:
+def format_comparison_csv(report: ComparisonReport) -> str:
     """Paired per-trial rows (same seed per row) with both arms' lengths."""
     lines = ["trial_id,seed,tour_length_a,tour_length_b"]
     for ra, rb in zip(report.stats_a.trials, report.stats_b.trials):

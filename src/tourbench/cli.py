@@ -33,6 +33,9 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_ABORTED = 4
 
+_GA_DEFAULTS = GaConfig()
+_HC_DEFAULTS = HcConfig()
+
 
 def _build_metric(text: str) -> Metric:
     try:
@@ -168,7 +171,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = format_comparison_json(report, include_timing=timing, metadata=timing)
     elif args.format == "csv":
-        text = format_comparison_csv(report, include_timing=timing)
+        text = format_comparison_csv(report)
     else:
         a, b = report.stats_a, report.stats_b
         text = "\n".join(
@@ -236,13 +239,13 @@ def _add_solver(parser: argparse.ArgumentParser) -> None:
         default="baseline",
         help="ga: crossover strategy; hc: escape-and-memoization strategy",
     )
-    parser.add_argument("--population", type=int, default=200)
-    parser.add_argument("--generations", type=int, default=30)
-    parser.add_argument("--stall", type=int, default=10, help="stop after this many generations without improvement")
-    parser.add_argument("--mutation-rate", type=float, default=0.0)
+    parser.add_argument("--population", type=int, default=_GA_DEFAULTS.population_size)
+    parser.add_argument("--generations", type=int, default=_GA_DEFAULTS.max_generations)
+    parser.add_argument("--stall", type=int, default=_GA_DEFAULTS.max_stall_generations, help="stop after this many generations without improvement")
+    parser.add_argument("--mutation-rate", type=float, default=_GA_DEFAULTS.mutation_rate)
     parser.add_argument("--elitism", action="store_true")
-    parser.add_argument("--restarts", type=int, default=0)
-    parser.add_argument("--max-steps", type=int, default=1_000_000, help="per-run step budget (hc)")
+    parser.add_argument("--restarts", type=int, default=_HC_DEFAULTS.restarts)
+    parser.add_argument("--max-steps", type=int, default=_HC_DEFAULTS.max_steps_per_run, help="per-run step budget (hc)")
 
 
 def build_parser() -> argparse.ArgumentParser:

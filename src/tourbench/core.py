@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -324,7 +324,3 @@ class RunResult:
     wall_time_ms: float
     runs: int = 1
     early_outs: int = 0
-
-
-# Callback signature shared by the solvers' optional instrumentation hooks.
-VisitHook = Callable[[Tour, float], None]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .core import (
     Instance,
     RunResult,
     Tour,
-    VisitHook,
     make_rng,
     random_tour,
     row_lengths,
@@ -34,7 +34,9 @@ __all__ = [
     "HC_VARIANTS",
     "HcConfig",
     "RunAbortedError",
+    "VisitHook",
     "VisitedSet",
+    "hill_climb",
     "hill_climb_baseline",
     "hill_climb_modified",
     "run_hc",
@@ -44,6 +46,9 @@ __all__ = [
 HC_VARIANTS = ("baseline", "modified")
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_VISITED_CAP = 10_000_000
+
+# Called with each tour a climb visits and its length, start included.
+VisitHook = Callable[[Tour, float], None]
 
 
 class RunAbortedError(RuntimeError):
@@ -136,10 +141,14 @@ def _neighbor_orders(tour: Tour) -> np.ndarray:
     return rows
 
 
-def _steepest_counted(
-    instance: Instance, tour: Tour, forbidden: VisitedSet | None
+def steepest_step(
+    instance: Instance, tour: Tour, forbidden: VisitedSet | None = None
 ) -> tuple[Tour, float, int] | None:
-    """Best allowed neighbor, its length, and how many neighbors were evaluated."""
+    """Shortest transposition neighbor, its length, and how many neighbors were evaluated.
+
+    Ties go to the first pair in lexicographic (i, j) order. Neighbors in
+    ``forbidden`` are skipped; None means every neighbor was forbidden.
+    """
     if len(tour) < 2:
         raise ValueError("steepest descent needs a tour over at least two points")
     rows = _neighbor_orders(tour)
@@ -158,82 +167,39 @@ def _steepest_counted(
     return Tour(rows[k]), float(lengths[k]), int(rows.shape[0])
 
 
-def steepest_step(
-    instance: Instance, tour: Tour, forbidden: VisitedSet | None = None
-) -> tuple[Tour, float] | None:
-    """Shortest transposition neighbor and its length.
-
-    Ties go to the first pair in lexicographic (i, j) order. Neighbors in
-    ``forbidden`` are skipped; None means every neighbor was forbidden.
-    """
-    found = _steepest_counted(instance, tour, forbidden)
-    if found is None:
-        return None
-    return found[0], found[1]
-
-
-def _climb_baseline(
+def hill_climb(
     instance: Instance,
     start: Tour,
-    max_steps: int,
-    on_visit: VisitHook | None = None,
-) -> tuple[Tour, float, int, int]:
-    current = start
-    current_length = tour_length(instance, start)
-    if on_visit is not None:
-        on_visit(current, current_length)
-    steps = 0
-    evaluations = 0
-    while True:
-        neighbor, neighbor_length, evaluated = _steepest_counted(instance, current, None)
-        evaluations += evaluated
-        if not neighbor_length < current_length:
-            return current, current_length, steps, evaluations
-        if steps >= max_steps:
-            raise RunAbortedError(current, current_length, steps, evaluations)
-        current, current_length = neighbor, neighbor_length
-        steps += 1
-        if on_visit is not None:
-            on_visit(current, current_length)
-
-
-def hill_climb_baseline(
-    instance: Instance,
-    start: Tour,
+    visited: VisitedSet | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
+    replenish_allowance: bool = True,
     on_visit: VisitHook | None = None,
-) -> tuple[Tour, int]:
-    """Steepest descent from ``start`` to a local minimum.
+) -> tuple[Tour, float, int, int, bool]:
+    """One steepest-descent climb from ``start``.
 
-    Returns the local minimum and the number of steps taken. Raises
-    RunAbortedError if the next improving step would exceed ``max_steps``.
+    Returns (best tour seen, its length, steps taken, neighbor evaluations,
+    early_out). With ``visited`` None this is the baseline: the escape
+    allowance starts spent, so the climb stops at the first local minimum.
+    Otherwise every visited permutation is added to ``visited``, which the
+    caller may share across restarts, no permutation is revisited, and
+    early_out is True (with no work done) when ``start`` was already in it.
+    Raises RunAbortedError if the next step would exceed ``max_steps``.
     """
-    tour, _, steps, _ = _climb_baseline(instance, start, max_steps, on_visit)
-    return tour, steps
-
-
-def _climb_modified(
-    instance: Instance,
-    start: Tour,
-    visited: VisitedSet,
-    max_steps: int,
-    replenish_allowance: bool,
-    on_visit: VisitHook | None = None,
-) -> tuple[Tour, float, int, bool, int]:
-    if start in visited:
-        return start, tour_length(instance, start), 0, True, 0
-    visited.add(start)
     current = start
     current_length = tour_length(instance, start)
+    if visited is not None:
+        if start in visited:
+            return start, current_length, 0, 0, True
+        visited.add(start)
     best, best_length = current, current_length
     if on_visit is not None:
         on_visit(current, current_length)
     steps = 0
     evaluations = 0
-    allowance_spent = False
-    trigger_length = 0.0
+    allowance_spent = visited is None
+    trigger_length = -np.inf  # set when the allowance is spent; the baseline never re-arms
     while True:
-        found = _steepest_counted(instance, current, visited)
+        found = steepest_step(instance, current, visited)
         if found is None:
             break  # every neighbor already visited
         neighbor, neighbor_length, evaluated = found
@@ -249,14 +215,25 @@ def _climb_modified(
             raise RunAbortedError(best, best_length, steps, evaluations)
         current, current_length = neighbor, neighbor_length
         steps += 1
-        visited.add(current)
+        if visited is not None:
+            visited.add(current)
         if on_visit is not None:
             on_visit(current, current_length)
         if current_length < best_length:
             best, best_length = current, current_length
         if allowance_spent and replenish_allowance and current_length < trigger_length:
             allowance_spent = False
-    return best, best_length, steps, False, evaluations
+    return best, best_length, steps, evaluations, False
+
+
+def hill_climb_baseline(
+    instance: Instance,
+    start: Tour,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    on_visit: VisitHook | None = None,
+) -> tuple[Tour, float, int, int, bool]:
+    """Plain steepest descent to a local minimum: ``hill_climb`` with no visited set."""
+    return hill_climb(instance, start, None, max_steps, on_visit=on_visit)
 
 
 def hill_climb_modified(
@@ -266,18 +243,9 @@ def hill_climb_modified(
     max_steps: int = DEFAULT_MAX_STEPS,
     replenish_allowance: bool = True,
     on_visit: VisitHook | None = None,
-) -> tuple[Tour, int, bool]:
-    """One climb with a single-downhill-escape allowance and no revisits.
-
-    Returns (best tour seen, steps taken, early_out). early_out is True when
-    ``start`` was already in ``visited``; the climb then does no work. Every
-    visited permutation is added to ``visited``, which the caller may share
-    across restarts.
-    """
-    best, _, steps, early_out, _ = _climb_modified(
-        instance, start, visited, max_steps, replenish_allowance, on_visit
-    )
-    return best, steps, early_out
+) -> tuple[Tour, float, int, int, bool]:
+    """Escape-and-memoization climb: ``hill_climb`` recording into ``visited``."""
+    return hill_climb(instance, start, visited, max_steps, replenish_allowance, on_visit)
 
 
 def run_hc(instance: Instance, config: HcConfig) -> RunResult:
@@ -295,8 +263,7 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
         raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     rng = make_rng(config.seed)
     started = time.perf_counter()
-    modified = config.variant == "modified"
-    visited = VisitedSet(config.visited_cap) if modified else None
+    visited = VisitedSet(config.visited_cap) if config.variant == "modified" else None
     best_tour: Tour | None = None
     best_length = np.inf
     total_steps = 0
@@ -307,16 +274,9 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     for _ in range(runs):
         start = random_tour(instance.n, rng)
         try:
-            if modified:
-                tour, length, steps, early, evaluations = _climb_modified(
-                    instance, start, visited, config.max_steps_per_run,
-                    config.replenish_allowance,
-                )
-            else:
-                tour, length, steps, evaluations = _climb_baseline(
-                    instance, start, config.max_steps_per_run
-                )
-                early = False
+            tour, length, steps, evaluations, early = hill_climb(
+                instance, start, visited, config.max_steps_per_run, config.replenish_allowance
+            )
         except RunAbortedError as err:
             aborted += 1
             tour, length = err.best_tour, err.best_length

@@ -288,7 +288,7 @@ def test_criterion_10_early_out(criteria_report):
         start = random_tour(n, rng)
         visited = VisitedSet()
         visited.add(start)
-        best, steps, early = hill_climb_modified(inst, start, visited)
+        best, _, steps, _, early = hill_climb_modified(inst, start, visited)
         if early and steps == 0 and best == start:
             ok_cases += 1
     criteria_report(

@@ -3,7 +3,17 @@ import json
 
 import pytest
 
-from tourbench.cli import EXIT_ABORTED, EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
+from tourbench.cli import (
+    EXIT_ABORTED,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PARSE,
+    _solver_config,
+    build_parser,
+    main,
+)
+from tourbench.ga import GaConfig
+from tourbench.hillclimb import HcConfig
 
 SQUARE_TEXT = "0 0\n0 1\n1 1\n1 0\n"
 
@@ -107,6 +117,16 @@ class TestSolve:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["length"] == 4.0
+
+
+class TestSolverDefaults:
+    @pytest.mark.parametrize("command", ["solve", "bench", "compare"])
+    @pytest.mark.parametrize("algorithm, config", [("ga", GaConfig()), ("hc", HcConfig())])
+    def test_flag_defaults_are_config_defaults(self, command, algorithm, config):
+        args = build_parser().parse_args(
+            [command, "--instance", "att48", "--algorithm", algorithm]
+        )
+        assert _solver_config(args) == config
 
 
 class TestErrors:

@@ -17,6 +17,7 @@ from tourbench.hillclimb import (
     HcConfig,
     RunAbortedError,
     VisitedSet,
+    hill_climb,
     hill_climb_baseline,
     hill_climb_modified,
     run_hc,
@@ -88,7 +89,7 @@ class TestVisitedSet:
 class TestSteepestStep:
     def test_finds_improvement(self):
         inst = square_instance()
-        neighbor, length = steepest_step(inst, Tour([0, 2, 1, 3]))
+        neighbor, length, _ = steepest_step(inst, Tour([0, 2, 1, 3]))
         # two swaps reach the optimal cycle (one reversed); lex-first wins
         assert length == 4.0
         assert neighbor == [3, 2, 1, 0]
@@ -96,7 +97,7 @@ class TestSteepestStep:
     def test_at_optimum_returns_best_non_improving_neighbor(self):
         """The step itself does not filter on improvement; climbs do."""
         inst = square_instance()
-        neighbor, length = steepest_step(inst, Tour([0, 1, 2, 3]))
+        neighbor, length, _ = steepest_step(inst, Tour([0, 1, 2, 3]))
         # swapping positions 0 and 2 retraces the same cycle, so the best
         # neighbor ties the optimum; first (i, j) pair wins the tie
         assert length == 4.0
@@ -106,7 +107,7 @@ class TestSteepestStep:
         inst = square_instance()
         vs = VisitedSet()
         vs.add(Tour([2, 1, 0, 3]))
-        neighbor, length = steepest_step(inst, Tour([0, 1, 2, 3]), forbidden=vs)
+        neighbor, length, _ = steepest_step(inst, Tour([0, 1, 2, 3]), forbidden=vs)
         # next tie at the same length comes from swapping positions 1 and 3
         assert length == 4.0
         assert neighbor == [0, 3, 2, 1]
@@ -124,14 +125,14 @@ class TestSteepestStep:
         inst = random_instance(rng, 8)
         for _ in range(10):
             t = random_tour(8, rng)
-            neighbor, length = steepest_step(inst, t)
+            neighbor, length, _ = steepest_step(inst, t)
             assert length == tour_length(inst, neighbor)
             assert length == min(tour_length(inst, nb) for nb in neighbors(t))
 
 
 class TestHillClimbBaseline:
     def test_strands_on_local_minimum(self, trap):
-        end, steps = hill_climb_baseline(trap, Tour(TRAP_START))
+        end, _, steps, _, _ = hill_climb_baseline(trap, Tour(TRAP_START))
         assert steps == 2
         assert tour_length(trap, end) == TRAP_LOCAL_LENGTH
         assert TRAP_LOCAL_LENGTH > TRAP_OPT_LENGTH
@@ -146,8 +147,8 @@ class TestHillClimbBaseline:
         rng = np.random.default_rng(67)
         for _ in range(10):
             inst = random_instance(rng, 9)
-            end, _ = hill_climb_baseline(inst, random_tour(9, rng))
-            _, best_neighbor = steepest_step(inst, end)
+            end, _, _, _, _ = hill_climb_baseline(inst, random_tour(9, rng))
+            _, best_neighbor, _ = steepest_step(inst, end)
             assert best_neighbor >= tour_length(inst, end)
 
     def test_step_budget_aborts(self, trap):
@@ -156,26 +157,42 @@ class TestHillClimbBaseline:
         assert err.value.steps == 1
         assert err.value.best_length < tour_length(trap, Tour(TRAP_START))
 
-    def test_evaluation_count_is_full_neighborhood_per_visit(self, trap):
-        from tourbench.hillclimb import _climb_baseline
+    def test_budget_of_exactly_the_climb_does_not_abort(self, trap):
+        # the abort check comes after the improvement check
+        _, length, steps, _, _ = hill_climb_baseline(trap, Tour(TRAP_START), max_steps=2)
+        assert (length, steps) == (TRAP_LOCAL_LENGTH, 2)
 
-        _, _, steps, evaluations = _climb_baseline(trap, Tour(TRAP_START), 10_000)
+    def test_evaluation_count_is_full_neighborhood_per_visit(self, trap):
+        _, _, steps, evaluations, _ = hill_climb(trap, Tour(TRAP_START), max_steps=10_000)
         assert evaluations == (steps + 1) * 21  # n(n-1)/2 = 21 for n = 7
 
 
 class TestHillClimbModified:
     def test_escapes_to_optimum(self, trap):
-        best, steps, early = hill_climb_modified(trap, Tour(TRAP_START), VisitedSet())
+        best, _, steps, _, early = hill_climb_modified(trap, Tour(TRAP_START), VisitedSet())
         assert not early
         assert steps == 5
         assert tour_length(trap, best) == TRAP_OPT_LENGTH
         assert tour_length(trap, best) < TRAP_LOCAL_LENGTH
 
+    def test_budget_of_exactly_the_climb_does_not_abort(self, trap):
+        _, length, steps, _, _ = hill_climb_modified(
+            trap, Tour(TRAP_START), VisitedSet(), max_steps=5
+        )
+        assert (length, steps) == (TRAP_OPT_LENGTH, 5)
+
+    def test_step_budget_abort_reports_best_not_current(self, trap):
+        # step 3 is the escape, so the walk is above its best when the budget runs out
+        with pytest.raises(RunAbortedError) as err:
+            hill_climb_modified(trap, Tour(TRAP_START), VisitedSet(), max_steps=3)
+        assert err.value.steps == 3
+        assert err.value.best_length == TRAP_LOCAL_LENGTH
+
     def test_early_out_when_start_already_visited(self, trap):
         vs = VisitedSet()
         start = Tour(TRAP_START)
         vs.add(start)
-        best, steps, early = hill_climb_modified(trap, start, vs)
+        best, _, steps, _, early = hill_climb_modified(trap, start, vs)
         assert early
         assert steps == 0
         assert best == start
@@ -185,8 +202,8 @@ class TestHillClimbModified:
         for _ in range(50):
             inst = random_instance(rng, 8)
             start = random_tour(8, rng)
-            base_end, _ = hill_climb_baseline(inst, start)
-            mod_end, _, _ = hill_climb_modified(inst, start, VisitedSet())
+            base_end = hill_climb_baseline(inst, start)[0]
+            mod_end = hill_climb_modified(inst, start, VisitedSet())[0]
             assert tour_length(inst, mod_end) <= tour_length(inst, base_end)
 
     def test_marks_every_visited_tour(self, trap):
@@ -198,11 +215,30 @@ class TestHillClimbModified:
             assert t in vs
 
     def test_single_allowance_without_replenish(self, trap):
-        best, _, _ = hill_climb_modified(
+        best = hill_climb_modified(
             trap, Tour(TRAP_START), VisitedSet(), replenish_allowance=False
-        )
+        )[0]
         # one escape suffices on this instance
         assert tour_length(trap, best) == TRAP_OPT_LENGTH
+
+
+class TestEntryPointsAgree:
+    """A single climb and run_hc without restarts give the same result from the same seed."""
+
+    @pytest.mark.parametrize("instance_name, seed", [
+        ("trap", 0), ("trap", 5), ("trap", 23), ("att48", 0), ("att48", 1),
+    ])
+    @pytest.mark.parametrize("variant", HC_VARIANTS)
+    def test_single_climb_matches_run_hc(self, request, instance_name, seed, variant):
+        inst = request.getfixturevalue(instance_name)
+        start = random_tour(inst.n, make_rng(seed))
+        if variant == "baseline":
+            climb = hill_climb_baseline(inst, start)
+        else:
+            climb = hill_climb_modified(inst, start, VisitedSet())
+        result = run_hc(inst, HcConfig(restarts=0, variant=variant, seed=seed))
+        assert climb[0] == result.best_tour
+        assert climb[1:4] == (result.best_length, result.iterations, result.fitness_evaluations)
 
 
 class TestRunHc:

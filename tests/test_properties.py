@@ -1,4 +1,4 @@
-"""Property tests of crossover and the tour-length kernel.
+"""Property tests of crossover, the tour-length kernel and the solvers.
 
 Optional: skipped when hypothesis is not installed (it is in the ``test``
 extra).
@@ -12,7 +12,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tourbench.core import Instance, Metric, Point, Tour, reverse, row_lengths, tour_length  # noqa: E402
-from tourbench.ga import _crossover_rows, crossover_baseline, crossover_reversal_invariant  # noqa: E402
+from tourbench.ga import (  # noqa: E402
+    CROSSOVER_VARIANTS,
+    GaConfig,
+    _crossover_rows,
+    crossover_baseline,
+    crossover_reversal_invariant,
+    run_ga,
+)
+from tourbench.hillclimb import HC_VARIANTS, HcConfig, run_hc  # noqa: E402
+from tourbench.oracle import held_karp  # noqa: E402
 
 METRICS = (
     Metric.euclidean(),
@@ -33,11 +42,13 @@ def parents(draw, max_n=24, n=None):
 
 
 @st.composite
-def instances(draw, n):
+def instances(draw, n, metric=None):
     seed = draw(st.integers(0, 2**32 - 1))
     coords = np.random.default_rng(seed).uniform(-50.0, 50.0, size=(n, 2))
     points = [Point(float(x), float(y)) for x, y in coords]
-    return Instance("prop", points, draw(st.sampled_from(METRICS)))
+    if metric is None:
+        metric = draw(st.sampled_from(METRICS))
+    return Instance("prop", points, metric)
 
 
 def reference_child(p1, p2, split):
@@ -89,3 +100,31 @@ def test_row_lengths_invariant_under_reversal_and_rotation(data):
     rows = np.stack([tour, tour[::-1], np.roll(tour, shift), np.roll(tour[::-1], shift)])
     lengths = row_lengths(instance, rows)
     assert lengths.tolist() == [lengths[0]] * 4
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_solvers_report_their_tour_and_never_beat_the_optimum(metric, data):
+    n = data.draw(st.integers(4, 9))
+    instance = data.draw(instances(n, metric))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    results = [
+        run_hc(instance, HcConfig(restarts=2, variant=variant, seed=seed))
+        for variant in HC_VARIANTS
+    ] + [
+        run_ga(instance, GaConfig(
+            population_size=10,
+            mutation_rate=0.2,
+            max_generations=5,
+            max_stall_generations=5,
+            crossover_variant=variant,
+            seed=seed,
+        ))
+        for variant in CROSSOVER_VARIANTS
+    ]
+    # Summation order differs between solvers, so allow n rounding steps below.
+    floor = held_karp(instance).optimal_length * (1 - n * np.finfo(float).eps)
+    for result in results:
+        assert result.best_length == tour_length(instance, result.best_tour)
+        assert result.best_length >= floor
