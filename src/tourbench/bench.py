@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import ConfigurationError, Instance
+from .core import ConfigurationError, Instance, RunResult
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, run_hc
 
@@ -30,6 +30,7 @@ __all__ = [
     "format_comparison_csv",
     "format_comparison_json",
     "format_stats_json",
+    "format_trial_row",
     "format_trials_csv",
     "run_experiment",
 ]
@@ -58,12 +59,21 @@ def derive_trial_seed(experiment_seed: int, trial_id: int) -> int:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's report row; the field order is the CSV column order."""
+
     trial_id: int
     seed: int
     tour_length: float
     wall_time_ms: float
     fitness_evaluations: int
     iterations: int
+
+    @classmethod
+    def from_result(cls, trial_id: int, seed: int, result: RunResult) -> "TrialRecord":
+        r = result
+        return cls(
+            trial_id, seed, r.best_length, r.wall_time_ms, r.fitness_evaluations, r.iterations
+        )
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,7 @@ def _run_trial(
 ) -> TrialRecord:
     seed = derive_trial_seed(experiment_seed, trial_id)
     result = _solve_once(instance, dataclasses.replace(config, seed=seed))
-    return TrialRecord(
-        trial_id=trial_id,
-        seed=seed,
-        tour_length=result.best_length,
-        wall_time_ms=result.wall_time_ms,
-        fitness_evaluations=result.fitness_evaluations,
-        iterations=result.iterations,
-    )
+    return TrialRecord.from_result(trial_id, seed, result)
 
 
 # What every trial of a pooled experiment shares, set once in each worker
@@ -186,7 +189,8 @@ class ComparisonReport:
     """Two arms run on paired per-trial seeds, plus mean ratio and improvement.
 
     improvement is (mean_a - mean_b) / mean_a: positive when arm b's tours
-    are shorter on average.
+    are shorter on average. Both are NaN when mean_a is 0, and JSON reports
+    write them as null.
     """
 
     stats_a: ExperimentStats
@@ -214,39 +218,15 @@ def compare(
     return ComparisonReport(stats_a, stats_b, ratio, improvement)
 
 
-CSV_HEADER = "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(TrialRecord))
 
 
-def _summary_lines(stats: ExperimentStats) -> list[str]:
-    return [
-        f"# mean {stats.mean!r}",
-        f"# std {stats.std!r}",
-        f"# min {stats.min!r}",
-        f"# q1 {stats.q1!r}",
-        f"# median {stats.median!r}",
-        f"# q3 {stats.q3!r}",
-        f"# max {stats.max!r}",
-        f"# trials {len(stats.trials)}",
-        f"# degenerate {'true' if stats.degenerate else 'false'}",
-    ]
-
-
-def format_trials_csv(stats: ExperimentStats, include_timing: bool = True) -> str:
-    """One row per trial, then the summary as a commented footer block.
-
-    Floats are written with repr so they round-trip exactly. With
-    ``include_timing`` off, wall_time_ms is zeroed: timing is the one field
-    that legitimately differs between repeat runs of the same seeds.
-    """
-    lines = [CSV_HEADER]
-    for r in stats.trials:
-        wall = r.wall_time_ms if include_timing else 0.0
-        lines.append(
-            f"{r.trial_id},{r.seed},{r.tour_length!r},{wall!r},"
-            f"{r.fitness_evaluations},{r.iterations}"
-        )
-    lines.extend(_summary_lines(stats))
-    return "\n".join(lines) + "\n"
+def _trial_dict(record: TrialRecord, reproducible: bool) -> dict:
+    """The record's fields in CSV_HEADER order; wall_time_ms is zeroed when reproducible."""
+    row = dataclasses.asdict(record)
+    if reproducible:
+        row["wall_time_ms"] = 0.0
+    return row
 
 
 def _summary_dict(stats: ExperimentStats) -> dict:
@@ -263,56 +243,81 @@ def _summary_dict(stats: ExperimentStats) -> dict:
     }
 
 
-def _stats_doc(stats: ExperimentStats, include_timing: bool) -> dict:
+def _cell(value) -> str:
+    """Floats as repr, so they round-trip exactly; booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_row(values) -> str:
+    return ",".join(_cell(v) for v in values)
+
+
+def _footer(summary: dict) -> list[str]:
+    return [f"# {key} {_cell(value)}" for key, value in summary.items()]
+
+
+def format_trial_row(record: TrialRecord, reproducible: bool = False) -> str:
+    """One trial as a CSV row under CSV_HEADER, with no line break."""
+    return _csv_row(_trial_dict(record, reproducible).values())
+
+
+def format_trials_csv(stats: ExperimentStats, reproducible: bool = False) -> str:
+    """One row per trial, then the summary as a commented footer block.
+
+    Floats are written with repr so they round-trip exactly. With
+    ``reproducible`` on, wall_time_ms is zeroed: timing is the one field
+    that legitimately differs between repeat runs of the same seeds.
+    """
+    rows = [format_trial_row(r, reproducible) for r in stats.trials]
+    return "\n".join([CSV_HEADER, *rows, *_footer(_summary_dict(stats))]) + "\n"
+
+
+def _json_text(doc: dict, reproducible: bool) -> str:
+    """RFC 8259 JSON of ``doc``, stamped with its creation time unless reproducible.
+
+    A non-finite top-level float (an undefined comparison ratio) is written
+    as null; one nested deeper raises instead of producing invalid JSON.
+    """
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
+    if not reproducible:
+        doc["metadata"] = {"created": datetime.now(timezone.utc).isoformat()}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _stats_doc(stats: ExperimentStats, reproducible: bool) -> dict:
     return {
-        "trials": [
-            {
-                "trial_id": r.trial_id,
-                "seed": r.seed,
-                "tour_length": r.tour_length,
-                "wall_time_ms": r.wall_time_ms if include_timing else 0.0,
-                "fitness_evaluations": r.fitness_evaluations,
-                "iterations": r.iterations,
-            }
-            for r in stats.trials
-        ],
+        "trials": [_trial_dict(r, reproducible) for r in stats.trials],
         "summary": _summary_dict(stats),
     }
 
 
-def format_stats_json(
-    stats: ExperimentStats, include_timing: bool = True, metadata: bool = True
-) -> str:
-    doc = _stats_doc(stats, include_timing)
-    if metadata:
-        doc["metadata"] = {"created": datetime.now(timezone.utc).isoformat()}
-    return json.dumps(doc, indent=2) + "\n"
+def format_stats_json(stats: ExperimentStats, reproducible: bool = False) -> str:
+    """Trials and summary; ``reproducible`` zeroes wall times and omits the timestamp."""
+    return _json_text(_stats_doc(stats, reproducible), reproducible)
 
 
 def format_comparison_csv(report: ComparisonReport) -> str:
     """Paired per-trial rows (same seed per row) with both arms' lengths."""
-    lines = ["trial_id,seed,tour_length_a,tour_length_b"]
-    for ra, rb in zip(report.stats_a.trials, report.stats_b.trials):
-        lines.append(f"{ra.trial_id},{ra.seed},{ra.tour_length!r},{rb.tour_length!r}")
-    lines.append(f"# mean_a {report.stats_a.mean!r}")
-    lines.append(f"# std_a {report.stats_a.std!r}")
-    lines.append(f"# mean_b {report.stats_b.mean!r}")
-    lines.append(f"# std_b {report.stats_b.std!r}")
-    lines.append(f"# mean_ratio {report.mean_ratio!r}")
-    lines.append(f"# improvement {report.improvement!r}")
-    lines.append(f"# trials {len(report.stats_a.trials)}")
-    return "\n".join(lines) + "\n"
+    a, b = report.stats_a, report.stats_b
+    rows = [
+        _csv_row((ra.trial_id, ra.seed, ra.tour_length, rb.tour_length))
+        for ra, rb in zip(a.trials, b.trials)
+    ]
+    footer = _footer(dict(
+        mean_a=a.mean, std_a=a.std, mean_b=b.mean, std_b=b.std,
+        mean_ratio=report.mean_ratio, improvement=report.improvement, trials=len(a.trials),
+    ))
+    return "\n".join(["trial_id,seed,tour_length_a,tour_length_b", *rows, *footer]) + "\n"
 
 
-def format_comparison_json(
-    report: ComparisonReport, include_timing: bool = True, metadata: bool = True
-) -> str:
+def format_comparison_json(report: ComparisonReport, reproducible: bool = False) -> str:
+    """Both arms' documents plus mean_ratio and improvement (null when undefined)."""
     doc = {
-        "a": _stats_doc(report.stats_a, include_timing),
-        "b": _stats_doc(report.stats_b, include_timing),
+        "a": _stats_doc(report.stats_a, reproducible),
+        "b": _stats_doc(report.stats_b, reproducible),
         "mean_ratio": report.mean_ratio,
         "improvement": report.improvement,
     }
-    if metadata:
-        doc["metadata"] = {"created": datetime.now(timezone.utc).isoformat()}
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc, reproducible)

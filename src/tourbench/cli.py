@@ -15,10 +15,12 @@ from pathlib import Path
 
 from .bench import (
     CSV_HEADER,
+    TrialRecord,
     compare,
     format_comparison_csv,
     format_comparison_json,
     format_stats_json,
+    format_trial_row,
     format_trials_csv,
     run_experiment,
 )
@@ -26,7 +28,7 @@ from .core import ConfigurationError, Instance, Metric
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, RunAbortedError, run_hc
 from .oracle import brute_force, held_karp
-from .tsplib import ParseError, bundled_instance, bundled_names, parse_instance_text
+from .tsplib import ParseError, bundled_instance, bundled_names, load_instance, parse_instance_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,9 +51,8 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     source = args.instance
     if source == "-":
         return parse_instance_text(sys.stdin.read(), name="stdin", metric=metric)
-    path = Path(source)
-    if path.is_file():
-        return parse_instance_text(path.read_text(), name=path.stem, metric=metric)
+    if Path(source).is_file():
+        return load_instance(source, metric=metric)
     if source in bundled_names():
         return bundled_instance(source, metric=metric)
     raise ConfigurationError(
@@ -111,10 +112,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        row = (
-            f"0,{args.seed},{result.best_length!r},{result.wall_time_ms!r},"
-            f"{result.fitness_evaluations},{result.iterations}"
-        )
+        row = format_trial_row(TrialRecord.from_result(0, args.seed, result))
         _emit(CSV_HEADER + "\n" + row + "\n", args.out)
     else:
         lines = [
@@ -135,11 +133,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     stats = run_experiment(
         instance, config, args.trials, experiment_seed=args.seed, parallelism=args.parallelism
     )
-    timing = not args.reproducible
     if args.format == "json":
-        text = format_stats_json(stats, include_timing=timing, metadata=timing)
+        text = format_stats_json(stats, args.reproducible)
     else:
-        text = format_trials_csv(stats, include_timing=timing)
+        text = format_trials_csv(stats, args.reproducible)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -167,9 +164,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         experiment_seed=args.seed,
         parallelism=args.parallelism,
     )
-    timing = not args.reproducible
     if args.format == "json":
-        text = format_comparison_json(report, include_timing=timing, metadata=timing)
+        text = format_comparison_json(report, args.reproducible)
     elif args.format == "csv":
         text = format_comparison_csv(report)
     else:

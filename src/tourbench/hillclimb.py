@@ -65,6 +65,9 @@ class RunAbortedError(RuntimeError):
 class VisitedSet:
     """Exact membership over permutations, with a hard entry cap.
 
+    A permutation is stored as the raw bytes of its int64 order array, the
+    one key format behind add, ``in`` and allowed.
+
     Once the cap is reached further adds are dropped (add returns False) but
     lookups keep working for everything stored before that, so a long run
     degrades to allowing revisits instead of exhausting memory.
@@ -81,17 +84,21 @@ class VisitedSet:
     def add(self, tour: Tour) -> bool:
         if len(self._seen) >= self.cap:
             return False
-        self._seen.add(tour.key())
+        self._seen.add(tour.order.tobytes())
         return True
 
     def __contains__(self, tour: Tour) -> bool:
-        return tour.key() in self._seen
+        return tour.order.tobytes() in self._seen
 
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _has_key(self, key: bytes) -> bool:
-        return key in self._seen
+    def allowed(self, rows: np.ndarray) -> np.ndarray:
+        """Mask over (k, n) int64 tour orders, in row order: True where a row is not in the set."""
+        seen = self._seen
+        return np.fromiter(
+            (row.tobytes() not in seen for row in rows), dtype=bool, count=rows.shape[0]
+        )
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,6 @@ class HcConfig:
     variant: str = "baseline"
     max_steps_per_run: int = DEFAULT_MAX_STEPS
     seed: int = 0
-    replenish_allowance: bool = True
     visited_cap: int = DEFAULT_VISITED_CAP
 
     def validate(self) -> None:
@@ -153,11 +159,7 @@ def steepest_step(
         raise ValueError("steepest descent needs a tour over at least two points")
     rows = _neighbor_orders(tour)
     if forbidden is not None and len(forbidden) > 0:
-        allowed = np.fromiter(
-            (not forbidden._has_key(row.tobytes()) for row in rows),
-            dtype=bool,
-            count=rows.shape[0],
-        )
+        allowed = forbidden.allowed(rows)
         if not allowed.any():
             return None
         keep = np.flatnonzero(allowed)
@@ -172,7 +174,6 @@ def hill_climb(
     start: Tour,
     visited: VisitedSet | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    replenish_allowance: bool = True,
     on_visit: VisitHook | None = None,
 ) -> tuple[Tour, float, int, int, bool]:
     """One steepest-descent climb from ``start``.
@@ -221,7 +222,7 @@ def hill_climb(
             on_visit(current, current_length)
         if current_length < best_length:
             best, best_length = current, current_length
-        if allowance_spent and replenish_allowance and current_length < trigger_length:
+        if allowance_spent and current_length < trigger_length:
             allowance_spent = False
     return best, best_length, steps, evaluations, False
 
@@ -241,11 +242,10 @@ def hill_climb_modified(
     start: Tour,
     visited: VisitedSet,
     max_steps: int = DEFAULT_MAX_STEPS,
-    replenish_allowance: bool = True,
     on_visit: VisitHook | None = None,
 ) -> tuple[Tour, float, int, int, bool]:
     """Escape-and-memoization climb: ``hill_climb`` recording into ``visited``."""
-    return hill_climb(instance, start, visited, max_steps, replenish_allowance, on_visit)
+    return hill_climb(instance, start, visited, max_steps, on_visit)
 
 
 def run_hc(instance: Instance, config: HcConfig) -> RunResult:
@@ -275,7 +275,7 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
         start = random_tour(instance.n, rng)
         try:
             tour, length, steps, evaluations, early = hill_climb(
-                instance, start, visited, config.max_steps_per_run, config.replenish_allowance
+                instance, start, visited, config.max_steps_per_run
             )
         except RunAbortedError as err:
             aborted += 1

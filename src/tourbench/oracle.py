@@ -35,15 +35,13 @@ def brute_force(instance: Instance) -> ExactResult:
     """Exact optimum by enumerating all (n-1)!/2 distinct closed tours.
 
     Position 0 is pinned to city 0 and reflections are skipped by requiring
-    the second city to be smaller than the last, so each cyclic tour is
-    evaluated exactly once. Ties keep the lexicographically smallest order.
+    the second city to be no larger than the last (they are the same city
+    only at n = 2), so each cyclic tour is evaluated exactly once. Ties keep
+    the lexicographically smallest order.
     """
     _check_size(instance, BRUTE_FORCE_MAX, "brute_force")
     n = instance.n
-    if n == 2:
-        t = Tour([0, 1])
-        return ExactResult(t, tour_length(instance, t), 1)
-    rest = [p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
+    rest = [p for p in itertools.permutations(range(1, n)) if p[0] <= p[-1]]
     tours = np.zeros((len(rest), n), dtype=np.int64)
     tours[:, 1:] = np.array(rest, dtype=np.int64)
     lengths = row_lengths(instance, tours)
@@ -60,9 +58,6 @@ def held_karp(instance: Instance) -> ExactResult:
     """
     _check_size(instance, HELD_KARP_MAX, "held_karp")
     n = instance.n
-    if n == 2:
-        t = Tour([0, 1])
-        return ExactResult(t, tour_length(instance, t), 1)
     table = instance.distance_table()
     full = 1 << n
     cost = np.full((full, n), np.inf)

@@ -139,8 +139,8 @@ class TestRunExperiment:
         config = GaConfig(population_size=10, max_generations=5, max_stall_generations=5)
         a = run_experiment(small_instance, config, trials=3, experiment_seed=4)
         b = run_experiment(small_instance, config, trials=3, experiment_seed=4)
-        assert format_trials_csv(a, include_timing=False) == format_trials_csv(
-            b, include_timing=False
+        assert format_trials_csv(a, reproducible=True) == format_trials_csv(
+            b, reproducible=True
         )
 
     def test_experiment_seed_changes_trial_seeds(self, small_instance):
@@ -152,8 +152,8 @@ class TestRunExperiment:
         config = HcConfig(restarts=1, variant="modified")
         serial = run_experiment(small_instance, config, trials=4, parallelism=1)
         pooled = run_experiment(small_instance, config, trials=4, parallelism=2)
-        assert format_trials_csv(serial, include_timing=False) == format_trials_csv(
-            pooled, include_timing=False
+        assert format_trials_csv(serial, reproducible=True) == format_trials_csv(
+            pooled, reproducible=True
         )
 
     @pytest.mark.parametrize("kwargs", [
@@ -197,8 +197,8 @@ class TestRunExperiment:
         assert recording_pool["items"] == [0, 1, 2, 3, 4]
         assert not any(isinstance(item, Instance) for item in recording_pool["items"])
         serial = run_experiment(small_instance, config, trials=5, experiment_seed=3)
-        assert format_trials_csv(pooled, include_timing=False) == format_trials_csv(
-            serial, include_timing=False
+        assert format_trials_csv(pooled, reproducible=True) == format_trials_csv(
+            serial, reproducible=True
         )
 
 
@@ -274,7 +274,7 @@ class TestFormatTrialsCsv:
             assert int(fields[5]) == record.iterations
 
     def test_timing_can_be_zeroed(self, small_stats):
-        lines = format_trials_csv(small_stats, include_timing=False).splitlines()
+        lines = format_trials_csv(small_stats, reproducible=True).splitlines()
         for line in lines[1:4]:
             assert line.split(",")[3] == "0.0"
 
@@ -291,15 +291,16 @@ class TestFormatStatsJson:
         assert first["seed"] == small_stats.trials[0].seed
         assert first["tour_length"] == small_stats.trials[0].tour_length
 
-    def test_metadata_toggle(self, small_stats):
+    def test_reproducible_toggle(self, small_stats):
         with_meta = json.loads(format_stats_json(small_stats))
         datetime.fromisoformat(with_meta["metadata"]["created"])
-        without = json.loads(format_stats_json(small_stats, metadata=False))
-        assert "metadata" not in without
-
-    def test_timing_toggle(self, small_stats):
-        doc = json.loads(format_stats_json(small_stats, include_timing=False))
+        doc = json.loads(format_stats_json(small_stats, reproducible=True))
+        assert "metadata" not in doc
         assert all(t["wall_time_ms"] == 0.0 for t in doc["trials"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 @pytest.fixture
@@ -333,8 +334,21 @@ class TestFormatComparison:
         assert len(doc["a"]["trials"]) == len(doc["b"]["trials"]) == 3
         assert doc["a"]["summary"]["mean"] == small_report.stats_a.mean
         datetime.fromisoformat(doc["metadata"]["created"])
-        bare = json.loads(format_comparison_json(small_report, metadata=False))
+        bare = json.loads(format_comparison_json(small_report, reproducible=True))
         assert "metadata" not in bare
+
+    def test_zero_mean_arm_is_valid_json(self):
+        inst = make_instance([(0, 0)] * 4)
+        report = compare(inst, HcConfig(), HcConfig(variant="modified"), trials=2)
+        for reproducible in (False, True):
+            text = format_comparison_json(report, reproducible=reproducible)
+            doc = json.loads(text, parse_constant=_reject_constant)
+            assert doc["mean_ratio"] is None
+            assert doc["improvement"] is None
+            assert doc["a"]["summary"]["mean"] == 0.0
+        footer = format_comparison_csv(report).splitlines()
+        assert "# mean_ratio nan" in footer
+        assert "# improvement nan" in footer
 
     def test_report_is_plain_dataclass(self, small_report):
         assert isinstance(small_report, ComparisonReport)

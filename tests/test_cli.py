@@ -25,6 +25,10 @@ def square_file(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -276,6 +280,20 @@ class TestCompare:
         doc = json.loads(out)
         assert len(doc["a"]["trials"]) == len(doc["b"]["trials"]) == 2
         assert doc["a"]["trials"][0]["seed"] == doc["b"]["trials"][0]["seed"]
+
+    def test_zero_mean_arm(self, capsys, tmp_path):
+        # every tour over coincident points has length zero, so the ratio is undefined
+        path = tmp_path / "origin.txt"
+        path.write_text("0 0\n" * 4)
+        argv = ["compare", "--instance", str(path), "--algorithm", "hc", "--trials", "2"]
+        code, text, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert text.splitlines()[2:] == ["mean_ratio nan", "improvement nan"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["mean_ratio"] is None
+        assert doc["improvement"] is None
 
     @pytest.mark.parametrize("flag", ["--population-a", "--population-b"])
     def test_zero_arm_population_is_rejected(self, capsys, square_file, flag):

@@ -214,13 +214,6 @@ class TestHillClimbModified:
         for t in seen:
             assert t in vs
 
-    def test_single_allowance_without_replenish(self, trap):
-        best = hill_climb_modified(
-            trap, Tour(TRAP_START), VisitedSet(), replenish_allowance=False
-        )[0]
-        # one escape suffices on this instance
-        assert tour_length(trap, best) == TRAP_OPT_LENGTH
-
 
 class TestEntryPointsAgree:
     """A single climb and run_hc without restarts give the same result from the same seed."""
