@@ -291,11 +291,14 @@ class TestFormatStatsJson:
         assert first["seed"] == small_stats.trials[0].seed
         assert first["tour_length"] == small_stats.trials[0].tour_length
 
-    def test_reproducible_toggle(self, small_stats):
+    def test_metadata_toggle(self, small_stats):
         with_meta = json.loads(format_stats_json(small_stats))
         datetime.fromisoformat(with_meta["metadata"]["created"])
         doc = json.loads(format_stats_json(small_stats, reproducible=True))
         assert "metadata" not in doc
+
+    def test_timing_toggle(self, small_stats):
+        doc = json.loads(format_stats_json(small_stats, reproducible=True))
         assert all(t["wall_time_ms"] == 0.0 for t in doc["trials"])
 
 
