@@ -29,6 +29,7 @@ __all__ = [
     "derive_trial_seed",
     "format_comparison_csv",
     "format_comparison_json",
+    "format_comparison_text",
     "format_stats_json",
     "format_trial_row",
     "format_trials_csv",
@@ -321,3 +322,14 @@ def format_comparison_json(report: ComparisonReport, reproducible: bool = False)
         "improvement": report.improvement,
     }
     return _json_text(doc, reproducible)
+
+
+def format_comparison_text(report: ComparisonReport, label_a: str, label_b: str) -> str:
+    """Each arm's mean, std, min and max under its label, then mean_ratio and improvement."""
+    arms = (("a", label_a, report.stats_a), ("b", label_b, report.stats_b))
+    lines = [
+        f"arm {arm}: variant={label} mean={s.mean!r} std={s.std!r} min={s.min!r} max={s.max!r}"
+        for arm, label, s in arms
+    ]
+    lines += [f"mean_ratio {report.mean_ratio!r}", f"improvement {report.improvement!r}"]
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ parse error (including distances too large to be finite), 4 run aborted
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,6 +18,7 @@ from .bench import (
     compare,
     format_comparison_csv,
     format_comparison_json,
+    format_comparison_text,
     format_stats_json,
     format_trial_row,
     format_trials_csv,
@@ -66,20 +66,21 @@ def _ga_variant(cli_variant: str) -> str:
     return "reversal_invariant" if cli_variant == "modified" else "baseline"
 
 
-def _solver_config(args: argparse.Namespace):
+def _solver_config(args: argparse.Namespace, variant: str, population: int | None = None):
+    """The run's solver config; ``population`` None means ``--population``."""
     if args.algorithm == "ga":
         return GaConfig(
-            population_size=args.population,
+            population_size=args.population if population is None else population,
             mutation_rate=args.mutation_rate,
             max_generations=args.generations,
             max_stall_generations=args.stall,
-            crossover_variant=_ga_variant(args.variant),
+            crossover_variant=_ga_variant(variant),
             elitism=args.elitism,
             seed=args.seed,
         )
     return HcConfig(
         restarts=args.restarts,
-        variant=args.variant,
+        variant=variant,
         max_steps_per_run=args.max_steps,
         seed=args.seed,
     )
@@ -94,7 +95,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    config = _solver_config(args)
+    config = _solver_config(args, args.variant)
     result = run_ga(instance, config) if args.algorithm == "ga" else run_hc(instance, config)
     if args.format == "json":
         doc = {
@@ -129,7 +130,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    config = _solver_config(args)
+    config = _solver_config(args, args.variant)
     stats = run_experiment(
         instance, config, args.trials, experiment_seed=args.seed, parallelism=args.parallelism
     )
@@ -143,23 +144,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    base = _solver_config(args)
-    if args.algorithm == "ga":
-        pop_a = args.population if args.population_a is None else args.population_a
-        pop_b = args.population if args.population_b is None else args.population_b
-        config_a = dataclasses.replace(
-            base, crossover_variant=_ga_variant(args.variant_a), population_size=pop_a
-        )
-        config_b = dataclasses.replace(
-            base, crossover_variant=_ga_variant(args.variant_b), population_size=pop_b
-        )
-    else:
-        config_a = dataclasses.replace(base, variant=args.variant_a)
-        config_b = dataclasses.replace(base, variant=args.variant_b)
     report = compare(
         instance,
-        config_a,
-        config_b,
+        _solver_config(args, args.variant_a, args.population_a),
+        _solver_config(args, args.variant_b, args.population_b),
         args.trials,
         experiment_seed=args.seed,
         parallelism=args.parallelism,
@@ -169,17 +157,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = format_comparison_csv(report)
     else:
-        a, b = report.stats_a, report.stats_b
-        text = "\n".join(
-            [
-                f"arm a: variant={args.variant_a} mean={a.mean!r} std={a.std!r} "
-                f"min={a.min!r} max={a.max!r}",
-                f"arm b: variant={args.variant_b} mean={b.mean!r} std={b.std!r} "
-                f"min={b.min!r} max={b.max!r}",
-                f"mean_ratio {report.mean_ratio!r}",
-                f"improvement {report.improvement!r}",
-            ]
-        ) + "\n"
+        text = format_comparison_text(report, args.variant_a, args.variant_b)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -244,6 +222,16 @@ def _add_solver(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-steps", type=int, default=_HC_DEFAULTS.max_steps_per_run, help="per-run step budget (hc)")
 
 
+def _add_experiment(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--parallelism", type=int, default=1)
+    parser.add_argument(
+        "--reproducible",
+        action="store_true",
+        help="zero wall times and omit timestamps so identical seeds give identical bytes",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tourbench",
@@ -260,27 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run repeated trials of one configuration")
     _add_common(p_bench)
     _add_solver(p_bench)
-    p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--parallelism", type=int, default=1)
+    _add_experiment(p_bench)
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bench.add_argument(
-        "--reproducible",
-        action="store_true",
-        help="zero wall times and omit timestamps so identical seeds give identical bytes",
-    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="run two arms on paired per-trial seeds")
     _add_common(p_cmp)
     _add_solver(p_cmp)
+    _add_experiment(p_cmp)
     p_cmp.add_argument("--variant-a", choices=("baseline", "modified"), default="baseline")
     p_cmp.add_argument("--variant-b", choices=("baseline", "modified"), default="modified")
     p_cmp.add_argument("--population-a", type=int, default=None)
     p_cmp.add_argument("--population-b", type=int, default=None)
-    p_cmp.add_argument("--trials", type=int, default=10)
-    p_cmp.add_argument("--parallelism", type=int, default=1)
     p_cmp.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_cmp.add_argument("--reproducible", action="store_true")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_oracle = sub.add_parser("oracle", help="exact optimum for small instances")

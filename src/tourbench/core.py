@@ -21,8 +21,6 @@ __all__ = [
     "Point",
     "RunResult",
     "Tour",
-    "distance",
-    "fitness",
     "make_rng",
     "neighbors",
     "random_rows",
@@ -71,22 +69,6 @@ class Metric:
         for label, w in (("wx", self.wx), ("wy", self.wy)):
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError(f"metric weight {label} must be positive and finite, got {w}")
-
-    @classmethod
-    def euclidean(cls) -> "Metric":
-        return cls("euclidean")
-
-    @classmethod
-    def manhattan(cls) -> "Metric":
-        return cls("manhattan")
-
-    @classmethod
-    def weighted_manhattan(cls, wx: float, wy: float) -> "Metric":
-        return cls("wmanhattan", wx, wy)
-
-    @classmethod
-    def weighted_chebyshev(cls, wx: float, wy: float) -> "Metric":
-        return cls("wchebyshev", wx, wy)
 
     @classmethod
     def parse(cls, text: str) -> "Metric":
@@ -148,7 +130,7 @@ class Instance:
         self.points = tuple(points)
         if not self.points:
             raise ValueError("an instance needs at least one point")
-        self.metric = metric if metric is not None else Metric.euclidean()
+        self.metric = metric if metric is not None else Metric()
         xs = np.array([p.x for p in self.points], dtype=np.float64)
         ys = np.array([p.y for p in self.points], dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -164,9 +146,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self._table[i, j])
 
     def distance_table(self) -> np.ndarray:
         """The read-only n-by-n distance table."""
@@ -235,11 +214,6 @@ class Tour:
         self.order = arr
 
 
-def distance(metric: Metric, a: Point, b: Point) -> float:
-    """Distance between two points under the given metric."""
-    return metric.distance(a, b)
-
-
 def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     """Closed-tour lengths of the k tours stored as the rows of a (k, n) array.
 
@@ -266,11 +240,6 @@ def tour_length(instance: Instance, tour: Tour) -> float:
     See row_lengths for the summation order.
     """
     return float(row_lengths(instance, tour.order[None, :])[0])
-
-
-def fitness(instance: Instance, tour: Tour) -> float:
-    """Negated tour length; larger is better."""
-    return -tour_length(instance, tour)
 
 
 def reverse(tour: Tour) -> Tour:
@@ -324,3 +293,4 @@ class RunResult:
     wall_time_ms: float
     runs: int = 1
     early_outs: int = 0
+    aborted: int = 0

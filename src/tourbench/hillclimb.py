@@ -252,8 +252,9 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     """Run 1 + restarts climbs from random starts and keep the best result.
 
     The modified variant threads one shared VisitedSet through all climbs.
-    A climb that exhausts its step budget contributes its best-so-far tour;
-    RunAbortedError propagates only if every climb aborts.
+    A climb that exhausts its step budget contributes its best-so-far tour
+    and counts in ``aborted``; RunAbortedError propagates only if every
+    climb aborts.
 
     fitness_evaluations counts neighbor evaluations only (start tours and
     early-outs are not neighbor evaluations).
@@ -297,4 +298,5 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         runs=runs,
         early_outs=early_outs,
+        aborted=aborted,
     )

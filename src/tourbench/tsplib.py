@@ -105,8 +105,8 @@ def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, Tsp
     if dimension < 2:
         raise ParseError(f"DIMENSION must be at least 2, got {dimension}", dim_line)
 
-    coords: list[Point | None] = [None] * dimension
-    seen = 0
+    # Keyed by node index, so memory follows the rows read, not DIMENSION.
+    coords: dict[int, Point] = {}
     last_line = section_line
     for idx, raw in enumerate(lines[section_line:], start=section_line + 1):
         line = raw.strip()
@@ -124,19 +124,19 @@ def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, Tsp
             raise ParseError(f"node index must be an integer, got {parts[0]!r}", idx) from None
         if not 1 <= k <= dimension:
             raise ParseError(f"node index {k} outside 1..{dimension}", idx)
-        if coords[k - 1] is not None:
+        if k in coords:
             raise ParseError(f"duplicate node index {k}", idx)
         try:
-            coords[k - 1] = Point(float(parts[1]), float(parts[2]))
+            coords[k] = Point(float(parts[1]), float(parts[2]))
         except ValueError:
             raise ParseError(f"could not parse coordinates from {line!r}", idx) from None
-        seen += 1
-    if seen != dimension:
+    if len(coords) != dimension:
         raise ParseError(
-            f"NODE_COORD_SECTION has {seen} points but DIMENSION says {dimension}", last_line
+            f"NODE_COORD_SECTION has {len(coords)} points but DIMENSION says {dimension}", last_line
         )
     header = TsplibHeader(name, type_, comment, dimension, edge_weight_type)
-    return _make_instance(name or "unnamed", coords, metric), header
+    points = [coords[k] for k in range(1, dimension + 1)]
+    return _make_instance(name or "unnamed", points, metric), header
 
 
 def parse_coord_list(text: str, name: str = "coords", metric: Metric | None = None) -> Instance:

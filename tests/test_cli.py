@@ -130,7 +130,7 @@ class TestSolverDefaults:
         args = build_parser().parse_args(
             [command, "--instance", "att48", "--algorithm", algorithm]
         )
-        assert _solver_config(args) == config
+        assert _solver_config(args, args.variant) == config
 
 
 class TestErrors:

@@ -11,8 +11,6 @@ from tourbench.core import (
     Metric,
     Point,
     Tour,
-    distance,
-    fitness,
     make_rng,
     neighbors,
     random_tour,
@@ -44,14 +42,6 @@ class TestPoint:
 
 
 class TestMetric:
-    def test_factories(self):
-        assert Metric.euclidean().kind == "euclidean"
-        assert Metric.manhattan().kind == "manhattan"
-        m = Metric.weighted_manhattan(2.0, 0.5)
-        assert (m.kind, m.wx, m.wy) == ("wmanhattan", 2.0, 0.5)
-        c = Metric.weighted_chebyshev(1.5, 3.0)
-        assert (c.kind, c.wx, c.wy) == ("wchebyshev", 1.5, 3.0)
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Metric("cosine")
@@ -63,16 +53,16 @@ class TestMetric:
 
     def test_distance_values(self):
         a, b = Point(0.0, 0.0), Point(3.0, 4.0)
-        assert Metric.euclidean().distance(a, b) == 5.0
-        assert Metric.manhattan().distance(a, b) == 7.0
-        assert Metric.weighted_manhattan(2.0, 0.5).distance(a, b) == 8.0
-        assert Metric.weighted_chebyshev(2.0, 1.0).distance(a, b) == 6.0
+        assert Metric("euclidean").distance(a, b) == 5.0
+        assert Metric("manhattan").distance(a, b) == 7.0
+        assert Metric("wmanhattan", 2.0, 0.5).distance(a, b) == 8.0
+        assert Metric("wchebyshev", 2.0, 1.0).distance(a, b) == 6.0
 
     def test_distance_is_symmetric(self):
         rng = np.random.default_rng(3)
         pts = [Point(float(x), float(y)) for x, y in rng.uniform(-50, 50, size=(20, 2))]
-        for m in (Metric.euclidean(), Metric.manhattan(),
-                  Metric.weighted_manhattan(2.0, 0.5), Metric.weighted_chebyshev(0.3, 4.0)):
+        for m in (Metric("euclidean"), Metric("manhattan"),
+                  Metric("wmanhattan", 2.0, 0.5), Metric("wchebyshev", 0.3, 4.0)):
             for a, b in zip(pts[:10], pts[10:]):
                 assert m.distance(a, b) == m.distance(b, a)
 
@@ -83,18 +73,18 @@ class TestMetric:
         pts = [Point(float(x), float(y)) for x, y in coords]
         xs = np.array([p.x for p in pts])
         ys = np.array([p.y for p in pts])
-        for m in (Metric.euclidean(), Metric.manhattan(),
-                  Metric.weighted_manhattan(2.0, 0.5), Metric.weighted_chebyshev(0.3, 4.0)):
+        for m in (Metric("euclidean"), Metric("manhattan"),
+                  Metric("wmanhattan", 2.0, 0.5), Metric("wchebyshev", 0.3, 4.0)):
             table = m.pairwise(xs, ys)
             for i in range(12):
                 for j in range(12):
                     assert table[i, j] == m.distance(pts[i], pts[j])
 
     def test_parse(self):
-        assert Metric.parse("euclidean") == Metric.euclidean()
-        assert Metric.parse("MANHATTAN") == Metric.manhattan()
-        assert Metric.parse("wmanhattan:2,0.5") == Metric.weighted_manhattan(2.0, 0.5)
-        assert Metric.parse("wchebyshev:1.5,3") == Metric.weighted_chebyshev(1.5, 3.0)
+        assert Metric.parse("euclidean") == Metric("euclidean")
+        assert Metric.parse("MANHATTAN") == Metric("manhattan")
+        assert Metric.parse("wmanhattan:2,0.5") == Metric("wmanhattan", 2.0, 0.5)
+        assert Metric.parse("wchebyshev:1.5,3") == Metric("wchebyshev", 1.5, 3.0)
 
     @pytest.mark.parametrize("text", [
         "euclidean:1,2",       # unweighted kind with weights
@@ -113,9 +103,9 @@ class TestInstance:
     def test_basic(self):
         inst = square_instance()
         assert inst.n == 4
-        assert inst.metric == Metric.euclidean()
-        assert inst.distance(0, 1) == 1.0
-        assert inst.distance(0, 2) == math.sqrt(2.0)
+        assert inst.metric == Metric("euclidean")
+        assert inst.distance_table()[0, 1] == 1.0
+        assert inst.distance_table()[0, 2] == math.sqrt(2.0)
 
     def test_defaults_to_euclidean(self):
         inst = Instance("x", (Point(0, 0), Point(1, 0)))
@@ -134,8 +124,8 @@ class TestInstance:
         assert np.all(np.diag(table) == 0.0)
 
     @pytest.mark.parametrize("metric", [
-        Metric.euclidean(), Metric.manhattan(),
-        Metric.weighted_manhattan(1.0, 1.0), Metric.weighted_chebyshev(1.0, 1.0),
+        Metric("euclidean"), Metric("manhattan"),
+        Metric("wmanhattan", 1.0, 1.0), Metric("wchebyshev", 1.0, 1.0),
     ])
     def test_rejects_non_finite_distances(self, metric):
         # Both coordinates are finite, but their difference overflows float64.
@@ -192,9 +182,8 @@ class TestTourLength:
         rng = np.random.default_rng(11)
         inst = make_instance(rng.uniform(0, 100, size=(9, 2)))
         t = random_tour(9, rng)
-        edges = sorted(
-            inst.distance(t[k], t[(k + 1) % 9]) for k in range(9)
-        )
+        table = inst.distance_table()
+        edges = sorted(table[t[k], t[(k + 1) % 9]] for k in range(9))
         total = 0.0
         for e in edges:
             total += e
@@ -206,10 +195,11 @@ class TestTourLength:
         inst = make_instance(rng.uniform(-10, 10, size=(15, 2)))
         rows = np.array([rng.permutation(15) for _ in range(20)])
         lengths = row_lengths(inst, rows)
+        table = inst.distance_table()
         assert lengths.shape == (20,)
         for row, length in zip(rows, lengths):
             total = 0.0
-            for e in sorted(inst.distance(row[k], row[(k + 1) % 15]) for k in range(15)):
+            for e in sorted(table[row[k], row[(k + 1) % 15]] for k in range(15)):
                 total += e
             assert length == total
 
@@ -232,15 +222,6 @@ class TestTourLength:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             tour_length(square_instance(), Tour([0, 1, 2]))
-
-    def test_fitness_is_negated_length(self):
-        inst = square_instance()
-        t = Tour([0, 2, 1, 3])
-        assert fitness(inst, t) == -tour_length(inst, t)
-
-
-def test_distance_free_function():
-    assert distance(Metric.euclidean(), Point(0, 0), Point(3, 4)) == 5.0
 
 
 def test_reverse_is_involution():

@@ -42,6 +42,14 @@ def _coincident() -> Instance:
     return Instance("coincident", [Point(3.0, 3.0)] * 7)
 
 
+def _grid_manhattan(n: int) -> Instance:
+    # Integer points on a 6-by-6 grid under Manhattan distance: many tours,
+    # and many neighbours within a step, tie exactly.
+    coords = np.random.default_rng([7, n]).integers(0, 6, size=(n, 2))
+    points = [Point(float(x), float(y)) for x, y in coords]
+    return Instance(f"grid-manhattan-{n}", points, Metric("manhattan"))
+
+
 def _solver_entry(result) -> dict:
     return {
         "length": float.hex(result.best_length),
@@ -106,6 +114,13 @@ def _cases() -> dict:
         cases[f"ga-{variant}-no-elitism-att48"] = _ga(
             att48, variant, 49, 24, 6, mutation_rate=0.3, elitism=False
         )
+    # HC at sizes the cases above do not reach: att48 with and without a
+    # restart, and a tie-heavy grid where the first-pair tie-break decides.
+    grid30 = lambda: _grid_manhattan(30)  # noqa: E731
+    for variant in ("baseline", "modified"):
+        for restarts in (0, 1):
+            cases[f"hc-{variant}-r{restarts}-att48"] = _hc(att48, variant, 48 + restarts, restarts)
+        cases[f"hc-{variant}-grid-manhattan-n30"] = _hc(grid30, variant, 30, 3)
     return cases
 
 

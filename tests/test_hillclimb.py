@@ -260,6 +260,13 @@ class TestRunHc:
         assert result.early_outs >= 7
         assert result.best_length == 4.0
 
+    def test_counts_aborted_climbs(self):
+        # A one-step budget: climbs that need a second step abort, and starts
+        # already visited early-out before taking any.
+        config = HcConfig(restarts=30, variant="modified", max_steps_per_run=1, seed=0)
+        result = run_hc(square_instance(), config)
+        assert (result.runs, result.aborted, result.early_outs) == (31, 6, 19)
+
     def test_all_aborted_raises(self, att48):
         config = HcConfig(restarts=2, max_steps_per_run=1, seed=3)
         with pytest.raises(RunAbortedError) as err:

@@ -24,10 +24,10 @@ from tourbench.hillclimb import HC_VARIANTS, HcConfig, run_hc  # noqa: E402
 from tourbench.oracle import held_karp  # noqa: E402
 
 METRICS = (
-    Metric.euclidean(),
-    Metric.manhattan(),
-    Metric.weighted_manhattan(1.5, 0.5),
-    Metric.weighted_chebyshev(0.7, 2.0),
+    Metric("euclidean"),
+    Metric("manhattan"),
+    Metric("wmanhattan", 1.5, 0.5),
+    Metric("wchebyshev", 0.7, 2.0),
 )
 
 

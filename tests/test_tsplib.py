@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tourbench.core import Metric
@@ -46,7 +48,7 @@ class TestParseTsplib:
         assert inst.points[0].x == 0.0
 
     def test_metric_override(self):
-        inst, _ = parse_tsplib(MINIMAL, metric=Metric.manhattan())
+        inst, _ = parse_tsplib(MINIMAL, metric=Metric("manhattan"))
         assert inst.metric.kind == "manhattan"
 
     def test_default_metric_is_euclidean_regardless_of_header(self):
@@ -87,6 +89,20 @@ class TestParseTsplib:
         assert fragment in str(err.value)
         assert f"line {line}:" in str(err.value)
 
+    def test_memory_follows_rows_not_dimension(self):
+        # A huge DIMENSION over two rows is rejected without allocating for it.
+        text = "NAME : big\nDIMENSION : 10000000\nNODE_COORD_SECTION\n1 0 0\n2 1 0\nEOF\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_tsplib(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert err.value.line == 6
+        assert "2 points but DIMENSION says 10000000" in str(err.value)
+
     def test_no_section_at_all(self):
         with pytest.raises(ParseError) as err:
             parse_tsplib("NAME : x\nDIMENSION : 2\n")
@@ -123,7 +139,7 @@ class TestParseCoordList:
 
     def test_rejects_non_finite_distances(self):
         with pytest.raises(ParseError, match="non-finite"):
-            parse_coord_list("0 1e308\n0 -1e308\n", metric=Metric.manhattan())
+            parse_coord_list("0 1e308\n0 -1e308\n", metric=Metric("manhattan"))
 
     def test_named(self):
         assert parse_coord_list("0 0\n1 1\n", name="pair").name == "pair"
