@@ -168,9 +168,6 @@ def run_experiment(
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
-    config.validate()
-    if instance.n < 2:
-        raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     # The pool forks every worker up front, so cap it by what can be used.
     workers = min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:

@@ -110,6 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "wall_time_ms": result.wall_time_ms,
             "runs": result.runs,
             "early_outs": result.early_outs,
+            "aborted": result.aborted,
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":

@@ -121,15 +121,16 @@ class Instance:
     """A named set of points with a metric.
 
     The read-only n-by-n distance table is built once, on construction, and
-    every evaluation reads it. Points so far apart that a distance overflows
-    to a non-finite value are rejected with ValueError.
+    every evaluation reads it. Fewer than two points raise ConfigurationError,
+    and points so far apart that a distance overflows to a non-finite value
+    are rejected with ValueError.
     """
 
     def __init__(self, name: str, points: Sequence[Point], metric: Metric | None = None) -> None:
         self.name = str(name)
         self.points = tuple(points)
-        if not self.points:
-            raise ValueError("an instance needs at least one point")
+        if self.n < 2:
+            raise ConfigurationError(f"an instance needs at least two points, got {self.n}")
         self.metric = metric if metric is not None else Metric()
         xs = np.array([p.x for p in self.points], dtype=np.float64)
         ys = np.array([p.y for p in self.points], dtype=np.float64)
@@ -156,7 +157,7 @@ class Instance:
 
 
 class Tour:
-    """A closed tour: a permutation of the point indices ``0 .. n-1``.
+    """A closed tour: a permutation of the point indices ``0 .. n-1``, n >= 2.
 
     The order array is validated on construction and kept read-only;
     operations that change a tour return a new one.
@@ -166,8 +167,8 @@ class Tour:
 
     def __init__(self, order: Sequence[int] | np.ndarray) -> None:
         arr = np.array(order, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("tour order must be a non-empty 1-d index sequence")
+        if arr.ndim != 1 or arr.size < 2:
+            raise ValueError("tour order must be a 1-d index sequence over at least two points")
         n = arr.size
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"tour order must use each index in 0..{n - 1} exactly once")
@@ -260,8 +261,6 @@ def transpose(tour: Tour, i: int, j: int) -> Tour:
 def neighbors(tour: Tour) -> Iterator[Tour]:
     """All transposition neighbors, in lexicographic ``(i, j)`` position order."""
     n = len(tour)
-    if n < 2:
-        raise ValueError("neighborhood needs a tour over at least two points")
     return (transpose(tour, i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 

@@ -54,7 +54,7 @@ class GaConfig:
     elitism: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ConfigurationError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -139,8 +139,6 @@ def _check_parents(p1: Tour, p2: Tour, split: int | None) -> None:
     n = len(p1)
     if len(p2) != n:
         raise ValueError(f"parents must have equal length, got {n} and {len(p2)}")
-    if n < 2:
-        raise ValueError("crossover needs tours over at least two points")
     if split is not None and not 1 <= split <= n - 1:
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
 
@@ -234,8 +232,6 @@ def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    if len(tour) < 2:
-        raise ValueError("mutation needs a tour over at least two points")
     swap = _draw_swap(len(tour), rate, rng)
     if swap is None:
         return tour
@@ -257,9 +253,6 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     member, one per baseline offspring (two for reversal-invariant), plus one
     re-evaluation whenever mutation actually changed an offspring.
     """
-    config.validate()
-    if instance.n < 2:
-        raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     rng = make_rng(config.seed)
     started = time.perf_counter()
     n, size, rate = instance.n, config.population_size, config.mutation_rate

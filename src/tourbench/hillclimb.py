@@ -61,6 +61,10 @@ class RunAbortedError(RuntimeError):
         self.steps = steps
         self.evaluations = evaluations
 
+    def __reduce__(self):
+        # Pooled trials pickle their errors; the default would rebuild from the message alone.
+        return type(self), (self.best_tour, self.best_length, self.steps, self.evaluations)
+
 
 class VisitedSet:
     """Exact membership over permutations, with a hard entry cap.
@@ -109,7 +113,7 @@ class HcConfig:
     seed: int = 0
     visited_cap: int = DEFAULT_VISITED_CAP
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.restarts < 0:
             raise ConfigurationError(f"restarts must be >= 0, got {self.restarts}")
         if self.variant not in HC_VARIANTS:
@@ -155,8 +159,6 @@ def steepest_step(
     Ties go to the first pair in lexicographic (i, j) order. Neighbors in
     ``forbidden`` are skipped; None means every neighbor was forbidden.
     """
-    if len(tour) < 2:
-        raise ValueError("steepest descent needs a tour over at least two points")
     rows = _neighbor_orders(tour)
     if forbidden is not None and len(forbidden) > 0:
         allowed = forbidden.allowed(rows)
@@ -259,9 +261,6 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     fitness_evaluations counts neighbor evaluations only (start tours and
     early-outs are not neighbor evaluations).
     """
-    config.validate()
-    if instance.n < 2:
-        raise ConfigurationError(f"solver needs at least two points, got {instance.n}")
     rng = make_rng(config.seed)
     started = time.perf_counter()
     visited = VisitedSet(config.visited_cap) if config.variant == "modified" else None

@@ -25,8 +25,6 @@ class ExactResult:
 
 
 def _check_size(instance: Instance, limit: int, solver: str) -> None:
-    if instance.n < 2:
-        raise ValueError(f"{solver} needs at least two points, got {instance.n}")
     if instance.n > limit:
         raise ValueError(f"{solver} handles at most {limit} points, got {instance.n}")
 

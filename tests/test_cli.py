@@ -187,6 +187,15 @@ class TestErrors:
         assert code == EXIT_ABORTED
         assert "step budget exhausted" in err
 
+    def test_json_reports_aborted_climbs(self, capsys, square_file):
+        code, out, _ = run_cli(capsys, [
+            "solve", "--instance", square_file, "--algorithm", "hc", "--variant", "modified",
+            "--restarts", "30", "--max-steps", "1", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["runs"], doc["early_outs"], doc["aborted"]) == (31, 19, 6)
+
     def test_argparse_rejects_unknown_arguments(self, square_file):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--instance", square_file, "--frobnicate"])
@@ -238,6 +247,15 @@ class TestBench:
         _, serial, _ = run_cli(capsys, argv + ["--parallelism", "1"])
         _, pooled, _ = run_cli(capsys, argv + ["--parallelism", "2"])
         assert serial == pooled
+
+    def test_pooled_step_budget_abort(self, capsys):
+        # Starts at most two workers; each trial's abort must reach the parent intact.
+        code, _, err = run_cli(capsys, [
+            "bench", "--instance", "att48", "--algorithm", "hc", "--max-steps", "1",
+            "--trials", "2", "--parallelism", "2",
+        ])
+        assert code == EXIT_ABORTED
+        assert "step budget exhausted" in err
 
     def test_bad_trials(self, capsys, square_file):
         code, _, err = run_cli(capsys, [

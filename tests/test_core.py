@@ -115,6 +115,10 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance("empty", ())
 
+    def test_rejects_single_point(self):
+        with pytest.raises(ConfigurationError, match="at least two points"):
+            Instance("one", (Point(0, 0),))
+
     def test_distance_table_cached_and_read_only(self):
         inst = square_instance()
         table = inst.distance_table()
@@ -146,6 +150,10 @@ class TestTour:
     def test_rejects_non_permutations(self, order):
         with pytest.raises(ValueError):
             Tour(order)
+
+    def test_rejects_single_index(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            Tour([0])
 
     def test_order_is_read_only(self):
         t = Tour([0, 1, 2])

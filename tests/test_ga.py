@@ -20,7 +20,7 @@ from tourbench.ga import (
 
 class TestGaConfig:
     def test_defaults_validate(self):
-        GaConfig().validate()
+        GaConfig()
         assert GaConfig().max_stall_generations == 10
 
     @pytest.mark.parametrize("kwargs", [
@@ -33,7 +33,7 @@ class TestGaConfig:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            GaConfig(**kwargs).validate()
+            GaConfig(**kwargs)
 
     def test_variant_names(self):
         assert CROSSOVER_VARIANTS == ("baseline", "reversal_invariant")

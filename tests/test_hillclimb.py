@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,6 @@ def trap():
 class TestHcConfig:
     def test_defaults_validate(self):
         config = HcConfig()
-        config.validate()
         assert config.max_steps_per_run == DEFAULT_MAX_STEPS
         assert config.visited_cap == DEFAULT_VISITED_CAP
         assert HC_VARIANTS == ("baseline", "modified")
@@ -53,7 +54,7 @@ class TestHcConfig:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            HcConfig(**kwargs).validate()
+            HcConfig(**kwargs)
 
 
 class TestVisitedSet:
@@ -273,6 +274,14 @@ class TestRunHc:
             run_hc(att48, config)
         assert err.value.best_tour is not None
         assert err.value.best_length > 0.0
+
+    def test_aborted_error_survives_pickling(self):
+        # Pooled trials send a worker's error back to the parent pickled.
+        err = RunAbortedError(Tour([2, 0, 1]), 12.5, 3, 9)
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert back.best_tour == err.best_tour
+        assert (back.best_length, back.steps, back.evaluations) == (12.5, 3, 9)
 
     def test_validates_config_and_instance(self):
         with pytest.raises(ConfigurationError):
