@@ -121,6 +121,12 @@ def _cases() -> dict:
         for restarts in (0, 1):
             cases[f"hc-{variant}-r{restarts}-att48"] = _hc(att48, variant, 48 + restarts, restarts)
         cases[f"hc-{variant}-grid-manhattan-n30"] = _hc(grid30, variant, 30, 3)
+    # One climb per variant at n = 100, well above the steepest step's
+    # small-n crossover: n = 6/9/13 pin the path below it, while grid-n30,
+    # att48 and this case pin the screened path and the hashed visited set.
+    euclidean100 = lambda: _instance("euclidean", 100)  # noqa: E731
+    for variant in ("baseline", "modified"):
+        cases[f"hc-{variant}-r0-euclidean-n100"] = _hc(euclidean100, variant, 100, 0)
     return cases
 
 
