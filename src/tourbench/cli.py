@@ -125,6 +125,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"iterations {result.iterations} fitness_evaluations {result.fitness_evaluations} "
             f"wall_time_ms {result.wall_time_ms:.3f}",
         ]
+        if args.algorithm == "hc":
+            lines.append(
+                f"runs {result.runs} early_outs {result.early_outs} aborted {result.aborted}"
+            )
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -7,13 +7,23 @@ allowance is restored once the walk gets strictly below the length of the
 minimum that consumed it. A visited set shared across the whole invocation
 forbids revisiting any permutation and lets restarts that land on
 already-seen ground return immediately.
+
+A steepest step counts every allowed neighbour as evaluated but measures
+few of them in full. From ``_SCREEN_MIN_N`` points on it screens each swap
+by its length change, computed from the at most four edges the swap touches
+(Bentley 1992, "Fast algorithms for geometric traveling salesman
+problems"), and builds and measures with ``row_lengths`` only the
+neighbours whose screened change lies within a rigorous rounding band of
+the smallest. Below that size, where the screen costs more than it saves,
+every allowed neighbour is measured. Either way the step returns the first
+exact minimum in pair order, the one a full scan would return.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,43 +76,154 @@ class RunAbortedError(RuntimeError):
         return type(self), (self.best_tour, self.best_length, self.steps, self.evaluations)
 
 
-class VisitedSet:
-    """Exact membership over permutations, with a hard entry cap.
+# Slots of a new visited table. It doubles whenever a quarter of its slots
+# is used, which keeps every entry close to the slot its hash points at.
+_FIRST_SLOTS = 64
 
-    A permutation is stored as the raw bytes of its int64 order array, the
-    one key format behind add, ``in`` and allowed.
+
+def _zobrist_table(n: int) -> np.ndarray:
+    """One random 64-bit word per (position, city); a tour hashes to the XOR of its n words.
+
+    The words are fixed per n. Only speed depends on them: every hash hit is
+    confirmed against the stored tour.
+    """
+    return np.random.PCG64(n).random_raw((n, n))
+
+
+class VisitedSet:
+    """Exact membership over permutations of one size, with a hard entry cap.
+
+    A tour is keyed by its 64-bit Zobrist hash (Zobrist 1970): the XOR of
+    one random word per (position, city). A swap trades four of those words,
+    so ``allowed`` hashes all n(n-1)/2 neighbours of a tour in one array
+    expression without building them, and looks them all up at once.
+
+    The hashes live in an open-addressing table with linear probing. It
+    starts at 64 slots and doubles whenever a quarter of its slots is used;
+    it is never sized by ``cap``. The table tracks its reach, the farthest
+    any entry sits past the slot its hash points at, so a lookup reads that
+    many slots more and never walks a probe chain. Each entry also stores its
+    tour as a row of uint8 city indices (uint16 above 256 cities), and every
+    hash hit is confirmed against that row, so a collision never marks an
+    unvisited tour as visited. The slots and the key rows double together,
+    so an entry costs at most eight 16-byte slots (hash and entry index) and
+    two key rows: 2n bytes, or 4n above 256 cities.
+
+    The first ``add`` fixes the tour size; adding a tour of another size
+    raises ValueError, and such a tour is never ``in`` the set.
 
     Once the cap is reached further adds are dropped (add returns False) but
     lookups keep working for everything stored before that, so a long run
     degrades to allowing revisits instead of exhausting memory.
     """
 
-    __slots__ = ("_seen", "cap")
+    __slots__ = ("cap", "_count", "_reach", "_words", "_starts", "_keys", "_slot_entry", "_slot_hash")
 
     def __init__(self, cap: int = DEFAULT_VISITED_CAP) -> None:
         if cap < 1:
             raise ValueError(f"cap must be positive, got {cap}")
-        self._seen: set[bytes] = set()
         self.cap = cap
+        self._count = 0
+        self._reach = 0
+        self._words: np.ndarray | None = None  # (n, n) Zobrist words, made by the first add
+        self._starts: np.ndarray | None = None  # flat index of each row of _words
+        # Row e is the tour of entry e. The last row is always unused (the table
+        # grows when it fills) and all zeros, which is no tour, so the entry -1
+        # of an empty slot reads a row that never confirms a hit.
+        self._keys: np.ndarray | None = None
+        self._slot_entry = np.full(_FIRST_SLOTS, -1, dtype=np.int64)  # -1: empty
+        self._slot_hash = np.zeros(_FIRST_SLOTS, dtype=np.uint64)
+
+    def _holds_size(self, order: np.ndarray) -> bool:
+        return self._keys is not None and order.size == self._keys.shape[1]
+
+    def _hash(self, order: np.ndarray) -> int:
+        return int(np.bitwise_xor.reduce(self._words.ravel().take(self._starts + order)))
+
+    def _find(self, order: np.ndarray, h: int) -> tuple[bool, int]:
+        """Whether ``order`` is stored, and the slot that holds it or would."""
+        bits = self._slot_entry.size - 1
+        slot = h & bits
+        while (entry := int(self._slot_entry[slot])) >= 0:
+            if int(self._slot_hash[slot]) == h and np.array_equal(self._keys[entry], order):
+                return True, slot
+            slot = (slot + 1) & bits
+        return False, slot
+
+    def _grow(self) -> None:
+        """Double the slots and the key rows, re-inserting every entry by its stored hash."""
+        size = 2 * self._slot_entry.size
+        bits = size - 1
+        used = self._slot_entry >= 0
+        slot_entry = np.full(size, -1, dtype=np.int64)
+        slot_hash = np.zeros(size, dtype=np.uint64)
+        reach = 0
+        for entry, h in zip(self._slot_entry[used].tolist(), self._slot_hash[used].tolist()):
+            slot = h & bits
+            while slot_entry[slot] >= 0:
+                slot = (slot + 1) & bits
+            slot_entry[slot] = entry
+            slot_hash[slot] = h
+            reach = max(reach, (slot - h) & bits)
+        keys = np.zeros((size // 4, self._keys.shape[1]), dtype=self._keys.dtype)
+        keys[: self._count] = self._keys[: self._count]
+        self._slot_entry, self._slot_hash, self._keys = slot_entry, slot_hash, keys
+        self._reach = reach
 
     def add(self, tour: Tour) -> bool:
-        if len(self._seen) >= self.cap:
+        if self._count >= self.cap:
             return False
-        self._seen.add(tour.order.tobytes())
+        order = tour.order
+        if self._words is None:
+            n = order.size
+            self._words = _zobrist_table(n)
+            self._starts = np.arange(0, n * n, n)
+            self._keys = np.zeros((_FIRST_SLOTS // 4, n), dtype=np.min_scalar_type(n - 1))
+        elif not self._holds_size(order):
+            raise ValueError(
+                f"this set holds tours over {self._keys.shape[1]} points, got {order.size}"
+            )
+        h = self._hash(order)
+        stored, slot = self._find(order, h)
+        if not stored:
+            self._keys[self._count] = order
+            self._slot_entry[slot] = self._count
+            self._slot_hash[slot] = h
+            self._reach = max(self._reach, (slot - h) & (self._slot_entry.size - 1))
+            self._count += 1
+            if self._count == self._keys.shape[0]:
+                self._grow()
         return True
 
     def __contains__(self, tour: Tour) -> bool:
-        return tour.order.tobytes() in self._seen
+        order = tour.order
+        return self._holds_size(order) and self._find(order, self._hash(order))[0]
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return self._count
 
-    def allowed(self, rows: np.ndarray) -> np.ndarray:
-        """Mask over (k, n) int64 tour orders, in row order: True where a row is not in the set."""
-        seen = self._seen
-        return np.fromiter(
-            (row.tobytes() not in seen for row in rows), dtype=bool, count=rows.shape[0]
-        )
+    def allowed(self, order: np.ndarray) -> np.ndarray:
+        """Mask over the transposition neighbours of ``order``, in pair order: True where not stored."""
+        flat = _pairs(order.size).flat
+        allowed = np.ones(flat.size, dtype=bool)
+        if self._count == 0 or not self._holds_size(order):
+            return allowed
+        # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
+        # for words[i, t_j] and words[j, t_i].
+        words = self._words.take(order, axis=1)  # words[p, q] = words[p, t_q]
+        own = words.diagonal()
+        trade = words ^ own.reshape(-1, 1)
+        hashes = (trade ^ trade.T).ravel()[flat] ^ np.bitwise_xor.reduce(own)
+        # Every stored hash sits within reach slots past the slot it points at.
+        hashes = hashes.reshape(-1, 1)
+        bits = np.uint64(self._slot_entry.size - 1)
+        window = (hashes + np.arange(self._reach + 1, dtype=np.uint64)) & bits
+        hits = np.flatnonzero(self._slot_hash.take(window) == hashes)
+        query = hits // window.shape[1]
+        entry = self._slot_entry.take(window.ravel().take(hits))
+        stored = self._keys.take(entry, axis=0) == _neighbor_rows(order, query)
+        allowed[query[np.logical_and.reduce(stored, axis=1)]] = False
+        return allowed
 
 
 @dataclass(frozen=True)
@@ -128,27 +249,102 @@ class HcConfig:
             raise ConfigurationError(f"visited_cap must be >= 1, got {self.visited_cap}")
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# From this many points on the steepest step screens swaps by their length
+# change; below it, measuring every allowed neighbour in full is faster.
+_SCREEN_MIN_N = 16
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+class _Pairs(NamedTuple):
+    """The transposition neighbourhood over n positions, in lexicographic pair order."""
+
+    i: np.ndarray  # first swapped position
+    j: np.ndarray  # second swapped position, i < j
+    flat: np.ndarray  # i * n + j, into an n-by-n array
+    adjacent: np.ndarray  # indices of the pairs that are neighbours on the cycle
+    # Below the screen's crossover, row k holds the positions of neighbour k:
+    # every step there builds most neighbours, and one gather is cheapest.
+    swaps: np.ndarray | None
 
 
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+_PAIR_CACHE: dict[int, _Pairs] = {}
+
+
+def _pairs(n: int) -> _Pairs:
     pairs = _PAIR_CACHE.get(n)
     if pairs is None:
-        pairs = np.triu_indices(n, k=1)
+        i, j = np.triu_indices(n, k=1)
+        adjacent = np.flatnonzero((j - i == 1) | (j - i == n - 1))
+        swaps = None
+        if n < _SCREEN_MIN_N:
+            swaps = np.tile(np.arange(n), (i.size, 1))
+            swaps[np.arange(i.size), i] = j
+            swaps[np.arange(i.size), j] = i
+        pairs = _Pairs(i, j, i * n + j, adjacent, swaps)
         _PAIR_CACHE[n] = pairs
     return pairs
 
 
-def _neighbor_orders(tour: Tour) -> np.ndarray:
-    """All transposition neighbors as rows, in lexicographic (i, j) pair order."""
-    order = tour.order
-    n = order.size
-    i, j = _pair_indices(n)
-    rows = np.tile(order, (i.size, 1))
-    arange = np.arange(i.size)
-    rows[arange, i] = order[j]
-    rows[arange, j] = order[i]
+def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.ndarray:
+    """Transposition neighbours of ``order`` as rows, in pair order.
+
+    ``picked`` selects pairs by mask or index; None takes them all.
+    """
+    pairs = _pairs(order.size)
+    if pairs.swaps is not None:
+        return order.take(pairs.swaps if picked is None else pairs.swaps[picked])
+    i, j = (pairs.i, pairs.j) if picked is None else (pairs.i[picked], pairs.j[picked])
+    rows = np.empty((i.size, order.size), dtype=order.dtype)
+    rows[:] = order
+    k = np.arange(i.size)
+    rows[k, i] = order[j]
+    rows[k, j] = order[i]
     return rows
+
+
+def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
+    """Length change of every transposition of ``order``, in pair order, and its band.
+
+    Swapping positions i < j replaces the edges at positions i-1, i, j-1 and
+    j. With ins[p, q] the cost of the city at position q between the two
+    neighbours of position p, the change is ins[i, j] - ins[i, i] +
+    ins[j, i] - ins[j, j]. That counts the edge between two swapped cycle
+    neighbours (j = i + 1, or the pair (0, n-1)) as removed twice although it
+    stays, so it is added back twice for them.
+
+    Every neighbour whose ``row_lengths`` length is the exact minimum has a
+    change within the returned band of the smallest change. The band adds
+    two error bounds, for u the unit roundoff and dmax the longest edge:
+
+    - A length is a sum of n non-negative edges, so it is within
+      gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the edges' true sum (Higham
+      2002, "Accuracy and Stability of Numerical Algorithms", ch. 4), and
+      every neighbour's true sum is at most L + 4 dmax, for L the current
+      tour's. Two minimal-length candidates thus differ in true sum by at
+      most 2 gamma_{n-1} (L + 4 dmax).
+    - A change passes through at most eight roundings of values below
+      6 dmax, so it is within 48 u dmax of the true change; it counts once
+      for each of the two changes compared.
+
+    The band is twice their sum, which absorbs the rounding of L and of the
+    band itself.
+    """
+    n = order.size
+    _, _, flat, adjacent, _ = _pairs(n)
+    between = table.take(order, axis=0).take(order, axis=1)  # between[p, q] = d(t_p, t_q)
+    ins = np.empty_like(between)  # ins[p, q] = d(t_{p-1}, t_q) + d(t_{p+1}, t_q)
+    np.add(between[:-2], between[2:], out=ins[1:-1])
+    np.add(between[-1], between[1], out=ins[0])
+    np.add(between[-2], between[0], out=ins[-1])
+    here = ins.diagonal()  # the two edges at each position
+    gain = ins - here.reshape(-1, 1)
+    deltas = (gain + gain.T).ravel()[flat]
+    deltas[adjacent] += 2.0 * between.ravel()[flat[adjacent]]
+    u = _UNIT_ROUNDOFF
+    gamma = (n - 1) * u / (1 - (n - 1) * u)
+    dmax = float(between.max())
+    length = float(here.sum()) / 2
+    band = 2 * (2 * gamma * (length + 4 * dmax) + 2 * 48 * u * dmax)
+    return deltas, band
 
 
 def steepest_step(
@@ -158,17 +354,26 @@ def steepest_step(
 
     Ties go to the first pair in lexicographic (i, j) order. Neighbors in
     ``forbidden`` are skipped; None means every neighbor was forbidden.
+    Every allowed neighbor counts as evaluated; see the module docstring for
+    the screen that decides which of them are measured in full.
     """
-    rows = _neighbor_orders(tour)
+    order = tour.order
+    n = order.size
+    picked = None
     if forbidden is not None and len(forbidden) > 0:
-        allowed = forbidden.allowed(rows)
-        if not allowed.any():
-            return None
-        keep = np.flatnonzero(allowed)
-        rows = rows[keep]
+        picked = forbidden.allowed(order)
+    evaluated = n * (n - 1) // 2 if picked is None else int(np.count_nonzero(picked))
+    if evaluated == 0:
+        return None
+    if n >= _SCREEN_MIN_N:
+        deltas, band = _screen(instance.distance_table(), order)
+        if picked is not None:
+            deltas[~picked] = np.inf
+        picked = deltas <= deltas.min() + band
+    rows = _neighbor_rows(order, picked)
     lengths = row_lengths(instance, rows)
     k = int(np.argmin(lengths))  # first minimum = lexicographically first pair
-    return Tour(rows[k]), float(lengths[k]), int(rows.shape[0])
+    return Tour(rows[k]), float(lengths[k]), evaluated
 
 
 def hill_climb(

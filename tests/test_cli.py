@@ -48,6 +48,7 @@ class TestSolve:
         assert lines[2] == "length 4.0"
         assert lines[3].startswith("tour ")
         assert lines[4].startswith("iterations ")
+        assert lines[5] == "runs 1 early_outs 0 aborted 0"
 
     def test_json_output(self, capsys, square_file):
         code, out, _ = run_cli(capsys, [
@@ -195,6 +196,14 @@ class TestErrors:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert (doc["runs"], doc["early_outs"], doc["aborted"]) == (31, 19, 6)
+
+    def test_text_reports_aborted_climbs(self, capsys, square_file):
+        code, out, _ = run_cli(capsys, [
+            "solve", "--instance", square_file, "--algorithm", "hc", "--variant", "modified",
+            "--restarts", "30", "--max-steps", "1",
+        ])
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "runs 31 early_outs 19 aborted 6"
 
     def test_argparse_rejects_unknown_arguments(self, square_file):
         with pytest.raises(SystemExit) as err:

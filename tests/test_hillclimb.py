@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,82 @@ class TestVisitedSet:
     def test_rejects_non_positive_cap(self):
         with pytest.raises(ValueError):
             VisitedSet(cap=0)
+
+    def test_holds_one_tour_size(self):
+        vs = VisitedSet()
+        vs.add(Tour([0, 1, 2]))
+        assert Tour([0, 1, 2, 3]) not in vs
+        with pytest.raises(ValueError):
+            vs.add(Tour([0, 1, 2, 3]))
+
+    def test_memory_follows_entries_not_cap(self):
+        tracemalloc.start()
+        try:
+            vs = VisitedSet(cap=10**9)
+            vs.add(Tour(np.arange(48)))
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used < 64 * 1024
+
+    def test_allowed_masks_stored_neighbors_in_pair_order(self):
+        rng = np.random.default_rng(17)
+        t = random_tour(9, rng)
+        nbrs = list(neighbors(t))
+        vs = VisitedSet()
+        for k in rng.choice(len(nbrs), size=12, replace=False):
+            vs.add(nbrs[k])
+        for _ in range(40):  # unrelated tours grow the table
+            vs.add(random_tour(9, rng))
+        assert vs.allowed(t.order).tolist() == [nb not in vs for nb in nbrs]
+
+
+class TestVisitedSetCollisions:
+    """Every permutation hashes alike, so only the stored-key check keeps the set exact."""
+
+    @pytest.fixture(autouse=True)
+    def one_hash(self, monkeypatch):
+        monkeypatch.setattr(
+            "tourbench.hillclimb._zobrist_table", lambda n: np.zeros((n, n), dtype=np.uint64)
+        )
+
+    def test_add_contains_and_len_stay_exact(self):
+        rng = np.random.default_rng(23)
+        stored = [random_tour(7, rng) for _ in range(60)]  # past two table doublings
+        keys = {tuple(t) for t in stored}
+        vs = VisitedSet()
+        for t in stored:
+            assert vs.add(t)
+        assert len(vs) == len(keys)
+        for t in stored:
+            assert vs.add(t)
+        assert len(vs) == len(keys)
+        for _ in range(200):
+            t = random_tour(7, rng)
+            assert (t in vs) == (tuple(t) in keys)
+
+    def test_neighbor_mask_stays_exact(self):
+        rng = np.random.default_rng(29)
+        t = random_tour(8, rng)
+        nbrs = list(neighbors(t))
+        keys = {tuple(nbrs[k]) for k in rng.choice(len(nbrs), size=10, replace=False)}
+        keys |= {tuple(random_tour(8, rng)) for _ in range(30)}
+        vs = VisitedSet()
+        for key in keys:
+            vs.add(Tour(key))
+        assert vs.allowed(t.order).tolist() == [tuple(nb) not in keys for nb in nbrs]
+
+    def test_modified_runs_are_unchanged(self, monkeypatch):
+        instance = random_instance(np.random.default_rng(37), 20)
+        config = HcConfig(variant="modified", restarts=3, seed=5)
+        colliding = run_hc(instance, config)
+        monkeypatch.undo()
+        hashed = run_hc(instance, config)
+        assert colliding.best_tour == hashed.best_tour
+        assert float.hex(colliding.best_length) == float.hex(hashed.best_length)
+        assert (colliding.fitness_evaluations, colliding.iterations, colliding.early_outs) == (
+            hashed.fitness_evaluations, hashed.iterations, hashed.early_outs
+        )
 
 
 class TestSteepestStep:

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourbench.core import Instance, Metric, Point, Tour, reverse, row_lengths, tour_length
+from tourbench.core import (
+    Instance,
+    Metric,
+    Point,
+    Tour,
+    neighbors,
+    reverse,
+    row_lengths,
+    tour_length,
+)
 from tourbench.ga import (
     CROSSOVER_VARIANTS,
     GaConfig,
@@ -18,7 +27,14 @@ from tourbench.ga import (
     crossover_reversal_invariant,
     run_ga,
 )
-from tourbench.hillclimb import HC_VARIANTS, HcConfig, run_hc
+from tourbench.hillclimb import (
+    _SCREEN_MIN_N,
+    HC_VARIANTS,
+    HcConfig,
+    VisitedSet,
+    run_hc,
+    steepest_step,
+)
 from tourbench.oracle import held_karp
 
 METRICS = (
@@ -126,3 +142,56 @@ def test_solvers_report_their_tour_and_never_beat_the_optimum(metric, data):
     for result in results:
         assert result.best_length == tour_length(instance, result.best_tour)
         assert result.best_length >= floor
+
+
+def reference_step(instance, tour, forbidden):
+    """steepest_step written out plainly: every allowed neighbour, first minimum."""
+    best, evaluated = None, 0
+    for nb in neighbors(tour):
+        if tuple(nb) in forbidden:
+            continue
+        evaluated += 1
+        length = tour_length(instance, nb)
+        if best is None or length < best[1]:
+            best = (nb, length)
+    return None if best is None else (best[0].tolist(), float.hex(best[1]), evaluated)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_steepest_step_matches_full_scan(metric, data):
+    # Sizes on both sides of the screen's crossover; integer grid points tie
+    # exactly and often, and coincident ones give zero-length edges.
+    n = data.draw(st.one_of(
+        st.integers(4, _SCREEN_MIN_N - 1), st.integers(_SCREEN_MIN_N, _SCREEN_MIN_N + 16)
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    tour = Tour(rng.permutation(n))
+    visited = None
+    forbidden = set()
+    share = data.draw(st.sampled_from([None, 0.0, 0.2, 0.9, 1.0]))
+    if share is not None:
+        visited = VisitedSet()
+        for nb in neighbors(tour):
+            if rng.random() < share:
+                forbidden.add(tuple(nb))
+        forbidden |= {tuple(rng.permutation(n)) for _ in range(5)}
+        for key in forbidden:
+            visited.add(Tour(key))
+    for _ in range(3):
+        found = steepest_step(instance, tour, visited)
+        expected = reference_step(instance, tour, forbidden)
+        if found is None:
+            assert expected is None
+            return
+        assert (found[0].tolist(), float.hex(found[1]), found[2]) == expected
+        tour = found[0]
+        if visited is not None:
+            visited.add(tour)
+            forbidden.add(tuple(tour))
