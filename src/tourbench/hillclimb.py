@@ -8,14 +8,14 @@ minimum that consumed it. A visited set shared across the whole invocation
 forbids revisiting any permutation and lets restarts that land on
 already-seen ground return immediately.
 
-A steepest step counts every allowed neighbour as evaluated but measures
+A steepest step counts every allowed neighbor as evaluated but measures
 few of them in full. From ``_SCREEN_MIN_N`` points on it screens each swap
 by its length change, computed from the at most four edges the swap touches
 (Bentley 1992, "Fast algorithms for geometric traveling salesman
 problems"), and builds and measures with ``row_lengths`` only the
-neighbours whose screened change lies within a rigorous rounding band of
+neighbors whose screened change lies within a rigorous rounding band of
 the smallest. Below that size, where the screen costs more than it saves,
-every allowed neighbour is measured. Either way the step returns the first
+every allowed neighbor is measured. Either way the step returns the first
 exact minimum in pair order, the one a full scan would return.
 """
 
@@ -95,7 +95,7 @@ class VisitedSet:
 
     A tour is keyed by its 64-bit Zobrist hash (Zobrist 1970): the XOR of
     one random word per (position, city). A swap trades four of those words,
-    so ``allowed`` hashes all n(n-1)/2 neighbours of a tour in one array
+    so ``allowed`` hashes all n(n-1)/2 neighbors of a tour in one array
     expression without building them, and looks them all up at once.
 
     The hashes live in an open-addressing table with linear probing. It
@@ -117,7 +117,9 @@ class VisitedSet:
     degrades to allowing revisits instead of exhausting memory.
     """
 
-    __slots__ = ("cap", "_count", "_reach", "_words", "_starts", "_keys", "_slot_entry", "_slot_hash")
+    __slots__ = (
+        "cap", "_count", "_reach", "_words", "_starts", "_keys", "_slot_entry", "_slot_hash"
+    )
 
     def __init__(self, cap: int = DEFAULT_VISITED_CAP) -> None:
         if cap < 1:
@@ -203,7 +205,10 @@ class VisitedSet:
         return self._count
 
     def allowed(self, order: np.ndarray) -> np.ndarray:
-        """Mask over the transposition neighbours of ``order``, in pair order: True where not stored."""
+        """Mask over the transposition neighbors of ``order``, in pair order.
+
+        True where the neighbor is not stored.
+        """
         flat = _pairs(order.size).flat
         allowed = np.ones(flat.size, dtype=bool)
         if self._count == 0 or not self._holds_size(order):
@@ -250,19 +255,24 @@ class HcConfig:
 
 
 # From this many points on the steepest step screens swaps by their length
-# change; below it, measuring every allowed neighbour in full is faster.
+# change; below it, measuring every allowed neighbor in full is faster.
+# Timed per step on uniform instances, with and without a visited set, the
+# full scan was faster up to n = 14, the two were within 10% of each other
+# at n = 15 and 16, and the screen was faster from n = 17 (twice as fast at
+# n = 24).
 _SCREEN_MIN_N = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
+
 class _Pairs(NamedTuple):
-    """The transposition neighbourhood over n positions, in lexicographic pair order."""
+    """The transposition neighborhood over n positions, in lexicographic pair order."""
 
     i: np.ndarray  # first swapped position
     j: np.ndarray  # second swapped position, i < j
     flat: np.ndarray  # i * n + j, into an n-by-n array
-    adjacent: np.ndarray  # indices of the pairs that are neighbours on the cycle
-    # Below the screen's crossover, row k holds the positions of neighbour k:
-    # every step there builds most neighbours, and one gather is cheapest.
+    adjacent: np.ndarray  # indices of the pairs that are neighbors on the cycle
+    # Below the screen's crossover, row k holds the positions of neighbor k:
+    # every step there builds most neighbors, and one gather is cheapest.
     swaps: np.ndarray | None
 
 
@@ -274,25 +284,14 @@ def _pairs(n: int) -> _Pairs:
     if pairs is None:
         i, j = np.triu_indices(n, k=1)
         adjacent = np.flatnonzero((j - i == 1) | (j - i == n - 1))
-        swaps = None
-        if n < _SCREEN_MIN_N:
-            swaps = np.tile(np.arange(n), (i.size, 1))
-            swaps[np.arange(i.size), i] = j
-            swaps[np.arange(i.size), j] = i
+        swaps = _swapped(np.arange(n), i, j) if n < _SCREEN_MIN_N else None
         pairs = _Pairs(i, j, i * n + j, adjacent, swaps)
         _PAIR_CACHE[n] = pairs
     return pairs
 
 
-def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.ndarray:
-    """Transposition neighbours of ``order`` as rows, in pair order.
-
-    ``picked`` selects pairs by mask or index; None takes them all.
-    """
-    pairs = _pairs(order.size)
-    if pairs.swaps is not None:
-        return order.take(pairs.swaps if picked is None else pairs.swaps[picked])
-    i, j = (pairs.i, pairs.j) if picked is None else (pairs.i[picked], pairs.j[picked])
+def _swapped(order: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Copies of ``order`` as rows, row k with positions i[k] and j[k] swapped."""
     rows = np.empty((i.size, order.size), dtype=order.dtype)
     rows[:] = order
     k = np.arange(i.size)
@@ -301,24 +300,37 @@ def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.nd
     return rows
 
 
+def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.ndarray:
+    """Transposition neighbors of ``order`` as rows, in pair order.
+
+    ``picked`` selects pairs by mask or index; None takes them all.
+    """
+    pairs = _pairs(order.size)
+    if pairs.swaps is not None:
+        return order.take(pairs.swaps if picked is None else pairs.swaps[picked])
+    if picked is None:
+        return _swapped(order, pairs.i, pairs.j)
+    return _swapped(order, pairs.i[picked], pairs.j[picked])
+
+
 def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
     """Length change of every transposition of ``order``, in pair order, and its band.
 
     Swapping positions i < j replaces the edges at positions i-1, i, j-1 and
     j. With ins[p, q] the cost of the city at position q between the two
-    neighbours of position p, the change is ins[i, j] - ins[i, i] +
+    neighbors of position p, the change is ins[i, j] - ins[i, i] +
     ins[j, i] - ins[j, j]. That counts the edge between two swapped cycle
-    neighbours (j = i + 1, or the pair (0, n-1)) as removed twice although it
+    neighbors (j = i + 1, or the pair (0, n-1)) as removed twice although it
     stays, so it is added back twice for them.
 
-    Every neighbour whose ``row_lengths`` length is the exact minimum has a
+    Every neighbor whose ``row_lengths`` length is the exact minimum has a
     change within the returned band of the smallest change. The band adds
     two error bounds, for u the unit roundoff and dmax the longest edge:
 
     - A length is a sum of n non-negative edges, so it is within
       gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the edges' true sum (Higham
       2002, "Accuracy and Stability of Numerical Algorithms", ch. 4), and
-      every neighbour's true sum is at most L + 4 dmax, for L the current
+      every neighbor's true sum is at most L + 4 dmax, for L the current
       tour's. Two minimal-length candidates thus differ in true sum by at
       most 2 gamma_{n-1} (L + 4 dmax).
     - A change passes through at most eight roundings of values below
