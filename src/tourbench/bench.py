@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import ConfigurationError, Instance, RunResult
+from .core import ConfigurationError, Instance, RunResult, check_count
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, run_hc
 
@@ -164,10 +164,8 @@ def run_experiment(
     change how the fixed per-trial seeds are scheduled. At most one worker
     per trial and per CPU is started, and a single worker runs in-process.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if parallelism < 1:
-        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
+    check_count("trials", trials, 1)
+    check_count("parallelism", parallelism, 1)
     # The pool forks every worker up front, so cap it by what can be used.
     workers = min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:

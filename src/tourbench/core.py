@@ -9,6 +9,7 @@ hill climbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "Point",
     "RunResult",
     "Tour",
+    "check_count",
     "make_rng",
     "neighbors",
     "random_rows",
@@ -34,6 +36,17 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Raised for invalid solver or experiment settings, before any work runs."""
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer of at least ``minimum``.
+
+    numpy integers count; bools and floats, even whole ones, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

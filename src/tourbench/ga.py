@@ -20,6 +20,7 @@ from .core import (
     Instance,
     RunResult,
     Tour,
+    check_count,
     make_rng,
     random_rows,
     row_lengths,
@@ -55,16 +56,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ConfigurationError(f"population_size must be >= 2, got {self.population_size}")
+        check_count("population_size", self.population_size, 2)
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigurationError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
-        if self.max_generations < 1:
-            raise ConfigurationError(f"max_generations must be >= 1, got {self.max_generations}")
-        if self.max_stall_generations < 1:
-            raise ConfigurationError(
-                f"max_stall_generations must be >= 1, got {self.max_stall_generations}"
-            )
+        check_count("max_generations", self.max_generations, 1)
+        check_count("max_stall_generations", self.max_stall_generations, 1)
         if self.crossover_variant not in CROSSOVER_VARIANTS:
             raise ConfigurationError(
                 f"crossover_variant must be one of {CROSSOVER_VARIANTS}, "

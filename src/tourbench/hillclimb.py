@@ -21,6 +21,8 @@ exact minimum in pair order, the one a full scan would return.
 
 from __future__ import annotations
 
+import functools
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,6 +34,7 @@ from .core import (
     Instance,
     RunResult,
     Tour,
+    check_count,
     make_rng,
     random_tour,
     row_lengths,
@@ -117,18 +120,17 @@ class VisitedSet:
     degrades to allowing revisits instead of exhausting memory.
     """
 
-    __slots__ = (
-        "cap", "_count", "_reach", "_words", "_starts", "_keys", "_slot_entry", "_slot_hash"
-    )
+    __slots__ = ("cap", "_count", "_reach", "_words", "_keys", "_slot_entry", "_slot_hash")
 
     def __init__(self, cap: int = DEFAULT_VISITED_CAP) -> None:
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise ValueError(f"cap must be an integer, got {cap!r}")
         if cap < 1:
             raise ValueError(f"cap must be positive, got {cap}")
         self.cap = cap
         self._count = 0
         self._reach = 0
         self._words: np.ndarray | None = None  # (n, n) Zobrist words, made by the first add
-        self._starts: np.ndarray | None = None  # flat index of each row of _words
         # Row e is the tour of entry e. The last row is always unused (the table
         # grows when it fills) and all zeros, which is no tour, so the entry -1
         # of an empty slot reads a row that never confirms a hit.
@@ -140,7 +142,7 @@ class VisitedSet:
         return self._keys is not None and order.size == self._keys.shape[1]
 
     def _hash(self, order: np.ndarray) -> int:
-        return int(np.bitwise_xor.reduce(self._words.ravel().take(self._starts + order)))
+        return int(np.bitwise_xor.reduce(self._words[np.arange(order.size), order]))
 
     def _find(self, order: np.ndarray, h: int) -> tuple[bool, int]:
         """Whether ``order`` is stored, and the slot that holds it or would."""
@@ -152,25 +154,25 @@ class VisitedSet:
             slot = (slot + 1) & bits
         return False, slot
 
+    def _place(self, slot: int, entry: int, h: int) -> None:
+        """Point ``slot`` at ``entry``, whose tour hashes to ``h``."""
+        self._slot_entry[slot] = entry
+        self._slot_hash[slot] = h
+        self._reach = max(self._reach, (slot - h) & (self._slot_entry.size - 1))
+
     def _grow(self) -> None:
         """Double the slots and the key rows, re-inserting every entry by its stored hash."""
-        size = 2 * self._slot_entry.size
-        bits = size - 1
         used = self._slot_entry >= 0
-        slot_entry = np.full(size, -1, dtype=np.int64)
-        slot_hash = np.zeros(size, dtype=np.uint64)
-        reach = 0
-        for entry, h in zip(self._slot_entry[used].tolist(), self._slot_hash[used].tolist()):
-            slot = h & bits
-            while slot_entry[slot] >= 0:
-                slot = (slot + 1) & bits
-            slot_entry[slot] = entry
-            slot_hash[slot] = h
-            reach = max(reach, (slot - h) & bits)
+        entries, hashes = self._slot_entry[used].tolist(), self._slot_hash[used].tolist()
+        size = 2 * self._slot_entry.size
+        self._slot_entry = np.full(size, -1, dtype=np.int64)
+        self._slot_hash = np.zeros(size, dtype=np.uint64)
+        self._reach = 0
         keys = np.zeros((size // 4, self._keys.shape[1]), dtype=self._keys.dtype)
         keys[: self._count] = self._keys[: self._count]
-        self._slot_entry, self._slot_hash, self._keys = slot_entry, slot_hash, keys
-        self._reach = reach
+        self._keys = keys
+        for entry, h in zip(entries, hashes):
+            self._place(self._find(keys[entry], h)[1], entry, h)
 
     def add(self, tour: Tour) -> bool:
         if self._count >= self.cap:
@@ -179,7 +181,6 @@ class VisitedSet:
         if self._words is None:
             n = order.size
             self._words = _zobrist_table(n)
-            self._starts = np.arange(0, n * n, n)
             self._keys = np.zeros((_FIRST_SLOTS // 4, n), dtype=np.min_scalar_type(n - 1))
         elif not self._holds_size(order):
             raise ValueError(
@@ -189,9 +190,7 @@ class VisitedSet:
         stored, slot = self._find(order, h)
         if not stored:
             self._keys[self._count] = order
-            self._slot_entry[slot] = self._count
-            self._slot_hash[slot] = h
-            self._reach = max(self._reach, (slot - h) & (self._slot_entry.size - 1))
+            self._place(slot, self._count, h)
             self._count += 1
             if self._count == self._keys.shape[0]:
                 self._grow()
@@ -211,7 +210,7 @@ class VisitedSet:
         """
         flat = _pairs(order.size).flat
         allowed = np.ones(flat.size, dtype=bool)
-        if self._count == 0 or not self._holds_size(order):
+        if not self._holds_size(order):
             return allowed
         # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
         # for words[i, t_j] and words[j, t_i].
@@ -240,18 +239,13 @@ class HcConfig:
     visited_cap: int = DEFAULT_VISITED_CAP
 
     def __post_init__(self) -> None:
-        if self.restarts < 0:
-            raise ConfigurationError(f"restarts must be >= 0, got {self.restarts}")
+        check_count("restarts", self.restarts, 0)
         if self.variant not in HC_VARIANTS:
             raise ConfigurationError(
                 f"variant must be one of {HC_VARIANTS}, got {self.variant!r}"
             )
-        if self.max_steps_per_run < 1:
-            raise ConfigurationError(
-                f"max_steps_per_run must be >= 1, got {self.max_steps_per_run}"
-            )
-        if self.visited_cap < 1:
-            raise ConfigurationError(f"visited_cap must be >= 1, got {self.visited_cap}")
+        check_count("max_steps_per_run", self.max_steps_per_run, 1)
+        check_count("visited_cap", self.visited_cap, 1)
 
 
 # From this many points on the steepest step screens swaps by their length
@@ -259,7 +253,9 @@ class HcConfig:
 # Timed per step on uniform instances, with and without a visited set, the
 # full scan was faster up to n = 14, the two were within 10% of each other
 # at n = 15 and 16, and the screen was faster from n = 17 (twice as fast at
-# n = 24).
+# n = 24). End to end, screening at every size slowed the benchmark's
+# exact-small workload (n = 9..14): a median of 9.89 trials/s against 10.12
+# with the full scan, which was faster in 9 of 10 alternating pairs.
 _SCREEN_MIN_N = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -271,33 +267,13 @@ class _Pairs(NamedTuple):
     j: np.ndarray  # second swapped position, i < j
     flat: np.ndarray  # i * n + j, into an n-by-n array
     adjacent: np.ndarray  # indices of the pairs that are neighbors on the cycle
-    # Below the screen's crossover, row k holds the positions of neighbor k:
-    # every step there builds most neighbors, and one gather is cheapest.
-    swaps: np.ndarray | None
 
 
-_PAIR_CACHE: dict[int, _Pairs] = {}
-
-
+@functools.cache
 def _pairs(n: int) -> _Pairs:
-    pairs = _PAIR_CACHE.get(n)
-    if pairs is None:
-        i, j = np.triu_indices(n, k=1)
-        adjacent = np.flatnonzero((j - i == 1) | (j - i == n - 1))
-        swaps = _swapped(np.arange(n), i, j) if n < _SCREEN_MIN_N else None
-        pairs = _Pairs(i, j, i * n + j, adjacent, swaps)
-        _PAIR_CACHE[n] = pairs
-    return pairs
-
-
-def _swapped(order: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Copies of ``order`` as rows, row k with positions i[k] and j[k] swapped."""
-    rows = np.empty((i.size, order.size), dtype=order.dtype)
-    rows[:] = order
-    k = np.arange(i.size)
-    rows[k, i] = order[j]
-    rows[k, j] = order[i]
-    return rows
+    i, j = np.triu_indices(n, k=1)
+    adjacent = np.flatnonzero((j - i == 1) | (j - i == n - 1))
+    return _Pairs(i, j, i * n + j, adjacent)
 
 
 def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.ndarray:
@@ -305,12 +281,15 @@ def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.nd
 
     ``picked`` selects pairs by mask or index; None takes them all.
     """
-    pairs = _pairs(order.size)
-    if pairs.swaps is not None:
-        return order.take(pairs.swaps if picked is None else pairs.swaps[picked])
-    if picked is None:
-        return _swapped(order, pairs.i, pairs.j)
-    return _swapped(order, pairs.i[picked], pairs.j[picked])
+    n = order.size
+    pairs = _pairs(n)
+    i, j = (pairs.i, pairs.j) if picked is None else (pairs.i[picked], pairs.j[picked])
+    rows = np.empty((i.size, n), dtype=order.dtype)
+    rows[:] = order
+    starts = np.arange(0, rows.size, n)  # flat index of each row's first position
+    rows.ravel()[starts + i] = order[j]
+    rows.ravel()[starts + j] = order[i]
+    return rows
 
 
 def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
@@ -341,7 +320,7 @@ def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
     band itself.
     """
     n = order.size
-    _, _, flat, adjacent, _ = _pairs(n)
+    _, _, flat, adjacent = _pairs(n)
     between = table.take(order, axis=0).take(order, axis=1)  # between[p, q] = d(t_p, t_q)
     ins = np.empty_like(between)  # ins[p, q] = d(t_{p-1}, t_q) + d(t_{p+1}, t_q)
     np.add(between[:-2], between[2:], out=ins[1:-1])
@@ -371,9 +350,9 @@ def steepest_step(
     """
     order = tour.order
     n = order.size
-    picked = None
-    if forbidden is not None and len(forbidden) > 0:
-        picked = forbidden.allowed(order)
+    if n != instance.n:  # the message tour_length gives; the screen would index past the table
+        raise ValueError(f"tours of shape {(1, n)} for an instance of {instance.n} points")
+    picked = None if forbidden is None else forbidden.allowed(order)
     evaluated = n * (n - 1) // 2 if picked is None else int(np.count_nonzero(picked))
     if evaluated == 0:
         return None

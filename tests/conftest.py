@@ -2,6 +2,15 @@ import pytest
 
 from tourbench.tsplib import bundled_instance
 
+try:
+    from hypothesis import settings
+except ImportError:  # only test_properties.py needs it, and it fails to import on its own
+    pass
+else:
+    # The same examples on every run, so a failure reproduces and run times compare.
+    settings.register_profile("derandomized", derandomize=True)
+    settings.load_profile("derandomized")
+
 
 def pytest_configure(config):
     config._criterion_lines = {}

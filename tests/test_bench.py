@@ -159,6 +159,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kwargs", [
         {"trials": 0},
         {"trials": 2, "parallelism": 0},
+        {"trials": 2.5},
+        {"trials": 2, "parallelism": 1.5},
     ])
     def test_rejects_bad_counts(self, small_instance, kwargs):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from tourbench.core import (
     Metric,
     Point,
     Tour,
+    check_count,
     make_rng,
     neighbors,
     random_tour,
@@ -23,6 +24,21 @@ from tourbench.core import (
 
 def test_configuration_error_is_value_error():
     assert issubclass(ConfigurationError, ValueError)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2)])
+    def test_accepts_integers(self, value):
+        check_count("restarts", value, 0)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2), np.bool_(True), "2"])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ConfigurationError, match="restarts must be an integer"):
+            check_count("restarts", value, 0)
+
+    def test_names_the_minimum(self):
+        with pytest.raises(ConfigurationError, match="^restarts must be >= 0, got -1$"):
+            check_count("restarts", -1, 0)
 
 
 class TestPoint:

@@ -30,6 +30,9 @@ class TestGaConfig:
         {"max_generations": 0},
         {"max_stall_generations": 0},
         {"crossover_variant": "pmx"},
+        {"population_size": 20.5},
+        {"max_generations": 2.5},
+        {"max_stall_generations": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -52,6 +52,10 @@ class TestHcConfig:
         {"variant": "tabu"},
         {"max_steps_per_run": 0},
         {"visited_cap": 0},
+        {"restarts": 1.5},
+        {"restarts": True},
+        {"max_steps_per_run": 2.5},
+        {"visited_cap": 1e6},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -86,6 +90,11 @@ class TestVisitedSet:
     def test_rejects_non_positive_cap(self):
         with pytest.raises(ValueError):
             VisitedSet(cap=0)
+
+    @pytest.mark.parametrize("cap", [2.5, True])
+    def test_rejects_non_integer_cap(self, cap):
+        with pytest.raises(ValueError, match="must be an integer"):
+            VisitedSet(cap=cap)
 
     def test_holds_one_tour_size(self):
         vs = VisitedSet()
@@ -197,6 +206,11 @@ class TestSteepestStep:
         for nb in neighbors(t):
             vs.add(nb)
         assert steepest_step(inst, t, forbidden=vs) is None
+
+    def test_rejects_tour_of_another_size(self):
+        inst = random_instance(np.random.default_rng(3), 16)
+        with pytest.raises(ValueError, match="for an instance of 16 points"):
+            steepest_step(inst, Tour(np.arange(17)))
 
     def test_matches_neighborhood_scan(self):
         rng = np.random.default_rng(61)
