@@ -114,6 +114,15 @@ def _cases() -> dict:
         cases[f"ga-{variant}-no-elitism-att48"] = _ga(
             att48, variant, 49, 24, 6, mutation_rate=0.3, elitism=False
         )
+        # Every child mutates, and at n = 3 the j == i redraw follows about
+        # every third swap; at n = 2 a split takes no draw at all.
+        for n in (2, 3):
+            cases[f"ga-{variant}-mutate-all-euclidean-n{n}"] = _ga(
+                lambda n=n: _instance("euclidean", n), variant, n, 10, 6, mutation_rate=1.0
+            )
+    # An odd population of baseline children takes an odd number of 32-bit
+    # split draws, so a generation can start with half a random word cached.
+    cases["ga-baseline-pop15-euclidean-n13"] = _ga(euclidean13, "baseline", 15, 15, 12)
     # HC at sizes the cases above do not reach: att48 with and without a
     # restart, and a tie-heavy grid where the first-pair tie-break decides.
     grid30 = lambda: _grid_manhattan(30)  # noqa: E731
