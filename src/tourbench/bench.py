@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import ConfigurationError, Instance, RunResult, check_count
+from .core import ConfigurationError, Instance, RunResult, check_count, check_integer
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, run_hc
 
@@ -47,6 +47,7 @@ def derive_trial_seed(experiment_seed: int, trial_id: int) -> int:
     golden-gamma increments. Frozen: published results reference these seeds,
     so the mapping must never change between releases.
     """
+    check_integer("experiment_seed", experiment_seed)
     if trial_id < 0:
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
     z = (int(experiment_seed) + _GOLDEN_GAMMA * (trial_id + 1)) & _MASK
@@ -166,6 +167,7 @@ def run_experiment(
     """
     check_count("trials", trials, 1)
     check_count("parallelism", parallelism, 1)
+    check_integer("experiment_seed", experiment_seed)
     # The pool forks every worker up front, so cap it by what can be used.
     workers = min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:

@@ -23,6 +23,7 @@ __all__ = [
     "RunResult",
     "Tour",
     "check_count",
+    "check_integer",
     "make_rng",
     "neighbors",
     "random_rows",
@@ -38,13 +39,18 @@ class ConfigurationError(ValueError):
     """Raised for invalid solver or experiment settings, before any work runs."""
 
 
-def check_count(name: str, value: object, minimum: int) -> None:
-    """Raise ConfigurationError unless ``value`` is an integer of at least ``minimum``.
+def check_integer(name: str, value: object) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer.
 
     numpy integers count; bools and floats, even whole ones, do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer of at least ``minimum``."""
+    check_integer(name, value)
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
@@ -290,7 +296,8 @@ def random_tour(n: int, rng: np.random.Generator) -> Tour:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Generator for a 64-bit seed; negative seeds wrap modulo 2**64."""
+    """Generator for an integer seed; negative seeds wrap modulo 2**64."""
+    check_integer("seed", seed)
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 

@@ -10,8 +10,10 @@ exactly two length evaluations per offspring instead of one.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .core import (
     RunResult,
     Tour,
     check_count,
+    check_integer,
     make_rng,
     random_rows,
     row_lengths,
@@ -44,6 +47,12 @@ CROSSOVER_VARIANTS = ("baseline", "reversal_invariant")
 # still draws with weight floor * longest rather than dropping to zero.
 _WEIGHT_FLOOR = 0.5
 
+# numpy's decode of PCG64's 64-bit words: ``random()`` is the top 53 bits
+# times 2**-53, and a 32-bit draw is a word's low half (the high half stays
+# cached for the next 32-bit draw).
+_UNIT = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -57,8 +66,11 @@ class GaConfig:
 
     def __post_init__(self) -> None:
         check_count("population_size", self.population_size, 2)
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
+        rate = self.mutation_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ConfigurationError(f"mutation_rate must be a real number, got {rate!r}")
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigurationError(f"mutation_rate must be in [0, 1], got {rate}")
         check_count("max_generations", self.max_generations, 1)
         check_count("max_stall_generations", self.max_stall_generations, 1)
         if self.crossover_variant not in CROSSOVER_VARIANTS:
@@ -66,6 +78,9 @@ class GaConfig:
                 f"crossover_variant must be one of {CROSSOVER_VARIANTS}, "
                 f"got {self.crossover_variant!r}"
             )
+        if not isinstance(self.elitism, bool):
+            raise ConfigurationError(f"elitism must be a bool, got {self.elitism!r}")
+        check_integer("seed", self.seed)
 
 
 def init_population(
@@ -82,8 +97,9 @@ class _RouletteWheel:
     Weight of a member is (longest length - own length) plus a floor
     proportional to the longest length, so shorter tours are strictly
     favored while every member keeps a real chance. A draw is split in two
-    so a generation can take all of its scalar draws first: ``spin`` takes
-    one number from the rng, ``land`` maps a batch of spins to members.
+    so a generation can take all of its draws first: ``spin`` takes one
+    number from the rng (``_generation_draws`` decodes the same numbers from
+    raw words), ``land`` maps a batch of spins to members.
     """
 
     __slots__ = ("cum", "total")
@@ -129,6 +145,95 @@ def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int]
     while j == i:
         j = int(rng.integers(n))
     return i, j
+
+
+def _bounded(word, span: int, has: int, cached: int) -> tuple[int, int, int]:
+    """numpy's ``integers(span)`` on PCG64 words, for ``span`` up to 2**32.
+
+    Lemire's multiply-shift on ``next_uint32`` (Lemire 2019, "Fast random
+    integer generation in an interval"), redrawn while the low half of the
+    product is below 2**32 mod ``span``; ``span == 1`` takes no draw.
+    ``word`` yields the next raw word, and ``(has, cached)`` is the half-word
+    cache, returned updated with the value.
+    """
+    if span == 1:
+        return 0, has, cached
+    threshold = (1 << 32) % span
+    while True:
+        if has:
+            has, m = 0, cached * span
+        else:
+            w = word()
+            has, cached, m = 1, w >> 32, (w & _LOW32) * span
+        if m & _LOW32 >= threshold:
+            return m >> 32, has, cached
+
+
+def _generation_draws(
+    rng: np.random.Generator, wheel: _RouletteWheel, n: int, columns: int, rate: float
+) -> tuple[list, list[int], list[tuple[int, int, int]]]:
+    """Every random draw of one generation, decoded from raw PCG64 words.
+
+    Child by child, in the order of per-child ``Generator`` calls: two
+    roulette spins (``random() * total``, or ``integers(size)`` on a
+    uniform wheel), ``columns`` splits (``integers(1, n)``), then the
+    mutation rate draw (``random()``, none at rate 0) and, when it hits,
+    ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The numbers
+    and the final ``bit_generator.state``, half-word cache included, equal
+    those calls'. One block holds the fewest words the generation can take
+    (no mutation, no rejection); any further word is drawn when needed.
+
+    Returns the spins, the splits (``columns`` per child) and the swaps as
+    ``(child, i, j)``.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    has, cached = state["has_uint32"], state["uinteger"]
+    size, total = wheel.cum.size, wheel.total
+    uniform = total <= 0.0
+    span = n - 1
+    split_draws = range(columns if span > 1 else 0)
+    halves = size * (2 * uniform + len(split_draws))
+    k = size * (2 * (not uniform) + (rate > 0.0)) + max(0, halves - has + 1) // 2
+    # The block, then one word per call once it is used up.
+    word = chain(bitgen.random_raw(k).tolist(), iter(bitgen.random_raw, None)).__next__
+    threshold = (1 << 32) % span
+    spins, splits, swaps = [], [], []
+    spin, split = spins.append, splits.append
+    for child in range(size):
+        if uniform:
+            s, has, cached = _bounded(word, size, has, cached)
+            spin(s)
+            s, has, cached = _bounded(word, size, has, cached)
+            spin(s)
+        else:
+            spin((word() >> 11) * _UNIT * total)
+            spin((word() >> 11) * _UNIT * total)
+        # _bounded(word, span, ...) + 1, written out for the common case; a
+        # rejected draw starts over in _bounded.
+        for _ in split_draws:
+            if has:
+                has, m = 0, cached * span
+            else:
+                w = word()
+                has, cached, m = 1, w >> 32, (w & _LOW32) * span
+            if m & _LOW32 < threshold:
+                s, has, cached = _bounded(word, span, has, cached)
+                split(s + 1)
+            else:
+                split((m >> 32) + 1)
+        if rate > 0.0 and (word() >> 11) * _UNIT < rate:
+            i, has, cached = _bounded(word, n, has, cached)
+            j, has, cached = _bounded(word, n, has, cached)
+            while j == i:
+                j, has, cached = _bounded(word, n, has, cached)
+            swaps.append((child, i, j))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, cached
+    bitgen.state = state
+    if not split_draws:
+        splits = [1] * (size * columns)
+    return spins, splits, swaps
 
 
 def _check_parents(p1: Tour, p2: Tour, split: int | None) -> None:
@@ -262,19 +367,10 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     generations = 0
     stall = 0
     while generations < config.max_generations and stall < config.max_stall_generations:
-        # Every scalar draw of the generation, in the per-offspring order
-        # (two parents, the splits, the mutation), so the stream, and with
-        # it every result, does not depend on how the rest is batched.
+        # Every draw of the generation first, in the per-offspring order, so
+        # the results do not depend on how the array work is batched.
         wheel = _RouletteWheel(lengths)
-        spins, splits, swaps = [], [], []
-        for k in range(size):
-            spins.append(wheel.spin(rng))
-            spins.append(wheel.spin(rng))
-            for _ in range(columns):
-                splits.append(_draw_split(n, rng))
-            swap = _draw_swap(n, rate, rng)
-            if swap is not None:
-                swaps.append((k, *swap))
+        spins, splits, swaps = _generation_draws(rng, wheel, n, columns, rate)
         parents = wheel.land(spins).reshape(size, 2)
         offspring, offspring_lengths = _offspring(
             instance,

@@ -35,6 +35,7 @@ from .core import (
     RunResult,
     Tour,
     check_count,
+    check_integer,
     make_rng,
     random_tour,
     row_lengths,
@@ -246,6 +247,7 @@ class HcConfig:
             )
         check_count("max_steps_per_run", self.max_steps_per_run, 1)
         check_count("visited_cap", self.visited_cap, 1)
+        check_integer("seed", self.seed)
 
 
 # From this many points on the steepest step screens swaps by their length

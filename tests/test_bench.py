@@ -51,6 +51,14 @@ class TestDeriveTrialSeed:
         with pytest.raises(ValueError):
             derive_trial_seed(0, -1)
 
+    @pytest.mark.parametrize("experiment_seed", [1.5, 1.0, True])
+    def test_rejects_non_integer_seeds(self, experiment_seed):
+        with pytest.raises(ConfigurationError, match="experiment_seed must be an integer"):
+            derive_trial_seed(experiment_seed, 0)
+
+    def test_negative_seeds_stay_valid(self):
+        assert derive_trial_seed(-1, 0) == derive_trial_seed((1 << 64) - 1, 0)
+
 
 def _records(lengths):
     return tuple(
@@ -161,6 +169,9 @@ class TestRunExperiment:
         {"trials": 2, "parallelism": 0},
         {"trials": 2.5},
         {"trials": 2, "parallelism": 1.5},
+        {"trials": 2, "experiment_seed": 1.5},
+        {"trials": 2, "experiment_seed": True},
+        {"trials": 2, "experiment_seed": 1.5, "parallelism": 2},
     ])
     def test_rejects_bad_counts(self, small_instance, kwargs):
         with pytest.raises(ConfigurationError):

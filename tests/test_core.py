@@ -300,3 +300,9 @@ def test_make_rng_wraps_negative_seeds():
     a = make_rng(-1).integers(1 << 62)
     b = make_rng((1 << 64) - 1).integers(1 << 62)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+def test_make_rng_rejects_non_integer_seeds(seed):
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        make_rng(seed)

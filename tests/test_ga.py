@@ -9,6 +9,8 @@ from tourbench.ga import (
     _WEIGHT_FLOOR,
     CROSSOVER_VARIANTS,
     GaConfig,
+    _generation_draws,
+    _RouletteWheel,
     crossover_baseline,
     crossover_reversal_invariant,
     init_population,
@@ -33,10 +35,30 @@ class TestGaConfig:
         {"population_size": 20.5},
         {"max_generations": 2.5},
         {"max_stall_generations": True},
+        {"mutation_rate": True},
+        {"mutation_rate": "0.1"},
+        {"mutation_rate": None},
+        {"mutation_rate": float("nan")},
+        {"elitism": "no"},
+        {"elitism": 1},
+        {"seed": 1.5},
+        {"seed": 1.0},
+        {"seed": True},
+        {"seed": "1"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             GaConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mutation_rate": 1},
+        {"mutation_rate": np.float64(0.5)},
+        {"seed": -1},
+        {"seed": np.int64(7)},
+        {"seed": (1 << 64) - 1},
+    ])
+    def test_accepts_numbers(self, kwargs):
+        GaConfig(**kwargs)
 
     def test_variant_names(self):
         assert CROSSOVER_VARIANTS == ("baseline", "reversal_invariant")
@@ -300,3 +322,81 @@ class TestRunGa:
             run_ga(square_instance(), GaConfig(population_size=1))
         with pytest.raises(ConfigurationError):
             run_ga(make_instance([(0, 0)]), GaConfig())
+
+
+def _reference_draws(rng, wheel, n, columns, rate):
+    """One generation's draws as per-child Generator calls, in run_ga's order."""
+    size = wheel.cum.size
+    spins, splits, swaps = [], [], []
+    for child in range(size):
+        for _ in range(2):
+            if wheel.total <= 0.0:
+                spins.append(int(rng.integers(size)))
+            else:
+                spins.append(rng.random() * wheel.total)
+        splits += [int(rng.integers(1, n)) for _ in range(columns)]
+        if rate > 0.0 and rng.random() < rate:
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
+            while j == i:
+                j = int(rng.integers(n))
+            swaps.append((child, i, j))
+    return spins, splits, swaps
+
+
+def _words_taken(before: dict, after: dict, limit: int = 10_000) -> int:
+    """How many raw words lie between two PCG64 states."""
+    bitgen = np.random.PCG64()
+    bitgen.state = before
+    for taken in range(limit):
+        if bitgen.state["state"] == after["state"]:
+            return taken
+        bitgen.random_raw()
+    raise AssertionError(f"states more than {limit} words apart")
+
+
+class TestGenerationDraws:
+    """The raw-word decode takes exactly the draws the Generator calls take."""
+
+    def _assert_matches(self, seed, lengths, n, columns, rate, primed, generations=4):
+        ours, theirs = make_rng(seed), make_rng(seed)
+        if primed:
+            # One 32-bit draw leaves the high half of its word cached.
+            ours.integers(5), theirs.integers(5)
+        assert ours.bit_generator.state["has_uint32"] == primed
+        for _ in range(generations):
+            wheel = _RouletteWheel(lengths)
+            expected = _reference_draws(theirs, wheel, n, columns, rate)
+            assert _generation_draws(ours, wheel, n, columns, rate) == expected
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            lengths = np.roll(lengths, 1)
+        return ours
+
+    @pytest.mark.parametrize("size", [7, 8])
+    @pytest.mark.parametrize("n", [2, 3, 48])
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_matches_generator_calls(self, size, n, columns, rate, primed, uniform):
+        seed = size * 1000 + n * 10 + columns
+        lengths = np.zeros(size) if uniform else make_rng(seed).uniform(1.0, 100.0, size)
+        self._assert_matches(seed, lengths, n, columns, rate, primed)
+
+    def test_cache_crosses_generations(self):
+        # Seven baseline children take seven 32-bit split draws, so the
+        # second generation starts with half a word cached.
+        rng = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_lemire_rejections(self, rate, primed):
+        # At n = 3 * 2**30 about a quarter of the 32-bit draws are rejected
+        # and redrawn, both for the splits and for the swap positions.
+        n, size, columns = 3 << 30, 64, 2
+        lengths = make_rng(n).uniform(1.0, 100.0, size)
+        before = make_rng(5).bit_generator.state
+        rng = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
+        fewest = size * (2 + (rate > 0.0)) + (size * columns - primed + 1) // 2
+        assert _words_taken(before, rng.bit_generator.state) - primed > fewest + 4

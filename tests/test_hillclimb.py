@@ -56,10 +56,17 @@ class TestHcConfig:
         {"restarts": True},
         {"max_steps_per_run": 2.5},
         {"visited_cap": 1e6},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": np.float64(3)},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             HcConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(7), (1 << 64) + 3])
+    def test_accepts_integer_seeds(self, seed):
+        assert HcConfig(seed=seed).seed == seed
 
 
 class TestVisitedSet:
