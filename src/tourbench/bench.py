@@ -167,6 +167,8 @@ def run_experiment(
     """
     check_count("trials", trials, 1)
     check_count("parallelism", parallelism, 1)
+    # derive_trial_seed checks it as well; here a bad seed fails before a
+    # pool starts.
     check_integer("experiment_seed", experiment_seed)
     # The pool forks every worker up front, so cap it by what can be used.
     workers = min(parallelism, trials, os.cpu_count() or 1)

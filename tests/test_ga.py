@@ -383,9 +383,9 @@ class TestGenerationDraws:
         lengths = np.zeros(size) if uniform else make_rng(seed).uniform(1.0, 100.0, size)
         self._assert_matches(seed, lengths, n, columns, rate, primed)
 
-    def test_cache_crosses_generations(self):
-        # Seven baseline children take seven 32-bit split draws, so the
-        # second generation starts with half a word cached.
+    def test_odd_baseline_generation_leaves_half_a_word(self):
+        # Seven baseline children take seven 32-bit split draws, so the next
+        # generation starts with the cache full.
         rng = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
         assert rng.bit_generator.state["has_uint32"] == 1
 
