@@ -48,9 +48,8 @@ def derive_trial_seed(experiment_seed: int, trial_id: int) -> int:
     so the mapping must never change between releases.
     """
     check_integer("experiment_seed", experiment_seed)
-    if trial_id < 0:
-        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
-    z = (int(experiment_seed) + _GOLDEN_GAMMA * (trial_id + 1)) & _MASK
+    check_count("trial_id", trial_id, 0)
+    z = (int(experiment_seed) + _GOLDEN_GAMMA * (int(trial_id) + 1)) & _MASK
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK
     z ^= z >> 27

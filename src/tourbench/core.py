@@ -86,6 +86,8 @@ class Metric:
         if self.kind not in _METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}, expected one of {_METRIC_KINDS}")
         for label, w in (("wx", self.wx), ("wy", self.wy)):
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise ValueError(f"metric weight {label} must be a real number, got {w!r}")
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError(f"metric weight {label} must be positive and finite, got {w}")
 

@@ -33,8 +33,6 @@ __all__ = [
     "CROSSOVER_VARIANTS",
     "GaConfig",
     "crossover_baseline",
-    "crossover_reversal_invariant",
-    "init_population",
     "mutate",
     "run_ga",
     "select_parent",
@@ -83,14 +81,6 @@ class GaConfig:
         check_integer("seed", self.seed)
 
 
-def init_population(
-    instance: Instance, size: int, rng: np.random.Generator
-) -> list[tuple[Tour, float]]:
-    """Random members paired with their lengths."""
-    rows = random_rows(instance.n, size, rng)
-    return [(Tour(row), float(length)) for row, length in zip(rows, row_lengths(instance, rows))]
-
-
 class _RouletteWheel:
     """Cumulative selection weights for one fixed population.
 
@@ -130,10 +120,6 @@ def select_parent(
     lengths = np.array([length for _, length in population], dtype=np.float64)
     wheel = _RouletteWheel(lengths)
     return population[int(wheel.land([wheel.spin(rng)])[0])][0]
-
-
-def _draw_split(n: int, rng: np.random.Generator) -> int:
-    return int(rng.integers(1, n))
 
 
 def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int] | None:
@@ -197,7 +183,6 @@ def _generation_draws(
     k = size * (2 * (not uniform) + (rate > 0.0)) + max(0, halves - has + 1) // 2
     # The block, then one word per call once it is used up.
     word = chain(bitgen.random_raw(k).tolist(), iter(bitgen.random_raw, None)).__next__
-    threshold = (1 << 32) % span
     spins, splits, swaps = [], [], []
     spin, split = spins.append, splits.append
     for child in range(size):
@@ -209,19 +194,9 @@ def _generation_draws(
         else:
             spin((word() >> 11) * _UNIT * total)
             spin((word() >> 11) * _UNIT * total)
-        # _bounded(word, span, ...) + 1, written out for the common case; a
-        # rejected draw starts over in _bounded.
         for _ in split_draws:
-            if has:
-                has, m = 0, cached * span
-            else:
-                w = word()
-                has, cached, m = 1, w >> 32, (w & _LOW32) * span
-            if m & _LOW32 < threshold:
-                s, has, cached = _bounded(word, span, has, cached)
-                split(s + 1)
-            else:
-                split((m >> 32) + 1)
+            s, has, cached = _bounded(word, span, has, cached)
+            split(s + 1)
         if rate > 0.0 and (word() >> 11) * _UNIT < rate:
             i, has, cached = _bounded(word, n, has, cached)
             j, has, cached = _bounded(word, n, has, cached)
@@ -236,30 +211,20 @@ def _generation_draws(
     return spins, splits, swaps
 
 
-def _check_parents(p1: Tour, p2: Tour, split: int | None) -> None:
-    n = len(p1)
-    if len(p2) != n:
-        raise ValueError(f"parents must have equal length, got {n} and {len(p2)}")
-    if split is not None and not 1 <= split <= n - 1:
-        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
-
-
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """Baseline crossover of each row pair of two (k, n) parent arrays.
 
-    Every city of ``p2`` goes to one position of the child. A city inside
-    ``p1``'s prefix goes where ``p1`` has it; the others fill the positions
-    from the split on, in ``p2``'s order, placed by a running count.
+    The child keeps ``p1`` before the split. The cities of ``p2`` that
+    ``p1`` has from the split on fill the rest, in ``p2``'s order: each
+    row's tail takes exactly n - split of them, so one mask assignment in
+    row-major order places every row's tail.
     """
     k, n = p1.shape
     rows = np.arange(k)[:, None]
     where_in_p1 = np.empty_like(p1)
     where_in_p1[rows, p1] = np.arange(n)
-    dest = where_in_p1[rows, p2]
-    tail = dest >= splits[:, None]
-    dest = np.where(tail, splits[:, None] + np.cumsum(tail, axis=1) - 1, dest)
-    child = np.empty_like(p1)
-    child[rows, dest] = p2
+    child = p1.copy()
+    child[np.arange(n) >= splits[:, None]] = p2[where_in_p1[rows, p2] >= splits[:, None]]
     return child
 
 
@@ -292,37 +257,16 @@ def crossover_baseline(
 
     When ``split`` is None it is drawn uniformly from 1..n-1 using ``rng``.
     """
-    _check_parents(p1, p2, split)
+    n = len(p1)
+    if len(p2) != n:
+        raise ValueError(f"parents must have equal length, got {n} and {len(p2)}")
     if split is None:
         if rng is None:
             raise ValueError("provide either a split position or an rng")
-        split = _draw_split(len(p1), rng)
+        split = int(rng.integers(1, n))
+    elif not 1 <= split <= n - 1:
+        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
     return Tour(_crossover_rows(p1.order[None, :], p2.order[None, :], np.array([split]))[0])
-
-
-def crossover_reversal_invariant(
-    p1: Tour,
-    p2: Tour,
-    instance: Instance,
-    split: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tour:
-    """Reversal-invariant crossover: breed against the mate and its reverse.
-
-    An explicit ``split`` applies to both candidates, which makes the result
-    a deterministic function of the parents and exactly as long for a mate
-    as for the reversed mate. With ``split`` unset each candidate draws its
-    own split from ``rng``, the same policy run_ga uses.
-    """
-    _check_parents(p1, p2, split)
-    if split is None:
-        if rng is None:
-            raise ValueError("provide either a split position or an rng")
-        splits = [_draw_split(len(p1), rng), _draw_split(len(p1), rng)]
-    else:
-        splits = [split, split]
-    children, _ = _offspring(instance, p1.order[None, :], p2.order[None, :], np.array([splits]))
-    return Tour(children[0])
 
 
 def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:

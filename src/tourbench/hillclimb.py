@@ -176,17 +176,17 @@ class VisitedSet:
             self._place(self._find(keys[entry], h)[1], entry, h)
 
     def add(self, tour: Tour) -> bool:
+        order = tour.order
+        if self._keys is not None and order.size != self._keys.shape[1]:
+            raise ValueError(
+                f"this set holds tours over {self._keys.shape[1]} points, got {order.size}"
+            )
         if self._count >= self.cap:
             return False
-        order = tour.order
         if self._words is None:
             n = order.size
             self._words = _zobrist_table(n)
             self._keys = np.zeros((_FIRST_SLOTS // 4, n), dtype=np.min_scalar_type(n - 1))
-        elif not self._holds_size(order):
-            raise ValueError(
-                f"this set holds tours over {self._keys.shape[1]} points, got {order.size}"
-            )
         h = self._hash(order)
         stored, slot = self._find(order, h)
         if not stored:

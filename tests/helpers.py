@@ -2,12 +2,19 @@
 
 import numpy as np
 
-from tourbench.core import Instance, Metric, Point
+from tourbench.core import Instance, Metric, Point, Tour
+from tourbench.ga import _offspring
 
 
 def make_instance(coords, metric=None, name="test"):
     points = tuple(Point(float(x), float(y)) for x, y in coords)
     return Instance(name=name, points=points, metric=metric)
+
+
+def reversal_invariant_child(instance, p1, p2, split):
+    """run_ga's reversal-invariant offspring of one parent pair, both candidates at ``split``."""
+    children, _ = _offspring(instance, p1.order[None], p2.order[None], np.array([[split, split]]))
+    return Tour(children[0])
 
 
 def random_instance(rng, n, lo=0.0, hi=100.0, name="rand"):

@@ -51,6 +51,14 @@ class TestDeriveTrialSeed:
         with pytest.raises(ValueError):
             derive_trial_seed(0, -1)
 
+    @pytest.mark.parametrize("trial_id", [1.5, 1.0, True])
+    def test_rejects_non_integer_trial(self, trial_id):
+        with pytest.raises(ConfigurationError, match="trial_id must be an integer"):
+            derive_trial_seed(0, trial_id)
+
+    def test_numpy_trial_id_gives_the_same_seed(self):
+        assert derive_trial_seed(7, np.int64(3)) == derive_trial_seed(7, 3)
+
     @pytest.mark.parametrize("experiment_seed", [1.5, 1.0, True])
     def test_rejects_non_integer_seeds(self, experiment_seed):
         with pytest.raises(ConfigurationError, match="experiment_seed must be an integer"):

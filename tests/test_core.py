@@ -62,7 +62,9 @@ class TestMetric:
         with pytest.raises(ValueError):
             Metric("cosine")
 
-    @pytest.mark.parametrize("wx,wy", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "wx,wy", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (True, 1.0), ("2", 1.0)]
+    )
     def test_rejects_bad_weights(self, wx, wy):
         with pytest.raises(ValueError):
             Metric("wmanhattan", wx, wy)

@@ -3,8 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_instance, random_instance, square_instance
-from tourbench.core import ConfigurationError, Tour, make_rng, random_tour, reverse, tour_length
+from helpers import make_instance, random_instance, reversal_invariant_child, square_instance
+from tourbench.core import (
+    ConfigurationError,
+    Tour,
+    make_rng,
+    random_rows,
+    random_tour,
+    reverse,
+    row_lengths,
+    tour_length,
+)
 from tourbench.ga import (
     _WEIGHT_FLOOR,
     CROSSOVER_VARIANTS,
@@ -12,8 +21,6 @@ from tourbench.ga import (
     _generation_draws,
     _RouletteWheel,
     crossover_baseline,
-    crossover_reversal_invariant,
-    init_population,
     mutate,
     run_ga,
     select_parent,
@@ -62,14 +69,6 @@ class TestGaConfig:
 
     def test_variant_names(self):
         assert CROSSOVER_VARIANTS == ("baseline", "reversal_invariant")
-
-
-def test_init_population_sizes_and_lengths():
-    inst = square_instance()
-    pop = init_population(inst, 12, make_rng(4))
-    assert len(pop) == 12
-    for tour, length in pop:
-        assert length == tour_length(inst, tour)
 
 
 class TestSelectParent:
@@ -158,6 +157,8 @@ class TestCrossoverBaseline:
 
 
 class TestCrossoverReversalInvariant:
+    """The offspring path run_ga takes, with both candidates at one split."""
+
     def test_keeps_shorter_candidate(self):
         rng = make_rng(21)
         inst = random_instance(rng, 9)
@@ -165,7 +166,7 @@ class TestCrossoverReversalInvariant:
         for _ in range(200):
             p1, p2 = random_tour(9, rng), random_tour(9, rng)
             split = int(rng.integers(1, 9))
-            child = crossover_reversal_invariant(p1, p2, inst, split=split)
+            child = reversal_invariant_child(inst, p1, p2, split)
             c1 = crossover_baseline(p1, p2, split)
             c2 = crossover_baseline(p1, reverse(p2), split)
             best = min(tour_length(inst, c1), tour_length(inst, c2))
@@ -184,7 +185,7 @@ class TestCrossoverReversalInvariant:
         c2 = crossover_baseline(p1, reverse(p2), 1)
         assert c1 != c2
         assert tour_length(inst, c1) == tour_length(inst, c2)
-        assert crossover_reversal_invariant(p1, p2, inst, split=1) == c1
+        assert reversal_invariant_child(inst, p1, p2, 1) == c1
 
     def test_same_split_lengths_ignore_mate_direction(self):
         rng = make_rng(33)
@@ -192,22 +193,9 @@ class TestCrossoverReversalInvariant:
         for _ in range(100):
             p1, p2 = random_tour(10, rng), random_tour(10, rng)
             split = int(rng.integers(1, 10))
-            a = crossover_reversal_invariant(p1, p2, inst, split=split)
-            b = crossover_reversal_invariant(p1, reverse(p2), inst, split=split)
+            a = reversal_invariant_child(inst, p1, p2, split)
+            b = reversal_invariant_child(inst, p1, reverse(p2), split)
             assert tour_length(inst, a) == tour_length(inst, b)
-
-    def test_drawn_splits_give_valid_child(self):
-        rng = make_rng(41)
-        inst = random_instance(rng, 8)
-        for _ in range(50):
-            p1, p2 = random_tour(8, rng), random_tour(8, rng)
-            child = crossover_reversal_invariant(p1, p2, inst, rng=rng)
-            assert sorted(child.tolist()) == list(range(8))
-
-    def test_requires_split_or_rng(self):
-        inst = square_instance()
-        with pytest.raises(ValueError):
-            crossover_reversal_invariant(Tour([0, 1, 2, 3]), Tour([3, 2, 1, 0]), inst)
 
 
 class TestMutate:
@@ -259,8 +247,8 @@ class TestRunGa:
         inst = random_instance(np.random.default_rng(52), 15)
         config = GaConfig(population_size=25, max_generations=12, seed=6)
         result = run_ga(inst, config)
-        initial = init_population(inst, 25, make_rng(6))
-        assert result.best_length <= min(length for _, length in initial)
+        initial = row_lengths(inst, random_rows(inst.n, 25, make_rng(6)))
+        assert result.best_length <= min(initial)
 
     def test_progress_trace_is_non_increasing(self):
         inst = random_instance(np.random.default_rng(53), 14)

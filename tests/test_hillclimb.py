@@ -110,6 +110,12 @@ class TestVisitedSet:
         with pytest.raises(ValueError):
             vs.add(Tour([0, 1, 2, 3]))
 
+    def test_full_set_still_rejects_another_size(self):
+        vs = VisitedSet(cap=1)
+        assert vs.add(Tour([0, 1, 2]))
+        with pytest.raises(ValueError):
+            vs.add(Tour([0, 1, 2, 3]))
+
     def test_memory_follows_entries_not_cap(self):
         tracemalloc.start()
         try:

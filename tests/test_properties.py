@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reversal_invariant_child
 from tourbench.core import (
     Instance,
     Metric,
@@ -24,7 +25,6 @@ from tourbench.ga import (
     GaConfig,
     _crossover_rows,
     crossover_baseline,
-    crossover_reversal_invariant,
     run_ga,
 )
 from tourbench.hillclimb import (
@@ -90,8 +90,11 @@ def test_batched_crossover_matches_reference_row_by_row(data):
     p2 = np.array([c[1] for c in cases])
     splits = np.array([c[2] for c in cases])
     children = _crossover_rows(p1, p2, splits)
-    for child, (a, b, split) in zip(children.tolist(), cases):
+    # run_ga breeds from the reversed mate through this strided view.
+    flipped = _crossover_rows(p1, p2[:, ::-1], splits)
+    for child, child_flipped, (a, b, split) in zip(children.tolist(), flipped.tolist(), cases):
         assert child == reference_child(a, b, split)
+        assert child_flipped == reference_child(a, b[::-1], split)
 
 
 @settings(deadline=None)
@@ -99,8 +102,8 @@ def test_batched_crossover_matches_reference_row_by_row(data):
 def test_reversal_invariant_ignores_mate_direction(data):
     p1, p2, split = data.draw(parents(max_n=16))
     instance = data.draw(instances(len(p1)))
-    a = crossover_reversal_invariant(Tour(p1), Tour(p2), instance, split=split)
-    b = crossover_reversal_invariant(Tour(p1), reverse(Tour(p2)), instance, split=split)
+    a = reversal_invariant_child(instance, Tour(p1), Tour(p2), split)
+    b = reversal_invariant_child(instance, Tour(p1), reverse(Tour(p2)), split)
     assert tour_length(instance, a) == tour_length(instance, b)
 
 
