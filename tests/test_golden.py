@@ -50,6 +50,15 @@ def _grid_manhattan(n: int) -> Instance:
     return Instance(f"grid-manhattan-{n}", points, Metric("manhattan"))
 
 
+def _grid_chebyshev() -> Instance:
+    # Twelve points on a 3-by-3 grid (so some coincide) under unit-weight
+    # Chebyshev distance: every edge is 0, 1 or 2, many Held-Karp
+    # predecessors tie exactly and the smallest-index rule picks the parent.
+    coords = np.random.default_rng([3, 3, 12]).integers(0, 3, size=(12, 2))
+    points = [Point(float(x), float(y)) for x, y in coords]
+    return Instance("grid-wchebyshev-12", points, Metric("wchebyshev", 1.0, 1.0))
+
+
 def _solver_entry(result) -> dict:
     return {
         "length": float.hex(result.best_length),
@@ -136,6 +145,13 @@ def _cases() -> dict:
     euclidean100 = lambda: _instance("euclidean", 100)  # noqa: E731
     for variant in ("baseline", "modified"):
         cases[f"hc-{variant}-r0-euclidean-n100"] = _hc(euclidean100, variant, 100, 0)
+    # Held-Karp at the sizes the grid above does not reach: the smallest
+    # instances, where the DP has one or two layers, and n = 15.
+    for n in (2, 3, 15):
+        cases[f"held_karp-euclidean-n{n}"] = lambda n=n: _exact_entry(
+            held_karp(_instance("euclidean", n))
+        )
+    cases["held_karp-grid-wchebyshev-n12"] = lambda: _exact_entry(held_karp(_grid_chebyshev()))
     return cases
 
 
