@@ -142,9 +142,10 @@ class Instance:
     """A named set of points with a metric.
 
     The read-only n-by-n distance table is built once, on construction, and
-    every evaluation reads it. Fewer than two points raise ConfigurationError,
-    and points so far apart that a distance overflows to a non-finite value
-    are rejected with ValueError.
+    every evaluation reads it. Fewer than two points raise ConfigurationError.
+    Points so far apart that a distance overflows to a non-finite value, or
+    that n times the longest distance does (so a tour length could), are
+    rejected with ValueError.
     """
 
     def __init__(self, name: str, points: Sequence[Point], metric: Metric | None = None) -> None:
@@ -161,6 +162,13 @@ class Instance:
             raise ValueError(
                 f"instance {self.name!r} has a non-finite {self.metric.kind} distance; "
                 "the points are too far apart for float64"
+            )
+        # A tour length sums n edges; the margin covers the sum's rounding.
+        longest = float(table.max())
+        if not math.isfinite(self.n * longest * (1.0 + 1e-6)):
+            raise ValueError(
+                f"instance {self.name!r} has tours too long for float64: {self.n} times its "
+                f"longest {self.metric.kind} distance {longest!r} is not finite"
             )
         table.setflags(write=False)
         self._table = table

@@ -52,6 +52,14 @@ _UNIT = 2.0**-53
 _LOW32 = 0xFFFFFFFF
 
 
+def _check_rate(name: str, rate: object) -> None:
+    """Raise ConfigurationError unless ``rate`` is a real number in [0, 1]; bools are not."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {rate!r}")
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 200
@@ -64,11 +72,7 @@ class GaConfig:
 
     def __post_init__(self) -> None:
         check_count("population_size", self.population_size, 2)
-        rate = self.mutation_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ConfigurationError(f"mutation_rate must be a real number, got {rate!r}")
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(f"mutation_rate must be in [0, 1], got {rate}")
+        _check_rate("mutation_rate", self.mutation_rate)
         check_count("max_generations", self.max_generations, 1)
         check_count("max_stall_generations", self.max_stall_generations, 1)
         if self.crossover_variant not in CROSSOVER_VARIANTS:
@@ -264,8 +268,10 @@ def crossover_baseline(
         if rng is None:
             raise ValueError("provide either a split position or an rng")
         split = int(rng.integers(1, n))
-    elif not 1 <= split <= n - 1:
-        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
+    else:
+        check_integer("split", split)
+        if not 1 <= split <= n - 1:
+            raise ValueError(f"split must be in 1..{n - 1}, got {split}")
     return Tour(_crossover_rows(p1.order[None, :], p2.order[None, :], np.array([split]))[0])
 
 
@@ -275,8 +281,7 @@ def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
     Returns the input object itself when no swap was applied, so callers can
     skip re-evaluation with an identity check.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
+    _check_rate("mutation rate", rate)
     swap = _draw_swap(len(tour), rate, rng)
     if swap is None:
         return tour

@@ -47,8 +47,63 @@ def brute_force(instance: Instance) -> ExactResult:
     return ExactResult(Tour(tours[best]), float(lengths[best]), len(rest))
 
 
+def _extend_layer(cost: np.ndarray, parent: np.ndarray, masks: np.ndarray, table: np.ndarray) -> int:
+    """Extend the paths over every subset in ``masks`` by one city, in place.
+
+    Returns the number of finite ``cost`` entries read: the layer's nodes.
+    """
+    n = table.shape[0]
+    rows = masks >> 1
+    best = np.full((masks.size, n), np.inf)
+    pick = np.zeros(best.shape, dtype=np.int8)
+    cand = np.empty_like(best)
+    better = np.empty(best.shape, dtype=bool)
+    nodes = 0
+    for k in range(n):
+        col = cost[rows, k]
+        finite = int(np.count_nonzero(col < np.inf))
+        if not finite:  # k is in none of the subsets
+            continue
+        nodes += finite
+        np.add(col[:, None], table[k], out=cand)
+        np.less(cand, best, out=better)
+        np.copyto(best, cand, where=better)
+        np.copyto(pick, k, where=better)
+    for j in range(1, n):
+        free = ((masks >> j) & 1) == 0
+        targets = (masks[free] | (1 << j)) >> 1
+        vals = best[free, j]
+        improved = vals < cost[targets, j]
+        cost[targets[improved], j] = vals[improved]
+        parent[targets[improved], j] = pick[free, j][improved]
+    return nodes
+
+
 def held_karp(instance: Instance) -> ExactResult:
     """Exact optimum via dynamic programming over city subsets anchored at 0.
+
+    For a subset M of the cities that holds city 0, written as a bit mask,
+    and an end city j in M, the DP keeps the length of the shortest path
+    that starts at 0, visits exactly M and ends at j. A path over s + 1
+    cities extends one over s, so the subsets are filled one size at a
+    time, s = 1 .. n-1. In the pass for size s, every subset M of that size
+    is one row; a running minimum over the last city k = 0 .. n-1 of
+    ``cost(M, k) + table[k, j]`` is kept for each j together with its k, and
+    the result for each j outside M goes to ``cost(M | 1 << j, j)``. That is
+    n - 1 array passes of n steps each: O(n^2) Python-level iterations, not
+    one per subset.
+
+    The result does not depend on the order of the subsets within a pass,
+    and it is exact:
+
+    - each entry (T, j) has one writer, the subset T without j;
+    - each candidate is the single float addition above;
+    - the minimum is replaced only on a strict ``<``, so among equal
+      candidates the smallest k becomes the parent.
+
+    nodes_expanded counts the finite entries that were extended. Memory is
+    a float64 ``cost`` and an int8 ``parent`` table of 2^(n-1) rows (one per
+    subset that holds 0) by n, plus O(C(n-1, s-1) * n) for the pass of size s.
 
     The reconstructed tour is oriented so its second city is smaller than its
     last, then re-evaluated with tour_length, so the result is bit-identical
@@ -58,39 +113,25 @@ def held_karp(instance: Instance) -> ExactResult:
     n = instance.n
     table = instance.distance_table()
     full = 1 << n
-    cost = np.full((full, n), np.inf)
-    parent = np.full((full, n), -1, dtype=np.int8)
-    cost[1, 0] = 0.0
-    cities = np.arange(n)
-    bits = np.int64(1) << cities
+    # Every subset holds city 0, so row M >> 1 stores odd mask M.
+    cost = np.full((full >> 1, n), np.inf)
+    parent = np.full(cost.shape, -1, dtype=np.int8)
+    cost[0, 0] = 0.0
+    odd = np.arange(1, full, 2, dtype=np.int64)
+    size = np.ones_like(odd)
+    for c in range(1, n):
+        size += (odd >> c) & 1
     expanded = 0
-    for mask in range(1, full):
-        if not mask & 1:
-            continue
-        row = cost[mask]
-        ks = np.flatnonzero(np.isfinite(row))
-        if ks.size == 0:
-            continue
-        in_mask = (mask >> cities) & 1
-        js = cities[in_mask == 0]
-        if js.size == 0:
-            continue
-        expanded += int(ks.size)
-        cand = row[ks][:, None] + table[np.ix_(ks, js)]
-        pick = np.argmin(cand, axis=0)
-        vals = cand[pick, np.arange(js.size)]
-        targets = mask | bits[js]
-        better = vals < cost[targets, js]
-        cost[targets[better], js[better]] = vals[better]
-        parent[targets[better], js[better]] = ks[pick[better]].astype(np.int8)
+    for s in range(1, n):
+        expanded += _extend_layer(cost, parent, odd[size == s], table)
 
-    closing = cost[full - 1, 1:] + table[1:, 0]
+    closing = cost[-1, 1:] + table[1:, 0]
     last = 1 + int(np.argmin(closing))
     path = []
     mask, cur = full - 1, last
     while cur != 0:
         path.append(cur)
-        prev = int(parent[mask, cur])
+        prev = int(parent[mask >> 1, cur])
         mask ^= 1 << cur
         cur = prev
     order = [0] + path[::-1]

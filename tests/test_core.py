@@ -20,6 +20,7 @@ from tourbench.core import (
     tour_length,
     transpose,
 )
+from tourbench.oracle import brute_force, held_karp
 
 
 def test_configuration_error_is_value_error():
@@ -153,6 +154,26 @@ class TestInstance:
         # Both coordinates are finite, but their difference overflows float64.
         with pytest.raises(ValueError, match="non-finite"):
             make_instance([(1e308, 0.0), (-1e308, 0.0)], metric=metric)
+
+    def test_rejects_tour_lengths_that_overflow(self):
+        # Every distance is finite, but a closed tour sums past float64.
+        points = [(0.0, 0.0), (1e308, 0.0), (5e307, 0.0), (2e307, 0.0)]
+        with pytest.raises(ValueError, match="tours too long for float64"):
+            make_instance(points, metric=Metric("manhattan"))
+
+    def test_accepts_tour_lengths_just_below_overflow(self):
+        # Nine points on a line, spaced by a float whose multiples up to 504
+        # are exact: the longest tour, 9 times the span, is 0.984 of the
+        # largest float, so it stays finite and the optimum is exactly twice
+        # the span. A tenth point as far out as the span tips it over.
+        step = math.ldexp(7.0, 1015)
+        points = [(step * i, 0.0) for i in range(9)]
+        inst = make_instance(points, metric=Metric("manhattan"))
+        assert tour_length(inst, Tour([0, 8, 1, 7, 2, 6, 3, 5, 4])) == 40 * step
+        for solver in (brute_force, held_karp):
+            assert solver(inst).optimal_length == 16 * step
+        with pytest.raises(ValueError, match="tours too long"):
+            make_instance(points + [(8 * step, 1.0)], metric=Metric("manhattan"))
 
 
 class TestTour:

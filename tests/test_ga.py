@@ -155,6 +155,16 @@ class TestCrossoverBaseline:
         with pytest.raises(ValueError):
             crossover_baseline(Tour([0, 1, 2]), Tour([0, 1]), 1)
 
+    @pytest.mark.parametrize("split", [2.5, True, 2.0])
+    def test_rejects_non_integer_split(self, split):
+        # 2.5 would run as split 3 and True as split 1.
+        with pytest.raises(ValueError, match="split must be an integer"):
+            crossover_baseline(Tour([0, 1, 2, 3, 4]), Tour([4, 3, 2, 1, 0]), split)
+
+    def test_accepts_numpy_integer_split(self):
+        p1, p2 = Tour([0, 1, 2, 3, 4]), Tour([4, 3, 2, 1, 0])
+        assert crossover_baseline(p1, p2, np.int64(2)) == crossover_baseline(p1, p2, 2)
+
 
 class TestCrossoverReversalInvariant:
     """The offspring path run_ga takes, with both candidates at one split."""
@@ -221,6 +231,12 @@ class TestMutate:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             mutate(Tour([0, 1]), 1.2, make_rng(0))
+
+    @pytest.mark.parametrize("rate", [True, "0.5", None])
+    def test_rejects_non_real_rate(self, rate):
+        # True would run at rate 1.0; "0.5" used to escape as a bare TypeError.
+        with pytest.raises(ValueError, match="mutation rate must be a real number"):
+            mutate(Tour([0, 1, 2, 3, 4]), rate, make_rng(0))
 
     def test_rejects_one_point_tour(self):
         # No two distinct positions exist, so the swap draw could never end.

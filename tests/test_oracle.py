@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance, square_instance
-from tourbench.core import Tour, tour_length
+from tourbench.core import Metric, Tour, tour_length
 from tourbench.oracle import (
     BRUTE_FORCE_MAX,
     HELD_KARP_MAX,
@@ -12,6 +13,51 @@ from tourbench.oracle import (
     brute_force,
     held_karp,
 )
+
+
+def held_karp_by_subset(instance):
+    """Reference Held-Karp: one pass per subset, in increasing mask order.
+
+    Ties go to the smallest predecessor k (np.argmin's first minimum), and
+    the tour is oriented and re-evaluated as held_karp does it.
+    """
+    n = instance.n
+    table = instance.distance_table()
+    full = 1 << n
+    cost = np.full((full, n), np.inf)
+    parent = np.full((full, n), -1, dtype=np.int64)
+    cost[1, 0] = 0.0
+    cities = np.arange(n)
+    nodes = 0
+    for mask in range(1, full - 1, 2):
+        ks = np.flatnonzero(np.isfinite(cost[mask]))
+        js = cities[((mask >> cities) & 1) == 0]
+        nodes += ks.size
+        cand = cost[mask, ks][:, None] + table[np.ix_(ks, js)]
+        pick = np.argmin(cand, axis=0)
+        targets = mask | (1 << js)
+        cost[targets, js] = cand[pick, np.arange(js.size)]
+        parent[targets, js] = ks[pick]
+    mask, cur = full - 1, 1 + int(np.argmin(cost[full - 1, 1:] + table[1:, 0]))
+    path = []
+    while cur != 0:
+        path.append(cur)
+        mask, cur = mask ^ (1 << cur), int(parent[mask, cur])
+    order = [0] + path[::-1]
+    if order[1] > order[-1]:
+        order = [0] + order[:0:-1]
+    return ExactResult(Tour(order), tour_length(instance, Tour(order)), nodes)
+
+
+def tie_heavy_instances():
+    # Integer points on small grids (so some coincide) under L1 and
+    # Chebyshev distance, where many predecessors tie exactly.
+    rng = np.random.default_rng(2024)
+    for k in range(16):
+        n = int(rng.integers(2, 12))
+        side = int(rng.integers(2, 5))
+        metric = Metric("manhattan") if k % 2 else Metric("wchebyshev", 1.0, 1.0)
+        yield make_instance(rng.integers(0, side, size=(n, 2)), metric=metric, name=f"tie{k}")
 
 
 @pytest.mark.parametrize("solver", [brute_force, held_karp])
@@ -106,3 +152,31 @@ class TestHeldKarp:
     def test_duplicate_points_still_agree(self):
         inst = make_instance([(0, 0), (1, 1), (0, 0), (1, 0), (1, 1), (2, 0)])
         assert held_karp(inst).optimal_length == brute_force(inst).optimal_length
+
+    def test_memory_stays_near_the_tables(self):
+        # The DP keeps a float64 cost and an int8 parent entry for every end
+        # city of every subset that holds city 0, 2^(n-1) subsets; each
+        # subset-size pass adds only O(C(n-1, s-1) * n). Building every
+        # candidate of a size at once, an (m, n, n) array, goes well past 2x.
+        n = 16
+        inst = random_instance(np.random.default_rng(16), n)
+        tables = (1 << (n - 1)) * n * (8 + 1)
+        tracemalloc.start()
+        try:
+            held_karp(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * tables
+
+    @pytest.mark.parametrize(
+        "inst",
+        [random_instance(np.random.default_rng([5, n]), n) for n in (2, 3, 4, 7, 11)]
+        + list(tie_heavy_instances()),
+        ids=lambda inst: f"{inst.name}-n{inst.n}",
+    )
+    def test_matches_subset_by_subset_reference(self, inst):
+        res, ref = held_karp(inst), held_karp_by_subset(inst)
+        assert float.hex(res.optimal_length) == float.hex(ref.optimal_length)
+        assert res.optimal_tour == ref.optimal_tour
+        assert res.nodes_expanded == ref.nodes_expanded
