@@ -10,6 +10,7 @@ exactly two length evaluations per offspring instead of one.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -302,10 +303,21 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     fitness_evaluations counts every tour-length computation: one per initial
     member, one per baseline offspring (two for reversal-invariant), plus one
     re-evaluation whenever mutation actually changed an offspring.
+
+    Raises ConfigurationError when the roulette wheel's total could
+    overflow: every weight is at most (1 + floor) times n times the longest
+    distance, and the wheel sums one per member.
     """
+    n, size, rate = instance.n, config.population_size, config.mutation_rate
+    longest = float(instance.distance_table().max())
+    if not math.isfinite((1.0 + _WEIGHT_FLOOR) * size * n * longest * (1.0 + 1e-6)):
+        raise ConfigurationError(
+            f"instance {instance.name!r} has tours too long for a roulette wheel of {size}: "
+            f"{1.0 + _WEIGHT_FLOOR} times {size} times {n} times its longest "
+            f"{instance.metric.kind} distance {longest!r} is not finite"
+        )
     rng = make_rng(config.seed)
     started = time.perf_counter()
-    n, size, rate = instance.n, config.population_size, config.mutation_rate
     columns = 2 if config.crossover_variant == "reversal_invariant" else 1
 
     population = random_rows(n, size, rng)

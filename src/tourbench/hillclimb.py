@@ -22,7 +22,6 @@ exact minimum in pair order, the one a full scan would return.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -80,16 +79,19 @@ class RunAbortedError(RuntimeError):
         return type(self), (self.best_tour, self.best_length, self.steps, self.evaluations)
 
 
-# Slots of a new visited table. It doubles whenever a quarter of its slots
-# is used, which keeps every entry close to the slot its hash points at.
-_FIRST_SLOTS = 64
+# The visited filter starts with this many entries and doubles while the
+# stored tours times _FILTER_RATIO exceed its size, so at most one entry in
+# _FILTER_RATIO is set and a neighbor of an unvisited tour rarely reaches
+# the set lookup.
+_FIRST_BITS = 4096
+_FILTER_RATIO = 64
 
 
 def _zobrist_table(n: int) -> np.ndarray:
     """One random 64-bit word per (position, city); a tour hashes to the XOR of its n words.
 
-    The words are fixed per n. Only speed depends on them: every hash hit is
-    confirmed against the stored tour.
+    The words are fixed per n. Only speed depends on them: the hashes only
+    pre-screen lookups in the exact set of stored tours.
     """
     return np.random.PCG64(n).random_raw((n, n))
 
@@ -97,21 +99,22 @@ def _zobrist_table(n: int) -> np.ndarray:
 class VisitedSet:
     """Exact membership over permutations of one size, with a hard entry cap.
 
-    A tour is keyed by its 64-bit Zobrist hash (Zobrist 1970): the XOR of
-    one random word per (position, city). A swap trades four of those words,
-    so ``allowed`` hashes all n(n-1)/2 neighbors of a tour in one array
-    expression without building them, and looks them all up at once.
+    Stored tours are the bytes of their city indices, uint8 (uint16 above
+    256 cities), in one Python set, so membership never depends on hashing.
 
-    The hashes live in an open-addressing table with linear probing. It
-    starts at 64 slots and doubles whenever a quarter of its slots is used;
-    it is never sized by ``cap``. The table tracks its reach, the farthest
-    any entry sits past the slot its hash points at, so a lookup reads that
-    many slots more and never walks a probe chain. Each entry also stores its
-    tour as a row of uint8 city indices (uint16 above 256 cities), and every
-    hash hit is confirmed against that row, so a collision never marks an
-    unvisited tour as visited. The slots and the key rows double together,
-    so an entry costs at most eight 16-byte slots (hash and entry index) and
-    two key rows: 2n bytes, or 4n above 256 cities.
+    A bool filter (Bloom 1970, "Space/time trade-offs in hash coding with
+    allowable errors", with one hash) is set at the low bits of each stored
+    tour's 64-bit Zobrist hash (Zobrist 1970): the XOR of one random word per
+    (position, city). A swap trades four of those words, so ``allowed``
+    hashes all n(n-1)/2 neighbors of a tour in one array expression without
+    building them, and builds and looks up in the set only the neighbors
+    whose filter entry is set. A hash collision thus costs a lookup but
+    never forbids an unvisited tour. The filter starts at ``_FIRST_BITS``
+    entries and doubles while stored tours times ``_FILTER_RATIO`` exceed
+    its size; it is never sized by ``cap``, and each doubling rehashes the
+    set's own bytes in one pass. An entry costs n bytes (2n above 256
+    cities) plus at most about 245 B for the bytes object, its set slot and
+    its share of the filter.
 
     The first ``add`` fixes the tour size; adding a tour of another size
     raises ValueError, and such a tour is never ``in`` the set.
@@ -121,88 +124,49 @@ class VisitedSet:
     degrades to allowing revisits instead of exhausting memory.
     """
 
-    __slots__ = ("cap", "_count", "_reach", "_words", "_keys", "_slot_entry", "_slot_hash")
+    __slots__ = ("cap", "_seen", "_words", "_dtype", "_filter")
 
     def __init__(self, cap: int = DEFAULT_VISITED_CAP) -> None:
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-            raise ValueError(f"cap must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ValueError(f"cap must be positive, got {cap}")
+        check_count("cap", cap, 1)
         self.cap = cap
-        self._count = 0
-        self._reach = 0
+        self._seen: set[bytes] = set()
         self._words: np.ndarray | None = None  # (n, n) Zobrist words, made by the first add
-        # Row e is the tour of entry e. The last row is always unused (the table
-        # grows when it fills) and all zeros, which is no tour, so the entry -1
-        # of an empty slot reads a row that never confirms a hit.
-        self._keys: np.ndarray | None = None
-        self._slot_entry = np.full(_FIRST_SLOTS, -1, dtype=np.int64)  # -1: empty
-        self._slot_hash = np.zeros(_FIRST_SLOTS, dtype=np.uint64)
+        self._dtype: np.dtype | None = None  # of the stored city indices
+        self._filter = np.zeros(_FIRST_BITS, dtype=bool)
 
-    def _holds_size(self, order: np.ndarray) -> bool:
-        return self._keys is not None and order.size == self._keys.shape[1]
-
-    def _hash(self, order: np.ndarray) -> int:
-        return int(np.bitwise_xor.reduce(self._words[np.arange(order.size), order]))
-
-    def _find(self, order: np.ndarray, h: int) -> tuple[bool, int]:
-        """Whether ``order`` is stored, and the slot that holds it or would."""
-        bits = self._slot_entry.size - 1
-        slot = h & bits
-        while (entry := int(self._slot_entry[slot])) >= 0:
-            if int(self._slot_hash[slot]) == h and np.array_equal(self._keys[entry], order):
-                return True, slot
-            slot = (slot + 1) & bits
-        return False, slot
-
-    def _place(self, slot: int, entry: int, h: int) -> None:
-        """Point ``slot`` at ``entry``, whose tour hashes to ``h``."""
-        self._slot_entry[slot] = entry
-        self._slot_hash[slot] = h
-        self._reach = max(self._reach, (slot - h) & (self._slot_entry.size - 1))
-
-    def _grow(self) -> None:
-        """Double the slots and the key rows, re-inserting every entry by its stored hash."""
-        used = self._slot_entry >= 0
-        entries, hashes = self._slot_entry[used].tolist(), self._slot_hash[used].tolist()
-        size = 2 * self._slot_entry.size
-        self._slot_entry = np.full(size, -1, dtype=np.int64)
-        self._slot_hash = np.zeros(size, dtype=np.uint64)
-        self._reach = 0
-        keys = np.zeros((size // 4, self._keys.shape[1]), dtype=self._keys.dtype)
-        keys[: self._count] = self._keys[: self._count]
-        self._keys = keys
-        for entry, h in zip(entries, hashes):
-            self._place(self._find(keys[entry], h)[1], entry, h)
+    def _hashes(self, rows: np.ndarray) -> np.ndarray:
+        """Zobrist hash of each tour along the last axis of ``rows``."""
+        n = self._words.shape[0]
+        return np.bitwise_xor.reduce(self._words[np.arange(n), rows], axis=-1)
 
     def add(self, tour: Tour) -> bool:
         order = tour.order
-        if self._keys is not None and order.size != self._keys.shape[1]:
+        if self._words is not None and order.size != self._words.shape[0]:
             raise ValueError(
-                f"this set holds tours over {self._keys.shape[1]} points, got {order.size}"
+                f"this set holds tours over {self._words.shape[0]} points, got {order.size}"
             )
-        if self._count >= self.cap:
+        if len(self._seen) >= self.cap:
             return False
         if self._words is None:
             n = order.size
             self._words = _zobrist_table(n)
-            self._keys = np.zeros((_FIRST_SLOTS // 4, n), dtype=np.min_scalar_type(n - 1))
-        h = self._hash(order)
-        stored, slot = self._find(order, h)
-        if not stored:
-            self._keys[self._count] = order
-            self._place(slot, self._count, h)
-            self._count += 1
-            if self._count == self._keys.shape[0]:
-                self._grow()
+            self._dtype = np.min_scalar_type(n - 1)
+        key = order.astype(self._dtype).tobytes()
+        if key not in self._seen:
+            self._seen.add(key)
+            added = order  # the tours whose filter entries are set
+            if len(self._seen) * _FILTER_RATIO > self._filter.size:
+                self._filter = np.zeros(2 * self._filter.size, dtype=bool)
+                added = np.frombuffer(b"".join(self._seen), self._dtype).reshape(-1, order.size)
+            self._filter[self._hashes(added) & np.uint64(self._filter.size - 1)] = True
         return True
 
     def __contains__(self, tour: Tour) -> bool:
-        order = tour.order
-        return self._holds_size(order) and self._find(order, self._hash(order))[0]
+        # A tour of another size has keys of another length, never stored.
+        return self._dtype is not None and tour.order.astype(self._dtype).tobytes() in self._seen
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._seen)
 
     def allowed(self, order: np.ndarray) -> np.ndarray:
         """Mask over the transposition neighbors of ``order``, in pair order.
@@ -211,7 +175,7 @@ class VisitedSet:
         """
         flat = _pairs(order.size).flat
         allowed = np.ones(flat.size, dtype=bool)
-        if not self._holds_size(order):
+        if self._words is None or order.size != self._words.shape[0]:
             return allowed
         # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
         # for words[i, t_j] and words[j, t_i].
@@ -219,15 +183,9 @@ class VisitedSet:
         own = words.diagonal()
         trade = words ^ own.reshape(-1, 1)
         hashes = (trade ^ trade.T).ravel()[flat] ^ np.bitwise_xor.reduce(own)
-        # Every stored hash sits within reach slots past the slot it points at.
-        hashes = hashes.reshape(-1, 1)
-        bits = np.uint64(self._slot_entry.size - 1)
-        window = (hashes + np.arange(self._reach + 1, dtype=np.uint64)) & bits
-        hits = np.flatnonzero(self._slot_hash.take(window) == hashes)
-        query = hits // window.shape[1]
-        entry = self._slot_entry.take(window.ravel().take(hits))
-        stored = self._keys.take(entry, axis=0) == _neighbor_rows(order, query)
-        allowed[query[np.logical_and.reduce(stored, axis=1)]] = False
+        query = np.flatnonzero(self._filter.take(hashes & np.uint64(self._filter.size - 1)))
+        rows = _neighbor_rows(order.astype(self._dtype), query)
+        allowed[query] = [row.tobytes() not in self._seen for row in rows]
         return allowed
 
 
@@ -256,8 +214,8 @@ class HcConfig:
 # full scan was faster up to n = 14, the two were within 10% of each other
 # at n = 15 and 16, and the screen was faster from n = 17 (twice as fast at
 # n = 24). End to end, screening at every size slowed the benchmark's
-# exact-small workload (n = 9..14): a median of 9.89 trials/s against 10.12
-# with the full scan, which was faster in 9 of 10 alternating pairs.
+# exact-small workload (n = 9..14): a median of 38.7 trials/s against 41.3
+# with the full scan, which was faster in 5 of 5 alternating pairs.
 _SCREEN_MIN_N = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 

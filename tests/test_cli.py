@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -173,6 +174,16 @@ class TestErrors:
         ])
         assert code == EXIT_PARSE
         assert "non-finite" in err
+
+    def test_tours_too_long_for_the_wheel(self, capsys, tmp_path):
+        step = math.ldexp(7.0, 1015)
+        path = tmp_path / "far.txt"
+        path.write_text("".join(f"{step * i!r} 0\n" for i in range(9)))
+        code, _, err = run_cli(capsys, [
+            "solve", "--instance", str(path), "--metric", "manhattan", "--population", "20",
+        ])
+        assert code == EXIT_CONFIG
+        assert "too long for a roulette wheel" in err
 
     def test_out_to_directory_is_a_usage_error(self, capsys, square_file, tmp_path):
         code, _, err = run_cli(capsys, [

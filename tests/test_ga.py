@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import make_instance, random_instance, reversal_invariant_child, square_instance
 from tourbench.core import (
     ConfigurationError,
+    Metric,
     Tour,
     make_rng,
     random_rows,
@@ -320,6 +322,14 @@ class TestRunGa:
         trace = []
         run_ga(inst, config, on_generation=lambda gen, best: trace.append(best))
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+    def test_rejects_tours_too_long_for_the_wheel(self):
+        # Every tour of these nine points is finite (test_core's instance just
+        # below overflow), but a wheel summing twenty such lengths is not.
+        step = math.ldexp(7.0, 1015)
+        inst = make_instance([(step * i, 0.0) for i in range(9)], metric=Metric("manhattan"))
+        with pytest.raises(ConfigurationError, match="too long for a roulette wheel of 20"):
+            run_ga(inst, GaConfig(population_size=20))
 
     def test_validates_config_and_instance(self):
         with pytest.raises(ConfigurationError):

@@ -126,16 +126,66 @@ class TestVisitedSet:
             tracemalloc.stop()
         assert used < 64 * 1024
 
-    def test_allowed_masks_stored_neighbors_in_pair_order(self):
-        rng = np.random.default_rng(17)
-        t = random_tour(9, rng)
-        nbrs = list(neighbors(t))
+    def test_memory_per_entry_stays_near_the_keys(self):
+        # An entry holds its tour's bytes, one city index each (two above 256
+        # cities), plus a set slot and its share of the filter. Keeping a
+        # second copy of every key, or 16-byte slots for every eight entries,
+        # goes past the allowance at n = 300.
+        for n in (48, 300):
+            rng = np.random.default_rng(n)
+            tours = [random_tour(n, rng) for _ in range(4097)]
+            allowance = n * np.min_scalar_type(n - 1).itemsize + 320
+            tracemalloc.start()
+            try:
+                vs = VisitedSet()
+                vs.add(tours[0])
+                first = tracemalloc.get_traced_memory()[0]
+                worst = 0.0
+                for size in range(2, len(tours) + 1):
+                    vs.add(tours[size - 1])
+                    if size >= 200:
+                        growth = tracemalloc.get_traced_memory()[0] - first
+                        worst = max(worst, growth / (size - 1))
+            finally:
+                tracemalloc.stop()
+            assert len(vs) == 4097
+            assert worst <= allowance, (n, worst)
+
+    def test_stores_tours_over_256_cities(self):
+        # Cities 256 apart share a low byte, so keys cut to one byte per city
+        # would take the swap of cities 5 and 261 for the tour itself.
+        n = 300
+        rng = np.random.default_rng(43)
+        t = random_tour(n, rng)
+        order = t.tolist()
+
+        def swapped(i, j):
+            nb = list(order)
+            nb[i], nb[j] = nb[j], nb[i]
+            return tuple(nb)
+
+        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+        keys = {swapped(*pairs[k]) for k in rng.choice(len(pairs), size=5, replace=False)}
         vs = VisitedSet()
-        for k in rng.choice(len(nbrs), size=12, replace=False):
-            vs.add(nbrs[k])
-        for _ in range(40):  # unrelated tours grow the table
-            vs.add(random_tour(9, rng))
-        assert vs.allowed(t.order).tolist() == [nb not in vs for nb in nbrs]
+        for tour in [t, *map(Tour, keys)]:
+            assert vs.add(tour)
+        assert len(vs) == 6
+        assert t in vs and all(Tour(key) in vs for key in keys)
+        assert Tour(swapped(order.index(5), order.index(261))) not in vs
+        assert vs.allowed(t.order).tolist() == [swapped(i, j) not in keys for i, j in pairs]
+
+    def test_allowed_masks_stored_neighbors_in_pair_order(self):
+        # 40 unrelated tours stay below the first filter doubling; 600 pass four.
+        for unrelated in (40, 600):
+            rng = np.random.default_rng(17)
+            t = random_tour(9, rng)
+            nbrs = list(neighbors(t))
+            vs = VisitedSet()
+            for k in rng.choice(len(nbrs), size=12, replace=False):
+                vs.add(nbrs[k])
+            for _ in range(unrelated):
+                vs.add(random_tour(9, rng))
+            assert vs.allowed(t.order).tolist() == [nb not in vs for nb in nbrs]
 
 
 class TestVisitedSetCollisions:
@@ -163,15 +213,16 @@ class TestVisitedSetCollisions:
             assert (t in vs) == (tuple(t) in keys)
 
     def test_neighbor_mask_stays_exact(self):
-        rng = np.random.default_rng(29)
-        t = random_tour(8, rng)
-        nbrs = list(neighbors(t))
-        keys = {tuple(nbrs[k]) for k in rng.choice(len(nbrs), size=10, replace=False)}
-        keys |= {tuple(random_tour(8, rng)) for _ in range(30)}
-        vs = VisitedSet()
-        for key in keys:
-            vs.add(Tour(key))
-        assert vs.allowed(t.order).tolist() == [tuple(nb) not in keys for nb in nbrs]
+        for unrelated in (30, 600):  # the second passes four filter doublings
+            rng = np.random.default_rng(29)
+            t = random_tour(8, rng)
+            nbrs = list(neighbors(t))
+            keys = {tuple(nbrs[k]) for k in rng.choice(len(nbrs), size=10, replace=False)}
+            keys |= {tuple(random_tour(8, rng)) for _ in range(unrelated)}
+            vs = VisitedSet()
+            for key in keys:
+                vs.add(Tour(key))
+            assert vs.allowed(t.order).tolist() == [tuple(nb) not in keys for nb in nbrs]
 
     def test_modified_runs_are_unchanged(self, monkeypatch):
         instance = random_instance(np.random.default_rng(37), 20)
