@@ -1,95 +1,3 @@
 """TSP metaheuristics with reversal-aware operators and a benchmark harness."""
 
-from .bench import (
-    ComparisonReport,
-    ExperimentStats,
-    TrialRecord,
-    compare,
-    derive_trial_seed,
-    run_experiment,
-)
-from .core import (
-    ConfigurationError,
-    Instance,
-    Metric,
-    Point,
-    RunResult,
-    Tour,
-    neighbors,
-    random_tour,
-    reverse,
-    tour_length,
-    transpose,
-)
-from .ga import (
-    GaConfig,
-    crossover_baseline,
-    mutate,
-    run_ga,
-    select_parent,
-)
-from .hillclimb import (
-    HcConfig,
-    RunAbortedError,
-    VisitedSet,
-    hill_climb,
-    hill_climb_baseline,
-    hill_climb_modified,
-    run_hc,
-    steepest_step,
-)
-from .oracle import ExactResult, brute_force, held_karp
-from .tsplib import (
-    ParseError,
-    TsplibHeader,
-    bundled_instance,
-    format_tsplib,
-    load_instance,
-    parse_coord_list,
-    parse_tsplib,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComparisonReport",
-    "ConfigurationError",
-    "ExactResult",
-    "ExperimentStats",
-    "GaConfig",
-    "HcConfig",
-    "Instance",
-    "Metric",
-    "ParseError",
-    "Point",
-    "RunAbortedError",
-    "RunResult",
-    "Tour",
-    "TrialRecord",
-    "TsplibHeader",
-    "VisitedSet",
-    "brute_force",
-    "bundled_instance",
-    "compare",
-    "crossover_baseline",
-    "derive_trial_seed",
-    "format_tsplib",
-    "held_karp",
-    "hill_climb",
-    "hill_climb_baseline",
-    "hill_climb_modified",
-    "load_instance",
-    "mutate",
-    "neighbors",
-    "parse_coord_list",
-    "parse_tsplib",
-    "random_tour",
-    "reverse",
-    "run_experiment",
-    "run_ga",
-    "run_hc",
-    "select_parent",
-    "steepest_step",
-    "tour_length",
-    "transpose",
-]

@@ -142,7 +142,8 @@ class Instance:
     """A named set of points with a metric.
 
     The read-only n-by-n distance table is built once, on construction, and
-    every evaluation reads it. Fewer than two points raise ConfigurationError.
+    every evaluation reads it. Fewer than two points, or a metric that is
+    not a Metric, raise ConfigurationError.
     Points so far apart that a distance overflows to a non-finite value, or
     that n times the longest distance does (so a tour length could), are
     rejected with ValueError.
@@ -154,6 +155,8 @@ class Instance:
         if self.n < 2:
             raise ConfigurationError(f"an instance needs at least two points, got {self.n}")
         self.metric = metric if metric is not None else Metric()
+        if not isinstance(self.metric, Metric):
+            raise ConfigurationError(f"metric must be a Metric, got {metric!r}")
         xs = np.array([p.x for p in self.points], dtype=np.float64)
         ys = np.array([p.y for p in self.points], dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -189,13 +192,17 @@ class Tour:
     """A closed tour: a permutation of the point indices ``0 .. n-1``, n >= 2.
 
     The order array is validated on construction and kept read-only;
-    operations that change a tour return a new one.
+    operations that change a tour return a new one. Its entries must be
+    integers: bools, floats (even whole ones) and strings are rejected.
     """
 
     __slots__ = ("order",)
 
     def __init__(self, order: Sequence[int] | np.ndarray) -> None:
-        arr = np.array(order, dtype=np.int64)
+        arr = np.asarray(order)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"tour order must hold integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("tour order must be a 1-d index sequence over at least two points")
         n = arr.size
@@ -297,7 +304,9 @@ def random_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` uniformly random tours over ``n`` points as a (size, n) array."""
     if n < 2:
         raise ValueError(f"need at least two points, got {n}")
-    return np.array([rng.permutation(n) for _ in range(size)])
+    # numpy's permuted shuffles row by row with the draws a per-row
+    # permutation loop takes; tests/test_core.py checks this.
+    return rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
 
 
 def random_tour(n: int, rng: np.random.Generator) -> Tour:

@@ -183,8 +183,7 @@ def _generation_draws(
     size, total = wheel.cum.size, wheel.total
     uniform = total <= 0.0
     span = n - 1
-    split_draws = range(columns if span > 1 else 0)
-    halves = size * (2 * uniform + len(split_draws))
+    halves = size * (2 * uniform + columns * (span > 1))
     k = size * (2 * (not uniform) + (rate > 0.0)) + max(0, halves - has + 1) // 2
     # The block, then one word per call once it is used up.
     word = chain(bitgen.random_raw(k).tolist(), iter(bitgen.random_raw, None)).__next__
@@ -199,7 +198,7 @@ def _generation_draws(
         else:
             spin((word() >> 11) * _UNIT * total)
             spin((word() >> 11) * _UNIT * total)
-        for _ in split_draws:
+        for _ in range(columns):
             s, has, cached = _bounded(word, span, has, cached)
             split(s + 1)
         if rate > 0.0 and (word() >> 11) * _UNIT < rate:
@@ -211,8 +210,6 @@ def _generation_draws(
     state = bitgen.state
     state["has_uint32"], state["uinteger"] = has, cached
     bitgen.state = state
-    if not split_draws:
-        splits = [1] * (size * columns)
     return spins, splits, swaps
 
 

@@ -167,14 +167,19 @@ def _format_coordinate(v: float) -> str:
 
 
 def format_tsplib(instance: Instance, comment: str | None = None) -> str:
-    """Serialize an instance so parse_tsplib reads it back unchanged.
+    """Serialize an instance so parse_tsplib, given the same metric, reads it back unchanged.
 
+    The metric is not written: ``EDGE_WEIGHT_TYPE`` is always ``EUC_2D``.
     Integer-valued coordinates are written without a decimal point; others
-    use repr so the float round-trips exactly.
+    use repr so the float round-trips exactly. Each line of ``comment`` gets
+    its own ``COMMENT`` line, which parse_tsplib joins back with ``"\n"``.
+    A name that holds a line break raises ValueError.
     """
+    if "".join(instance.name.splitlines()) != instance.name:
+        raise ValueError(f"instance name {instance.name!r} holds a line break")
     out = [f"NAME : {instance.name}"]
     if comment is not None:
-        out.append(f"COMMENT : {comment}")
+        out.extend(f"COMMENT : {line}" for line in comment.splitlines() or [""])
     out.append("TYPE : TSP")
     out.append(f"DIMENSION : {instance.n}")
     out.append("EDGE_WEIGHT_TYPE : EUC_2D")

@@ -14,6 +14,7 @@ from tourbench.core import (
     check_count,
     make_rng,
     neighbors,
+    random_rows,
     random_tour,
     reverse,
     row_lengths,
@@ -138,6 +139,11 @@ class TestInstance:
         with pytest.raises(ConfigurationError, match="at least two points"):
             Instance("one", (Point(0, 0),))
 
+    @pytest.mark.parametrize("metric", ["manhattan", 1.0])
+    def test_rejects_a_metric_that_is_not_a_metric(self, metric):
+        with pytest.raises(ConfigurationError, match=f"metric must be a Metric, got {metric!r}"):
+            Instance("x", (Point(0, 0), Point(1, 0)), metric)
+
     def test_distance_table_cached_and_read_only(self):
         inst = square_instance()
         table = inst.distance_table()
@@ -189,6 +195,17 @@ class TestTour:
     def test_rejects_non_permutations(self, order):
         with pytest.raises(ValueError):
             Tour(order)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0.9, 1.2, 2.7], [0.0, 2.0, 1.0], np.array([0.0, 2.0, 1.0]), ["0", "1", "2"], [True, False]],
+    )
+    def test_rejects_non_integer_orders(self, order):
+        with pytest.raises(ValueError, match="must hold integers"):
+            Tour(order)
+
+    def test_accepts_unsigned_orders(self):
+        assert Tour(np.array([1, 0, 2], dtype=np.uint8)).tolist() == [1, 0, 2]
 
     def test_rejects_single_index(self):
         with pytest.raises(ValueError, match="at least two points"):
@@ -317,6 +334,19 @@ class TestRandomTour:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             random_tour(1, make_rng(0))
+
+
+@pytest.mark.parametrize("n, size", [(48, 200), (2, 5), (14, 20), (300, 3)])
+def test_random_rows_matches_a_permutation_per_row(n, size):
+    # random_rows shuffles all rows in one Generator.permuted call; that it
+    # takes the draws of one permutation call per row is how numpy implements
+    # permuted, not a documented contract, so check it, final state included.
+    ours, theirs = make_rng(n * 1000 + size), make_rng(n * 1000 + size)
+    rows = random_rows(n, size, ours)
+    expected = np.array([theirs.permutation(n) for _ in range(size)])
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_make_rng_wraps_negative_seeds():

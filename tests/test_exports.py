@@ -1,4 +1,8 @@
-"""Every exported name resolves, so a name moved between modules cannot leave a stale export."""
+"""Every name in a module's ``__all__`` resolves, so a name moved between modules cannot leave a stale export.
+
+The package root has no ``__all__``: each public name is imported from its
+own module, whose ``__all__`` is its API.
+"""
 
 import importlib
 import pkgutil

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from tourbench.core import Metric
+from tourbench.core import Instance, Metric, Point
 from tourbench.tsplib import (
     ParseError,
     bundled_instance,
@@ -160,6 +160,23 @@ class TestFormatRoundTrip:
         again = parse_instance_text(format_tsplib(inst))
         for p, q in zip(inst.points, again.points):
             assert (p.x, p.y) == (q.x, q.y)
+
+    def test_multi_line_comment_round_trips(self):
+        # parse_tsplib joins repeated COMMENT lines with "\n".
+        text = MINIMAL.replace(
+            "COMMENT : three points on a line", "COMMENT : first\nCOMMENT :\nCOMMENT : third"
+        )
+        inst, header = parse_tsplib(text)
+        assert header.comment == "first\n\nthird"
+        written = format_tsplib(inst, comment=header.comment)
+        assert written.splitlines()[1:4] == ["COMMENT : first", "COMMENT : ", "COMMENT : third"]
+        assert parse_tsplib(written)[1].comment == header.comment
+
+    @pytest.mark.parametrize("name", ["two\nlines", "trailing\n", "carriage\rreturn"])
+    def test_rejects_a_name_with_a_line_break(self, name):
+        inst = Instance(name, (Point(0, 0), Point(1, 0)))
+        with pytest.raises(ValueError, match="line break"):
+            format_tsplib(inst)
 
     def test_integral_coordinates_written_without_decimal(self):
         inst = parse_coord_list("1 2\n3 4\n")
