@@ -39,15 +39,8 @@ _GA_DEFAULTS = GaConfig()
 _HC_DEFAULTS = HcConfig()
 
 
-def _build_metric(text: str) -> Metric:
-    try:
-        return Metric.parse(text)
-    except ValueError as err:
-        raise ConfigurationError(str(err)) from None
-
-
 def _load_instance(args: argparse.Namespace) -> Instance:
-    metric = _build_metric(args.metric)
+    metric = Metric.parse(args.metric)
     source = args.instance
     if source == "-":
         return parse_instance_text(sys.stdin.read(), name="stdin", metric=metric)
@@ -170,10 +163,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     solver = held_karp if args.solver == "held-karp" else brute_force
-    try:
-        result = solver(instance)
-    except ValueError as err:
-        raise ConfigurationError(str(err)) from None
+    result = solver(instance)
     if args.format == "json":
         doc = {
             "instance": instance.name,

@@ -75,7 +75,8 @@ class Metric:
     """A distance function between points.
 
     ``wx`` and ``wy`` scale the per-axis differences for the weighted kinds
-    and must be positive; the unweighted kinds ignore them.
+    and must be positive; the unweighted kinds ignore them. An unknown kind
+    or a bad weight raises ConfigurationError, here and in ``parse``.
     """
 
     kind: str = "euclidean"
@@ -84,12 +85,16 @@ class Metric:
 
     def __post_init__(self) -> None:
         if self.kind not in _METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}, expected one of {_METRIC_KINDS}")
+            raise ConfigurationError(
+                f"unknown metric kind {self.kind!r}, expected one of {_METRIC_KINDS}"
+            )
         for label, w in (("wx", self.wx), ("wy", self.wy)):
             if isinstance(w, bool) or not isinstance(w, numbers.Real):
-                raise ValueError(f"metric weight {label} must be a real number, got {w!r}")
+                raise ConfigurationError(f"metric weight {label} must be a real number, got {w!r}")
             if not (math.isfinite(w) and w > 0.0):
-                raise ValueError(f"metric weight {label} must be positive and finite, got {w}")
+                raise ConfigurationError(
+                    f"metric weight {label} must be positive and finite, got {w}"
+                )
 
     @classmethod
     def parse(cls, text: str) -> "Metric":
@@ -98,18 +103,18 @@ class Metric:
         name = name.strip().lower()
         if name in ("euclidean", "manhattan"):
             if sep:
-                raise ValueError(f"metric {name!r} takes no weights")
+                raise ConfigurationError(f"metric {name!r} takes no weights")
             return cls(name)
         if name in ("wmanhattan", "wchebyshev"):
             parts = args.split(",") if sep else []
             if len(parts) != 2:
-                raise ValueError(f"metric {name!r} needs weights, e.g. {name}:1.5,2")
+                raise ConfigurationError(f"metric {name!r} needs weights, e.g. {name}:1.5,2")
             try:
                 wx, wy = float(parts[0]), float(parts[1])
             except ValueError:
-                raise ValueError(f"could not parse metric weights from {args!r}") from None
+                raise ConfigurationError(f"could not parse metric weights from {args!r}") from None
             return cls(name, wx, wy)
-        raise ValueError(f"unknown metric {text!r}")
+        raise ConfigurationError(f"unknown metric {text!r}")
 
     def distance(self, a: Point, b: Point) -> float:
         # Scalar reference for pairwise(): the tests check the table against
@@ -226,7 +231,8 @@ class Tour:
         if isinstance(other, Tour):
             return np.array_equal(self.order, other.order)
         if isinstance(other, (list, tuple, np.ndarray)):
-            return np.array_equal(self.order, np.asarray(other))
+            arr = np.asarray(other)
+            return arr.dtype.kind in "iu" and np.array_equal(self.order, arr)
         return NotImplemented
 
     def __hash__(self) -> int:

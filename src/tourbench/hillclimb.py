@@ -47,7 +47,6 @@ __all__ = [
     "HC_VARIANTS",
     "HcConfig",
     "RunAbortedError",
-    "VisitHook",
     "VisitedSet",
     "hill_climb",
     "hill_climb_baseline",
@@ -59,10 +58,6 @@ __all__ = [
 HC_VARIANTS = ("baseline", "modified")
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_VISITED_CAP = 10_000_000
-
-# Called with each tour a climb visits and its length, start included.
-VisitHook = Callable[[Tour, float], None]
-
 
 class RunAbortedError(RuntimeError):
     """A climb exceeded its step budget; carries the best tour seen so far."""
@@ -332,7 +327,7 @@ def hill_climb(
     start: Tour,
     visited: VisitedSet | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    on_visit: VisitHook | None = None,
+    on_visit: Callable[[Tour, float], None] | None = None,
 ) -> tuple[Tour, float, int, int, bool]:
     """One steepest-descent climb from ``start``.
 
@@ -342,6 +337,8 @@ def hill_climb(
     Otherwise every visited permutation is added to ``visited``, which the
     caller may share across restarts, no permutation is revisited, and
     early_out is True (with no work done) when ``start`` was already in it.
+    ``on_visit``, if given, is called with each tour the climb visits and its
+    length, ``start`` included.
     Raises RunAbortedError if the next step would exceed ``max_steps``.
     """
     current = start
@@ -389,7 +386,7 @@ def hill_climb_baseline(
     instance: Instance,
     start: Tour,
     max_steps: int = DEFAULT_MAX_STEPS,
-    on_visit: VisitHook | None = None,
+    on_visit: Callable[[Tour, float], None] | None = None,
 ) -> tuple[Tour, float, int, int, bool]:
     """Plain steepest descent to a local minimum: ``hill_climb`` with no visited set."""
     return hill_climb(instance, start, None, max_steps, on_visit=on_visit)
@@ -400,7 +397,7 @@ def hill_climb_modified(
     start: Tour,
     visited: VisitedSet,
     max_steps: int = DEFAULT_MAX_STEPS,
-    on_visit: VisitHook | None = None,
+    on_visit: Callable[[Tour, float], None] | None = None,
 ) -> tuple[Tour, float, int, int, bool]:
     """Escape-and-memoization climb: ``hill_climb`` recording into ``visited``."""
     return hill_climb(instance, start, visited, max_steps, on_visit)

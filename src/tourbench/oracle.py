@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Tour, row_lengths, tour_length
+from .core import ConfigurationError, Instance, Tour, row_lengths, tour_length
 
 __all__ = ["BRUTE_FORCE_MAX", "HELD_KARP_MAX", "ExactResult", "brute_force", "held_karp"]
 
@@ -26,7 +26,7 @@ class ExactResult:
 
 def _check_size(instance: Instance, limit: int, solver: str) -> None:
     if instance.n > limit:
-        raise ValueError(f"{solver} handles at most {limit} points, got {instance.n}")
+        raise ConfigurationError(f"{solver} handles at most {limit} points, got {instance.n}")
 
 
 def brute_force(instance: Instance) -> ExactResult:

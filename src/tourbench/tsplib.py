@@ -1,9 +1,8 @@
-"""Readers and writers for TSPLIB point files and bare coordinate lists."""
+"""Readers for TSPLIB point files and bare coordinate lists."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -11,11 +10,9 @@ from .core import Instance, Metric, Point
 
 __all__ = [
     "ParseError",
-    "TsplibHeader",
     "bundled_instance",
     "bundled_names",
     "detect_format",
-    "format_tsplib",
     "load_instance",
     "parse_coord_list",
     "parse_instance_text",
@@ -33,21 +30,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class TsplibHeader:
-    """Metadata read from a TSPLIB file.
-
-    ``edge_weight_type`` is recorded for reporting only; evaluation always
-    uses the metric the caller selected (Euclidean by default).
-    """
-
-    name: str | None = None
-    type: str | None = None
-    comment: str | None = None
-    dimension: int | None = None
-    edge_weight_type: str | None = None
-
-
 def _make_instance(name: str, points: list[Point], metric: Metric | None) -> Instance:
     try:
         return Instance(name, points, metric=metric)
@@ -55,17 +37,19 @@ def _make_instance(name: str, points: list[Point], metric: Metric | None) -> Ins
         raise ParseError(str(err)) from None
 
 
-def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, TsplibHeader]:
+def parse_tsplib(text: str, metric: Metric | None = None) -> Instance:
     """Parse TSPLIB NODE_COORD_SECTION data into an instance.
 
-    Raises ParseError (with the offending line number) for a missing or
-    malformed DIMENSION, bad coordinate rows, duplicate or out-of-range node
-    indices, and row counts that disagree with DIMENSION; and without a line
-    number for points so far apart that a distance is not finite.
+    Only the ``NAME`` and ``DIMENSION`` header keys are read; every other key,
+    ``EDGE_WEIGHT_TYPE`` included, is skipped, and evaluation uses ``metric``
+    (Euclidean by default). Raises ParseError (with the offending line
+    number) for a missing or malformed DIMENSION, bad coordinate rows,
+    duplicate or out-of-range node indices, and row counts that disagree with
+    DIMENSION; and without a line number for points so far apart that a
+    distance is not finite.
     """
     lines = text.splitlines()
-    name = type_ = comment = edge_weight_type = None
-    dimension = None
+    name = dimension = None
     dim_line = 0
     section_line = None
     for idx, raw in enumerate(lines, start=1):
@@ -85,19 +69,12 @@ def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, Tsp
         value = value.strip()
         if key == "NAME":
             name = value
-        elif key == "TYPE":
-            type_ = value
-        elif key == "COMMENT":
-            comment = value if comment is None else comment + "\n" + value
         elif key == "DIMENSION":
             try:
                 dimension = int(value)
             except ValueError:
                 raise ParseError(f"DIMENSION must be an integer, got {value!r}", idx) from None
             dim_line = idx
-        elif key == "EDGE_WEIGHT_TYPE":
-            edge_weight_type = value
-        # Unknown header keys are tolerated and ignored.
     if section_line is None:
         raise ParseError("no NODE_COORD_SECTION found", max(1, len(lines)))
     if dimension is None:
@@ -134,9 +111,8 @@ def parse_tsplib(text: str, metric: Metric | None = None) -> tuple[Instance, Tsp
         raise ParseError(
             f"NODE_COORD_SECTION has {len(coords)} points but DIMENSION says {dimension}", last_line
         )
-    header = TsplibHeader(name, type_, comment, dimension, edge_weight_type)
     points = [coords[k] for k in range(1, dimension + 1)]
-    return _make_instance(name or "unnamed", points, metric), header
+    return _make_instance(name or "unnamed", points, metric)
 
 
 def parse_coord_list(text: str, name: str = "coords", metric: Metric | None = None) -> Instance:
@@ -160,36 +136,6 @@ def parse_coord_list(text: str, name: str = "coords", metric: Metric | None = No
     return _make_instance(name, points, metric)
 
 
-def _format_coordinate(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
-def format_tsplib(instance: Instance, comment: str | None = None) -> str:
-    """Serialize an instance so parse_tsplib, given the same metric, reads it back unchanged.
-
-    The metric is not written: ``EDGE_WEIGHT_TYPE`` is always ``EUC_2D``.
-    Integer-valued coordinates are written without a decimal point; others
-    use repr so the float round-trips exactly. Each line of ``comment`` gets
-    its own ``COMMENT`` line, which parse_tsplib joins back with ``"\n"``.
-    A name that holds a line break raises ValueError.
-    """
-    if "".join(instance.name.splitlines()) != instance.name:
-        raise ValueError(f"instance name {instance.name!r} holds a line break")
-    out = [f"NAME : {instance.name}"]
-    if comment is not None:
-        out.extend(f"COMMENT : {line}" for line in comment.splitlines() or [""])
-    out.append("TYPE : TSP")
-    out.append(f"DIMENSION : {instance.n}")
-    out.append("EDGE_WEIGHT_TYPE : EUC_2D")
-    out.append("NODE_COORD_SECTION")
-    for k, p in enumerate(instance.points, start=1):
-        out.append(f"{k} {_format_coordinate(p.x)} {_format_coordinate(p.y)}")
-    out.append("EOF")
-    return "\n".join(out) + "\n"
-
-
 _HEADER_LINE = re.compile(r"^[A-Za-z_]+\s*:")
 
 
@@ -208,8 +154,7 @@ def detect_format(text: str) -> str:
 def parse_instance_text(text: str, name: str = "coords", metric: Metric | None = None) -> Instance:
     """Parse instance text in either supported format, detected automatically."""
     if detect_format(text) == "tsplib":
-        instance, _ = parse_tsplib(text, metric=metric)
-        return instance
+        return parse_tsplib(text, metric=metric)
     return parse_coord_list(text, name=name, metric=metric)
 
 
@@ -224,8 +169,7 @@ def bundled_instance(name: str, metric: Metric | None = None) -> Instance:
     path = resources.files("tourbench.data") / f"{name}.tsp"
     if not path.is_file():
         raise FileNotFoundError(f"no bundled instance named {name!r}; have {bundled_names()}")
-    instance, _ = parse_tsplib(path.read_text(), metric=metric)
-    return instance
+    return parse_tsplib(path.read_text(), metric=metric)
 
 
 def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:

@@ -61,14 +61,14 @@ class TestPoint:
 
 class TestMetric:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown metric kind 'cosine'"):
             Metric("cosine")
 
     @pytest.mark.parametrize(
         "wx,wy", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (True, 1.0), ("2", 1.0)]
     )
     def test_rejects_bad_weights(self, wx, wy):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Metric("wmanhattan", wx, wy)
 
     def test_distance_values(self):
@@ -113,9 +113,10 @@ class TestMetric:
         "wchebyshev:a,b",      # non-numeric weights
         "wmanhattan:0,1",      # zero weight
         "galactic",            # unknown kind
+        "bogus",
     ])
     def test_parse_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Metric.parse(text)
 
 
@@ -224,6 +225,14 @@ class TestTour:
         assert hash(a) == hash(b)
         assert a.key() == b.key()
         assert a.key() != c.key()
+
+    @pytest.mark.parametrize("order,other", [
+        ([0, 1], [0.0, 1.0]),
+        ([1, 0], [True, False]),
+        ([0, 1, 2], np.array([0.0, 1.0, 2.0])),
+    ])
+    def test_never_equals_an_order_construction_rejects(self, order, other):
+        assert not Tour(order) == other
 
     def test_pickle_round_trip(self):
         t = Tour([3, 1, 0, 2])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance, square_instance
-from tourbench.core import Metric, Tour, tour_length
+from tourbench.core import ConfigurationError, Metric, Tour, tour_length
 from tourbench.oracle import (
     BRUTE_FORCE_MAX,
     HELD_KARP_MAX,
@@ -106,7 +106,7 @@ class TestBothSolvers:
 class TestBruteForce:
     def test_size_limit(self):
         inst = random_instance(np.random.default_rng(1), BRUTE_FORCE_MAX + 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="brute_force handles at most 10 points"):
             brute_force(inst)
 
     def test_nodes_expanded_counts_distinct_tours(self):
@@ -130,7 +130,7 @@ class TestBruteForce:
 
 class TestHeldKarp:
     def test_size_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="held_karp handles at most 18 points"):
             held_karp(random_instance(np.random.default_rng(3), HELD_KARP_MAX + 1))
 
     def test_handles_sizes_beyond_brute_force(self):

@@ -2,13 +2,12 @@ import tracemalloc
 
 import pytest
 
-from tourbench.core import Instance, Metric, Point
+from tourbench.core import Metric
 from tourbench.tsplib import (
     ParseError,
     bundled_instance,
     bundled_names,
     detect_format,
-    format_tsplib,
     load_instance,
     parse_coord_list,
     parse_instance_text,
@@ -31,41 +30,43 @@ EOF
 
 class TestParseTsplib:
     def test_minimal_file(self):
-        inst, header = parse_tsplib(MINIMAL)
+        inst = parse_tsplib(MINIMAL)
         assert inst.name == "demo"
         assert inst.n == 3
-        assert header.name == "demo"
-        assert header.type == "TSP"
-        assert header.comment == "three points on a line"
-        assert header.dimension == 3
-        assert header.edge_weight_type == "EUC_2D"
         assert inst.points[2].x == 2.5
+
+    def test_repeated_and_empty_comment_lines_are_skipped(self):
+        text = MINIMAL.replace(
+            "COMMENT : three points on a line", "COMMENT : first\nCOMMENT :\nCOMMENT : third"
+        )
+        inst = parse_tsplib(text)
+        assert inst.name == "demo"
+        assert [(p.x, p.y) for p in inst.points] == [(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]
 
     def test_indices_are_one_based(self):
         text = MINIMAL.replace("1 0 0", "3 9 9").replace("3 2.5 0", "1 0 0")
-        inst, _ = parse_tsplib(text)
+        inst = parse_tsplib(text)
         assert inst.points[2].x == 9.0
         assert inst.points[0].x == 0.0
 
     def test_metric_override(self):
-        inst, _ = parse_tsplib(MINIMAL, metric=Metric("manhattan"))
+        inst = parse_tsplib(MINIMAL, metric=Metric("manhattan"))
         assert inst.metric.kind == "manhattan"
 
     def test_default_metric_is_euclidean_regardless_of_header(self):
-        inst, header = parse_tsplib(MINIMAL.replace("EUC_2D", "ATT"))
-        assert header.edge_weight_type == "ATT"
+        inst = parse_tsplib(MINIMAL.replace("EUC_2D", "ATT"))
         assert inst.metric.kind == "euclidean"
 
     def test_unknown_header_keys_tolerated(self):
-        inst, _ = parse_tsplib("DISPLAY_DATA_TYPE : COORD_DISPLAY\n" + MINIMAL)
+        inst = parse_tsplib("DISPLAY_DATA_TYPE : COORD_DISPLAY\n" + MINIMAL)
         assert inst.n == 3
 
     def test_blank_lines_tolerated(self):
-        inst, _ = parse_tsplib(MINIMAL.replace("NODE_COORD_SECTION\n", "NODE_COORD_SECTION\n\n"))
+        inst = parse_tsplib(MINIMAL.replace("NODE_COORD_SECTION\n", "NODE_COORD_SECTION\n\n"))
         assert inst.n == 3
 
     def test_missing_eof_is_fine(self):
-        inst, _ = parse_tsplib(MINIMAL.replace("EOF\n", ""))
+        inst = parse_tsplib(MINIMAL.replace("EOF\n", ""))
         assert inst.n == 3
 
     @pytest.mark.parametrize("mangle,line,fragment", [
@@ -143,44 +144,6 @@ class TestParseCoordList:
 
     def test_named(self):
         assert parse_coord_list("0 0\n1 1\n", name="pair").name == "pair"
-
-
-class TestFormatRoundTrip:
-    def test_round_trips_exactly(self):
-        inst, _ = parse_tsplib(MINIMAL)
-        text = format_tsplib(inst, comment="rewritten")
-        again, header = parse_tsplib(text)
-        assert again.n == inst.n
-        assert header.comment == "rewritten"
-        for p, q in zip(inst.points, again.points):
-            assert (p.x, p.y) == (q.x, q.y)
-
-    def test_non_integral_coordinates_round_trip(self):
-        inst = parse_coord_list("0.1 0.2\n0.30000000000000004 7\n")
-        again = parse_instance_text(format_tsplib(inst))
-        for p, q in zip(inst.points, again.points):
-            assert (p.x, p.y) == (q.x, q.y)
-
-    def test_multi_line_comment_round_trips(self):
-        # parse_tsplib joins repeated COMMENT lines with "\n".
-        text = MINIMAL.replace(
-            "COMMENT : three points on a line", "COMMENT : first\nCOMMENT :\nCOMMENT : third"
-        )
-        inst, header = parse_tsplib(text)
-        assert header.comment == "first\n\nthird"
-        written = format_tsplib(inst, comment=header.comment)
-        assert written.splitlines()[1:4] == ["COMMENT : first", "COMMENT : ", "COMMENT : third"]
-        assert parse_tsplib(written)[1].comment == header.comment
-
-    @pytest.mark.parametrize("name", ["two\nlines", "trailing\n", "carriage\rreturn"])
-    def test_rejects_a_name_with_a_line_break(self, name):
-        inst = Instance(name, (Point(0, 0), Point(1, 0)))
-        with pytest.raises(ValueError, match="line break"):
-            format_tsplib(inst)
-
-    def test_integral_coordinates_written_without_decimal(self):
-        inst = parse_coord_list("1 2\n3 4\n")
-        assert "1 1 2" in format_tsplib(inst).splitlines()
 
 
 class TestDetectAndDispatch:
