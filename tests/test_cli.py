@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -17,6 +18,161 @@ from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
 
 SQUARE_TEXT = "0 0\n0 1\n1 1\n1 0\n"
+HEXAGON_TEXT = "0 0\n3.5 1\n5 4.25\n2 6\n-1.5 4\n1 2.75\n"
+
+_SOLVE_ARGS = {
+    "ga": ["--population", "8", "--generations", "10", "--stall", "10", "--elitism", "--seed", "12"],
+    "hc": ["--restarts", "3", "--seed", "11"],
+}
+
+# Every byte of solve's reports, with the one wall_time_ms value masked as W.
+SOLVE_PINS = {
+    ("ga", "baseline", "text"): (
+        "instance hexagon n=6 metric=euclidean\n"
+        "algorithm ga variant=baseline seed=12\n"
+        "length 23.672407913650254\n"
+        "tour 1 3 2 5 4 0\n"
+        "iterations 10 fitness_evaluations 88 wall_time_ms W\n"
+    ),
+    ("ga", "baseline", "csv"): (
+        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
+        "0,12,23.672407913650254,W,88,10\n"
+    ),
+    ("ga", "baseline", "json"): (
+        "{\n"
+        '  "instance": "hexagon",\n'
+        '  "algorithm": "ga",\n'
+        '  "variant": "baseline",\n'
+        '  "seed": 12,\n'
+        '  "length": 23.672407913650254,\n'
+        '  "tour": [\n'
+        "    1,\n"
+        "    3,\n"
+        "    2,\n"
+        "    5,\n"
+        "    4,\n"
+        "    0\n"
+        "  ],\n"
+        '  "iterations": 10,\n'
+        '  "fitness_evaluations": 88,\n'
+        '  "wall_time_ms": W,\n'
+        '  "runs": 1,\n'
+        '  "early_outs": 0,\n'
+        '  "aborted": 0\n'
+        "}\n"
+    ),
+    ("ga", "modified", "text"): (
+        "instance hexagon n=6 metric=euclidean\n"
+        "algorithm ga variant=modified seed=12\n"
+        "length 20.44501003152572\n"
+        "tour 2 1 0 5 4 3\n"
+        "iterations 10 fitness_evaluations 168 wall_time_ms W\n"
+    ),
+    ("ga", "modified", "csv"): (
+        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
+        "0,12,20.44501003152572,W,168,10\n"
+    ),
+    ("ga", "modified", "json"): (
+        "{\n"
+        '  "instance": "hexagon",\n'
+        '  "algorithm": "ga",\n'
+        '  "variant": "modified",\n'
+        '  "seed": 12,\n'
+        '  "length": 20.44501003152572,\n'
+        '  "tour": [\n'
+        "    2,\n"
+        "    1,\n"
+        "    0,\n"
+        "    5,\n"
+        "    4,\n"
+        "    3\n"
+        "  ],\n"
+        '  "iterations": 10,\n'
+        '  "fitness_evaluations": 168,\n'
+        '  "wall_time_ms": W,\n'
+        '  "runs": 1,\n'
+        '  "early_outs": 0,\n'
+        '  "aborted": 0\n'
+        "}\n"
+    ),
+    ("hc", "baseline", "text"): (
+        "instance hexagon n=6 metric=euclidean\n"
+        "algorithm hc variant=baseline seed=11\n"
+        "length 20.44501003152572\n"
+        "tour 1 0 5 4 3 2\n"
+        "iterations 11 fitness_evaluations 225 wall_time_ms W\n"
+        "runs 4 early_outs 0 aborted 0\n"
+    ),
+    ("hc", "baseline", "csv"): (
+        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
+        "0,11,20.44501003152572,W,225,11\n"
+    ),
+    ("hc", "baseline", "json"): (
+        "{\n"
+        '  "instance": "hexagon",\n'
+        '  "algorithm": "hc",\n'
+        '  "variant": "baseline",\n'
+        '  "seed": 11,\n'
+        '  "length": 20.44501003152572,\n'
+        '  "tour": [\n'
+        "    1,\n"
+        "    0,\n"
+        "    5,\n"
+        "    4,\n"
+        "    3,\n"
+        "    2\n"
+        "  ],\n"
+        '  "iterations": 11,\n'
+        '  "fitness_evaluations": 225,\n'
+        '  "wall_time_ms": W,\n'
+        '  "runs": 4,\n'
+        '  "early_outs": 0,\n'
+        '  "aborted": 0\n'
+        "}\n"
+    ),
+    ("hc", "modified", "text"): (
+        "instance hexagon n=6 metric=euclidean\n"
+        "algorithm hc variant=modified seed=11\n"
+        "length 20.44501003152572\n"
+        "tour 1 0 5 4 3 2\n"
+        "iterations 15 fitness_evaluations 268 wall_time_ms W\n"
+        "runs 4 early_outs 0 aborted 0\n"
+    ),
+    ("hc", "modified", "csv"): (
+        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
+        "0,11,20.44501003152572,W,268,15\n"
+    ),
+    ("hc", "modified", "json"): (
+        "{\n"
+        '  "instance": "hexagon",\n'
+        '  "algorithm": "hc",\n'
+        '  "variant": "modified",\n'
+        '  "seed": 11,\n'
+        '  "length": 20.44501003152572,\n'
+        '  "tour": [\n'
+        "    1,\n"
+        "    0,\n"
+        "    5,\n"
+        "    4,\n"
+        "    3,\n"
+        "    2\n"
+        "  ],\n"
+        '  "iterations": 15,\n'
+        '  "fitness_evaluations": 268,\n'
+        '  "wall_time_ms": W,\n'
+        '  "runs": 4,\n'
+        '  "early_outs": 0,\n'
+        '  "aborted": 0\n'
+        "}\n"
+    ),
+}
+
+
+def _mask_wall_time(out):
+    out, k = re.subn(r'(wall_time_ms"?:? )[^\s,]+', r"\1W", out)
+    out, j = re.subn(r"^(\d+,\d+,[^,]+,)[^,]+", r"\1W", out, flags=re.M)
+    assert k + j == 1
+    return out
 
 
 @pytest.fixture
@@ -123,6 +279,18 @@ class TestSolve:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["length"] == 4.0
+
+
+@pytest.mark.parametrize("algorithm, variant, fmt", sorted(SOLVE_PINS))
+def test_solve_output_matches_pin(capsys, tmp_path, algorithm, variant, fmt):
+    path = tmp_path / "hexagon.txt"
+    path.write_text(HEXAGON_TEXT)
+    code, out, _ = run_cli(capsys, [
+        "solve", "--instance", str(path), "--algorithm", algorithm, "--variant", variant,
+        *_SOLVE_ARGS[algorithm], "--format", fmt,
+    ])
+    assert code == EXIT_OK
+    assert _mask_wall_time(out) == SOLVE_PINS[algorithm, variant, fmt]
 
 
 class TestSolverDefaults:
