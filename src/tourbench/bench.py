@@ -1,4 +1,4 @@
-"""Repeated-trial experiment harness with CSV and JSON reporting.
+"""Repeated-trial experiments, paired comparisons and their summary statistics.
 
 Trial k of an experiment always runs with the seed derived from
 (experiment seed, k), never from a shared generator, so results do not
@@ -8,12 +8,10 @@ depend on scheduling and a comparison can pair its two arms trial by trial.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -27,12 +25,6 @@ __all__ = [
     "TrialRecord",
     "compare",
     "derive_trial_seed",
-    "format_comparison_csv",
-    "format_comparison_json",
-    "format_comparison_text",
-    "format_stats_json",
-    "format_trial_row",
-    "format_trials_csv",
     "run_experiment",
 ]
 
@@ -102,11 +94,16 @@ class ExperimentStats:
             raise ValueError("need at least one trial")
         lengths = np.array([t.tour_length for t in trials], dtype=np.float64)
         degenerate = lengths.size < 2
-        std = 0.0 if degenerate else float(np.std(lengths, ddof=1))
+        # A sum of finite lengths, or of their squares, can overflow, so the
+        # mean and std run on lengths scaled below 1 by a power of two, which
+        # is exact both ways. Quartiles interpolate and cannot overflow.
+        e = math.frexp(lengths.max())[1]
+        scaled = np.ldexp(lengths, -e)
+        std = 0.0 if degenerate else math.ldexp(float(np.std(scaled, ddof=1)), e)
         q1, median, q3 = (float(q) for q in np.quantile(lengths, [0.25, 0.5, 0.75]))
         return cls(
             trials=tuple(trials),
-            mean=float(np.mean(lengths)),
+            mean=math.ldexp(float(np.mean(scaled)), e),
             std=std,
             min=float(lengths.min()),
             q1=q1,
@@ -215,119 +212,3 @@ def compare(
         ratio = stats_b.mean / stats_a.mean
         improvement = (stats_a.mean - stats_b.mean) / stats_a.mean
     return ComparisonReport(stats_a, stats_b, ratio, improvement)
-
-
-CSV_HEADER = ",".join(field.name for field in dataclasses.fields(TrialRecord))
-
-
-def _trial_dict(record: TrialRecord, reproducible: bool) -> dict:
-    """The record's fields in CSV_HEADER order; wall_time_ms is zeroed when reproducible."""
-    row = dataclasses.asdict(record)
-    if reproducible:
-        row["wall_time_ms"] = 0.0
-    return row
-
-
-def _summary_dict(stats: ExperimentStats) -> dict:
-    return {
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.min,
-        "q1": stats.q1,
-        "median": stats.median,
-        "q3": stats.q3,
-        "max": stats.max,
-        "trials": len(stats.trials),
-        "degenerate": stats.degenerate,
-    }
-
-
-def _cell(value) -> str:
-    """Floats as repr, so they round-trip exactly; booleans as true/false."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _csv_row(values) -> str:
-    return ",".join(_cell(v) for v in values)
-
-
-def _footer(summary: dict) -> list[str]:
-    return [f"# {key} {_cell(value)}" for key, value in summary.items()]
-
-
-def format_trial_row(record: TrialRecord, reproducible: bool = False) -> str:
-    """One trial as a CSV row under CSV_HEADER, with no line break."""
-    return _csv_row(_trial_dict(record, reproducible).values())
-
-
-def format_trials_csv(stats: ExperimentStats, reproducible: bool = False) -> str:
-    """One row per trial, then the summary as a commented footer block.
-
-    Floats are written with repr so they round-trip exactly. With
-    ``reproducible`` on, wall_time_ms is zeroed: timing is the one field
-    that legitimately differs between repeat runs of the same seeds.
-    """
-    rows = [format_trial_row(r, reproducible) for r in stats.trials]
-    return "\n".join([CSV_HEADER, *rows, *_footer(_summary_dict(stats))]) + "\n"
-
-
-def _json_text(doc: dict, reproducible: bool) -> str:
-    """RFC 8259 JSON of ``doc``, stamped with its creation time unless reproducible.
-
-    A non-finite top-level float (an undefined comparison ratio) is written
-    as null; one nested deeper raises instead of producing invalid JSON.
-    """
-    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
-    if not reproducible:
-        doc["metadata"] = {"created": datetime.now(timezone.utc).isoformat()}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _stats_doc(stats: ExperimentStats, reproducible: bool) -> dict:
-    return {
-        "trials": [_trial_dict(r, reproducible) for r in stats.trials],
-        "summary": _summary_dict(stats),
-    }
-
-
-def format_stats_json(stats: ExperimentStats, reproducible: bool = False) -> str:
-    """Trials and summary; ``reproducible`` zeroes wall times and omits the timestamp."""
-    return _json_text(_stats_doc(stats, reproducible), reproducible)
-
-
-def format_comparison_csv(report: ComparisonReport) -> str:
-    """Paired per-trial rows (same seed per row) with both arms' lengths."""
-    a, b = report.stats_a, report.stats_b
-    rows = [
-        _csv_row((ra.trial_id, ra.seed, ra.tour_length, rb.tour_length))
-        for ra, rb in zip(a.trials, b.trials)
-    ]
-    footer = _footer(dict(
-        mean_a=a.mean, std_a=a.std, mean_b=b.mean, std_b=b.std,
-        mean_ratio=report.mean_ratio, improvement=report.improvement, trials=len(a.trials),
-    ))
-    return "\n".join(["trial_id,seed,tour_length_a,tour_length_b", *rows, *footer]) + "\n"
-
-
-def format_comparison_json(report: ComparisonReport, reproducible: bool = False) -> str:
-    """Both arms' documents plus mean_ratio and improvement (null when undefined)."""
-    doc = {
-        "a": _stats_doc(report.stats_a, reproducible),
-        "b": _stats_doc(report.stats_b, reproducible),
-        "mean_ratio": report.mean_ratio,
-        "improvement": report.improvement,
-    }
-    return _json_text(doc, reproducible)
-
-
-def format_comparison_text(report: ComparisonReport, label_a: str, label_b: str) -> str:
-    """Each arm's mean, std, min and max under its label, then mean_ratio and improvement."""
-    arms = (("a", label_a, report.stats_a), ("b", label_b, report.stats_b))
-    lines = [
-        f"arm {arm}: variant={label} mean={s.mean!r} std={s.std!r} min={s.min!r} max={s.max!r}"
-        for arm, label, s in arms
-    ]
-    lines += [f"mean_ratio {report.mean_ratio!r}", f"improvement {report.improvement!r}"]
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,9 @@
 """Command-line interface: solve, bench, compare, and oracle subcommands.
 
+Each command builds its report once, as ordered dicts, and one of three
+renderers prints it: ``_json``, ``_text`` (``key value`` lines) or ``_csv``
+(a table plus a ``# key value`` footer).
+
 Exit codes: 0 success, 2 usage, configuration or file error, 3 instance
 parse error (including distances too large to be finite), 4 run aborted
 (step budget exhausted on every run).
@@ -8,22 +12,14 @@ parse error (including distances too large to be finite), 4 run aborted
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
-from .bench import (
-    CSV_HEADER,
-    TrialRecord,
-    compare,
-    format_comparison_csv,
-    format_comparison_json,
-    format_comparison_text,
-    format_stats_json,
-    format_trial_row,
-    format_trials_csv,
-    run_experiment,
-)
+from .bench import ComparisonReport, ExperimentStats, TrialRecord, compare, run_experiment
 from .core import ConfigurationError, Instance, Metric
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, RunAbortedError, run_hc
@@ -79,110 +75,164 @@ def _solver_config(args: argparse.Namespace, variant: str, population: int | Non
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _cell(value) -> str:
+    """Floats as repr, so they round-trip exactly; booleans as true/false.
+
+    A list is its items' cells, separated by spaces.
+    """
+    if isinstance(value, list):
+        return " ".join(_cell(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    config = _solver_config(args, args.variant)
-    result = run_ga(instance, config) if args.algorithm == "ga" else run_hc(instance, config)
-    if args.format == "json":
-        doc = {
-            "instance": instance.name,
-            "algorithm": args.algorithm,
-            "variant": args.variant,
-            "seed": args.seed,
-            "length": result.best_length,
-            "tour": result.best_tour.tolist(),
-            "iterations": result.iterations,
-            "fitness_evaluations": result.fitness_evaluations,
-            "wall_time_ms": result.wall_time_ms,
-            "runs": result.runs,
-            "early_outs": result.early_outs,
-            "aborted": result.aborted,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        row = format_trial_row(TrialRecord.from_result(0, args.seed, result))
-        _emit(CSV_HEADER + "\n" + row + "\n", args.out)
-    else:
-        lines = [
-            f"instance {instance.name} n={instance.n} metric={instance.metric.kind}",
-            f"algorithm {args.algorithm} variant={args.variant} seed={args.seed}",
-            f"length {result.best_length!r}",
-            "tour " + " ".join(str(c) for c in result.best_tour),
-            f"iterations {result.iterations} fitness_evaluations {result.fitness_evaluations} "
-            f"wall_time_ms {result.wall_time_ms:.3f}",
+def _json(doc: dict, stamp: bool) -> str:
+    """RFC 8259 JSON of ``doc``, plus a ``metadata.created`` timestamp when ``stamp``.
+
+    A non-finite top-level float (an undefined comparison ratio) is written
+    as null; one nested deeper raises instead of producing invalid JSON.
+    """
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
+    if stamp:
+        doc["metadata"] = {"created": datetime.now(timezone.utc).isoformat()}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _text(doc: dict, lines: list[tuple[str, ...]] | None = None) -> str:
+    """``key value`` per field, one field a line unless ``lines`` groups the keys."""
+    lines = lines or [(key,) for key in doc]
+    return "".join(" ".join(f"{k} {_cell(doc[k])}" for k in keys) + "\n" for keys in lines)
+
+
+def _csv(rows: list[dict], footer: dict) -> str:
+    """A header of the rows' keys, one line per row, then ``# key value`` lines."""
+    lines = [",".join(rows[0]), *(",".join(map(_cell, row.values())) for row in rows)]
+    lines += [f"# {key} {_cell(value)}" for key, value in footer.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _trial(record: TrialRecord, reproducible: bool) -> dict:
+    """The record's fields in order; ``reproducible`` zeroes wall_time_ms."""
+    row = dataclasses.asdict(record)
+    if reproducible:
+        row["wall_time_ms"] = 0.0
+    return row
+
+
+def _experiment(stats: ExperimentStats, reproducible: bool) -> dict:
+    s = stats
+    summary = {
+        "mean": s.mean, "std": s.std, "min": s.min, "q1": s.q1, "median": s.median,
+        "q3": s.q3, "max": s.max, "trials": len(s.trials), "degenerate": s.degenerate,
+    }
+    return {"trials": [_trial(r, reproducible) for r in s.trials], "summary": summary}
+
+
+def _instance_line(instance: Instance) -> str:
+    """Special case: the first text line of solve and oracle."""
+    return f"instance {instance.name} n={instance.n} metric={instance.metric.kind}\n"
+
+
+def _bench_report(stats: ExperimentStats, fmt: str, reproducible: bool) -> str:
+    doc = _experiment(stats, reproducible)
+    if fmt == "json":
+        return _json(doc, stamp=not reproducible)
+    return _csv(doc["trials"], doc["summary"])
+
+
+def _compare_report(
+    report: ComparisonReport, fmt: str, reproducible: bool, labels: tuple[str, str]
+) -> str:
+    doc = {
+        "a": _experiment(report.stats_a, reproducible),
+        "b": _experiment(report.stats_b, reproducible),
+        "mean_ratio": report.mean_ratio,
+        "improvement": report.improvement,
+    }
+    if fmt == "json":
+        return _json(doc, stamp=not reproducible)
+    a, b = doc["a"]["summary"], doc["b"]["summary"]
+    if fmt == "csv":
+        rows = [
+            {"trial_id": ta["trial_id"], "seed": ta["seed"],
+             "tour_length_a": ta["tour_length"], "tour_length_b": tb["tour_length"]}
+            for ta, tb in zip(doc["a"]["trials"], doc["b"]["trials"])
         ]
-        if args.algorithm == "hc":
-            lines.append(
-                f"runs {result.runs} early_outs {result.early_outs} aborted {result.aborted}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        footer = {
+            "mean_a": a["mean"], "std_a": a["std"], "mean_b": b["mean"], "std_b": b["std"],
+            "mean_ratio": report.mean_ratio, "improvement": report.improvement,
+            "trials": a["trials"],
+        }
+        return _csv(rows, footer)
+    # Special case: compare's text opens with one `arm` line per arm.
+    arms = "".join(
+        f"arm {arm}: variant={label} "
+        + " ".join(f"{k}={_cell(s[k])}" for k in ("mean", "std", "min", "max")) + "\n"
+        for arm, label, s in zip("ab", labels, (a, b))
+    )
+    return arms + _text(doc, [("mean_ratio",), ("improvement",)])
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> str:
     instance = _load_instance(args)
     config = _solver_config(args, args.variant)
-    stats = run_experiment(
-        instance, config, args.trials, experiment_seed=args.seed, parallelism=args.parallelism
-    )
+    r = run_ga(instance, config) if args.algorithm == "ga" else run_hc(instance, config)
+    if args.format == "csv":
+        return _csv([_trial(TrialRecord.from_result(0, args.seed, r), False)], {})
+    doc = {
+        "algorithm": args.algorithm, "variant": args.variant, "seed": args.seed,
+        "length": r.best_length, "tour": r.best_tour.tolist(), "iterations": r.iterations,
+        "fitness_evaluations": r.fitness_evaluations, "wall_time_ms": r.wall_time_ms,
+        "runs": r.runs, "early_outs": r.early_outs, "aborted": r.aborted,
+    }
     if args.format == "json":
-        text = format_stats_json(stats, args.reproducible)
-    else:
-        text = format_trials_csv(stats, args.reproducible)
-    _emit(text, args.out)
-    return EXIT_OK
+        return _json({"instance": instance.name, **doc}, stamp=False)
+    # Special case: solve's text writes variant and seed as key=value, and
+    # groups the counters on shared lines.
+    lines = [("length",), ("tour",), ("iterations", "fitness_evaluations", "wall_time_ms")]
+    if args.algorithm == "hc":
+        lines.append(("runs", "early_outs", "aborted"))
+    algorithm = f"algorithm {args.algorithm} variant={args.variant} seed={args.seed}\n"
+    return _instance_line(instance) + algorithm + _text(doc, lines)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
+def _cmd_bench(args: argparse.Namespace) -> str:
+    stats = run_experiment(
+        _load_instance(args),
+        _solver_config(args, args.variant),
+        args.trials,
+        experiment_seed=args.seed,
+        parallelism=args.parallelism,
+    )
+    return _bench_report(stats, args.format, args.reproducible)
+
+
+def _cmd_compare(args: argparse.Namespace) -> str:
     report = compare(
-        instance,
+        _load_instance(args),
         _solver_config(args, args.variant_a, args.population_a),
         _solver_config(args, args.variant_b, args.population_b),
         args.trials,
         experiment_seed=args.seed,
         parallelism=args.parallelism,
     )
-    if args.format == "json":
-        text = format_comparison_json(report, args.reproducible)
-    elif args.format == "csv":
-        text = format_comparison_csv(report)
-    else:
-        text = format_comparison_text(report, args.variant_a, args.variant_b)
-    _emit(text, args.out)
-    return EXIT_OK
+    labels = (args.variant_a, args.variant_b)
+    return _compare_report(report, args.format, args.reproducible, labels)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> str:
     instance = _load_instance(args)
-    solver = held_karp if args.solver == "held-karp" else brute_force
-    result = solver(instance)
+    result = (held_karp if args.solver == "held-karp" else brute_force)(instance)
+    doc = {
+        "solver": args.solver,
+        "optimal_length": result.optimal_length,
+        "optimal_tour": result.optimal_tour.tolist(),
+        "nodes_expanded": result.nodes_expanded,
+    }
     if args.format == "json":
-        doc = {
-            "instance": instance.name,
-            "solver": args.solver,
-            "optimal_length": result.optimal_length,
-            "optimal_tour": result.optimal_tour.tolist(),
-            "nodes_expanded": result.nodes_expanded,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"instance {instance.name} n={instance.n} metric={instance.metric.kind}",
-            f"solver {args.solver}",
-            f"optimal_length {result.optimal_length!r}",
-            "optimal_tour " + " ".join(str(c) for c in result.optimal_tour),
-            f"nodes_expanded {result.nodes_expanded}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _json({"instance": instance.name, **doc}, stamp=False)
+    return _instance_line(instance) + _text(doc)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -271,8 +321,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigurationError as err:
+        text = args.func(args)
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
+        return EXIT_OK
+    except (ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ParseError as err:
@@ -281,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     except RunAbortedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ABORTED
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import re
 from importlib import resources
 from pathlib import Path
 
-from .core import Instance, Metric, Point
+from .core import ConfigurationError, Instance, Metric, Point
 
 __all__ = [
     "ParseError",
@@ -33,6 +33,8 @@ class ParseError(ValueError):
 def _make_instance(name: str, points: list[Point], metric: Metric | None) -> Instance:
     try:
         return Instance(name, points, metric=metric)
+    except ConfigurationError:  # a caller's mistake, such as a metric that is not a Metric
+        raise
     except ValueError as err:  # e.g. distances that overflow float64
         raise ParseError(str(err)) from None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from datetime import datetime
@@ -8,18 +9,14 @@ import pytest
 from helpers import make_instance, random_instance
 from tourbench import bench
 from tourbench.bench import (
-    CSV_HEADER,
     ComparisonReport,
     ExperimentStats,
     TrialRecord,
     compare,
     derive_trial_seed,
-    format_comparison_csv,
-    format_comparison_json,
-    format_stats_json,
-    format_trials_csv,
     run_experiment,
 )
+from tourbench.cli import _bench_report, _compare_report
 from tourbench.core import ConfigurationError, Instance
 from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
@@ -107,6 +104,21 @@ class TestExperimentStats:
         with pytest.raises(ValueError):
             ExperimentStats.from_trials(())
 
+    @pytest.mark.parametrize("lengths, mean, std", [
+        ([1.6e308, 1.6e308], 1.6e308, 0.0),  # the sum overflows
+        ([1e154, 3e154, 2e154], 2e154, 1e154),  # the squares overflow
+    ])
+    def test_finite_lengths_give_a_finite_summary(self, lengths, mean, std):
+        stats = ExperimentStats.from_trials(_records(lengths))
+        assert stats.mean == mean
+        assert stats.std == std
+        assert (stats.q1, stats.median, stats.q3) == tuple(np.quantile(lengths, [0.25, 0.5, 0.75]))
+
+    def test_quartiles_keep_lengths_far_below_the_longest(self):
+        stats = ExperimentStats.from_trials(_records([1e-300, 1e-300, 1e-300, 1e300]))
+        assert stats.min == stats.q1 == stats.median == 1e-300
+        assert stats.mean == 2.5e299
+
 
 @pytest.fixture
 def small_instance():
@@ -142,6 +154,11 @@ def recording_pool(monkeypatch):
     return log
 
 
+def _timeless(stats):
+    """The trial records with wall_time_ms, the one field repeat runs may change, zeroed."""
+    return [dataclasses.replace(r, wall_time_ms=0.0) for r in stats.trials]
+
+
 class TestRunExperiment:
     def test_records_are_ordered_with_derived_seeds(self, small_instance):
         stats = run_experiment(small_instance, HcConfig(), trials=5, experiment_seed=9)
@@ -155,9 +172,7 @@ class TestRunExperiment:
         config = GaConfig(population_size=10, max_generations=5, max_stall_generations=5)
         a = run_experiment(small_instance, config, trials=3, experiment_seed=4)
         b = run_experiment(small_instance, config, trials=3, experiment_seed=4)
-        assert format_trials_csv(a, reproducible=True) == format_trials_csv(
-            b, reproducible=True
-        )
+        assert _timeless(a) == _timeless(b)
 
     def test_experiment_seed_changes_trial_seeds(self, small_instance):
         a = run_experiment(small_instance, HcConfig(), trials=2, experiment_seed=0)
@@ -168,9 +183,7 @@ class TestRunExperiment:
         config = HcConfig(restarts=1, variant="modified")
         serial = run_experiment(small_instance, config, trials=4, parallelism=1)
         pooled = run_experiment(small_instance, config, trials=4, parallelism=2)
-        assert format_trials_csv(serial, reproducible=True) == format_trials_csv(
-            pooled, reproducible=True
-        )
+        assert _timeless(serial) == _timeless(pooled)
 
     @pytest.mark.parametrize("kwargs", [
         {"trials": 0},
@@ -218,9 +231,7 @@ class TestRunExperiment:
         assert recording_pool["items"] == [0, 1, 2, 3, 4]
         assert not any(isinstance(item, Instance) for item in recording_pool["items"])
         serial = run_experiment(small_instance, config, trials=5, experiment_seed=3)
-        assert format_trials_csv(pooled, reproducible=True) == format_trials_csv(
-            serial, reproducible=True
-        )
+        assert _timeless(pooled) == _timeless(serial)
 
 
 class TestCompare:
@@ -270,9 +281,9 @@ def small_stats(small_instance):
 
 class TestFormatTrialsCsv:
     def test_layout(self, small_stats):
-        text = format_trials_csv(small_stats)
+        text = _bench_report(small_stats, "csv", reproducible=False)
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations"
         assert text.endswith("\n")
         data = lines[1:4]
         footer = lines[4:]
@@ -284,7 +295,7 @@ class TestFormatTrialsCsv:
         assert footer[-1] == "# degenerate false"
 
     def test_floats_round_trip(self, small_stats):
-        lines = format_trials_csv(small_stats).splitlines()
+        lines = _bench_report(small_stats, "csv", reproducible=False).splitlines()
         for record, line in zip(small_stats.trials, lines[1:4]):
             fields = line.split(",")
             assert int(fields[0]) == record.trial_id
@@ -295,14 +306,14 @@ class TestFormatTrialsCsv:
             assert int(fields[5]) == record.iterations
 
     def test_timing_can_be_zeroed(self, small_stats):
-        lines = format_trials_csv(small_stats, reproducible=True).splitlines()
+        lines = _bench_report(small_stats, "csv", reproducible=True).splitlines()
         for line in lines[1:4]:
             assert line.split(",")[3] == "0.0"
 
 
 class TestFormatStatsJson:
     def test_document_shape(self, small_stats):
-        doc = json.loads(format_stats_json(small_stats))
+        doc = json.loads(_bench_report(small_stats, "json", reproducible=False))
         assert len(doc["trials"]) == 3
         assert doc["summary"]["mean"] == small_stats.mean
         assert doc["summary"]["std"] == small_stats.std
@@ -313,18 +324,21 @@ class TestFormatStatsJson:
         assert first["tour_length"] == small_stats.trials[0].tour_length
 
     def test_metadata_toggle(self, small_stats):
-        with_meta = json.loads(format_stats_json(small_stats))
+        with_meta = json.loads(_bench_report(small_stats, "json", reproducible=False))
         datetime.fromisoformat(with_meta["metadata"]["created"])
-        doc = json.loads(format_stats_json(small_stats, reproducible=True))
+        doc = json.loads(_bench_report(small_stats, "json", reproducible=True))
         assert "metadata" not in doc
 
     def test_timing_toggle(self, small_stats):
-        doc = json.loads(format_stats_json(small_stats, reproducible=True))
+        doc = json.loads(_bench_report(small_stats, "json", reproducible=True))
         assert all(t["wall_time_ms"] == 0.0 for t in doc["trials"])
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+LABELS = ("baseline", "modified")
 
 
 @pytest.fixture
@@ -340,7 +354,7 @@ def small_report(small_instance):
 
 class TestFormatComparison:
     def test_csv_layout(self, small_report):
-        lines = format_comparison_csv(small_report).splitlines()
+        lines = _compare_report(small_report, "csv", False, LABELS).splitlines()
         assert lines[0] == "trial_id,seed,tour_length_a,tour_length_b"
         assert len(lines) == 1 + 3 + 7
         keys = [line.split()[1] for line in lines[4:]]
@@ -352,25 +366,25 @@ class TestFormatComparison:
             assert float(fields[3]) == rb.tour_length
 
     def test_json_layout(self, small_report):
-        doc = json.loads(format_comparison_json(small_report))
+        doc = json.loads(_compare_report(small_report, "json", False, LABELS))
         assert doc["mean_ratio"] == small_report.mean_ratio
         assert doc["improvement"] == small_report.improvement
         assert len(doc["a"]["trials"]) == len(doc["b"]["trials"]) == 3
         assert doc["a"]["summary"]["mean"] == small_report.stats_a.mean
         datetime.fromisoformat(doc["metadata"]["created"])
-        bare = json.loads(format_comparison_json(small_report, reproducible=True))
+        bare = json.loads(_compare_report(small_report, "json", True, LABELS))
         assert "metadata" not in bare
 
     def test_zero_mean_arm_is_valid_json(self):
         inst = make_instance([(0, 0)] * 4)
         report = compare(inst, HcConfig(), HcConfig(variant="modified"), trials=2)
         for reproducible in (False, True):
-            text = format_comparison_json(report, reproducible=reproducible)
+            text = _compare_report(report, "json", reproducible, LABELS)
             doc = json.loads(text, parse_constant=_reject_constant)
             assert doc["mean_ratio"] is None
             assert doc["improvement"] is None
             assert doc["a"]["summary"]["mean"] == 0.0
-        footer = format_comparison_csv(report).splitlines()
+        footer = _compare_report(report, "csv", False, LABELS).splitlines()
         assert "# mean_ratio nan" in footer
         assert "# improvement nan" in footer
 

@@ -427,6 +427,19 @@ class TestBench:
         ])
         assert "created" in json.loads(out)["metadata"]
 
+    def test_finite_tours_give_a_finite_json_summary(self, capsys, tmp_path):
+        # Each tour is 1.6e308 long, so the sum of two overflows float64.
+        path = tmp_path / "far.txt"
+        path.write_text("0 0\n8e307 0\n")
+        code, out, _ = run_cli(capsys, [
+            "bench", "--instance", str(path), "--metric", "manhattan", "--algorithm", "hc",
+            "--trials", "2", "--reproducible", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        summary = json.loads(out, parse_constant=_reject_constant)["summary"]
+        assert summary["mean"] == summary["max"] == 1.6e308
+        assert summary["std"] == 0.0
+
     def test_parallelism_does_not_change_results(self, capsys, square_file):
         argv = [
             "bench", "--instance", square_file, "--algorithm", "hc",

@@ -3,8 +3,9 @@
 Each case is one CLI run on a fixed 6-point instance: ``bench`` and
 ``compare`` with ``--reproducible``, and ``oracle``, which reports no
 timing. Its stdout is stored verbatim in ``golden/reports.json``, and a
-refactor of the report writers must reproduce every byte. The record is regenerated only on purpose, by running this file
-as a script:
+refactor of the report renderers in ``tourbench.cli`` must reproduce
+every byte. The record is regenerated only on purpose, by running this
+file as a script:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """

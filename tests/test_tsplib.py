@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from tourbench.core import Metric
+from tourbench.core import ConfigurationError, Metric
 from tourbench.tsplib import (
     ParseError,
     bundled_instance,
@@ -144,6 +144,16 @@ class TestParseCoordList:
 
     def test_named(self):
         assert parse_coord_list("0 0\n1 1\n", name="pair").name == "pair"
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_coord_list, "0 0\n1 1\n"),
+    (parse_tsplib, MINIMAL),
+    (parse_instance_text, MINIMAL),
+], ids=["coords", "tsplib", "detected"])
+def test_a_metric_that_is_not_a_metric_is_not_a_parse_error(parse, text):
+    with pytest.raises(ConfigurationError, match="metric must be a Metric"):
+        parse(text, metric="manhattan")
 
 
 class TestDetectAndDispatch:
