@@ -5,8 +5,8 @@ renderers prints it: ``_json``, ``_text`` (``key value`` lines) or ``_csv``
 (a table plus a ``# key value`` footer).
 
 Exit codes: 0 success, 2 usage, configuration or file error, 3 instance
-parse error (including distances too large to be finite), 4 run aborted
-(step budget exhausted on every run).
+parse error (including a file that is not UTF-8 and distances too large to
+be finite), 4 run aborted (step budget exhausted on every run).
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ def _json(doc: dict, stamp: bool) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _text(doc: dict, lines: list[tuple[str, ...]] | None = None) -> str:
-    """``key value`` per field, one field a line unless ``lines`` groups the keys."""
-    lines = lines or [(key,) for key in doc]
-    return "".join(" ".join(f"{k} {_cell(doc[k])}" for k in keys) + "\n" for keys in lines)
+def _text(doc: dict) -> str:
+    """One ``key value`` line per field."""
+    return "".join(f"{key} {_cell(value)}\n" for key, value in doc.items())
 
 
 def _csv(rows: list[dict], footer: dict) -> str:
@@ -129,9 +128,9 @@ def _experiment(stats: ExperimentStats, reproducible: bool) -> dict:
     return {"trials": [_trial(r, reproducible) for r in s.trials], "summary": summary}
 
 
-def _instance_line(instance: Instance) -> str:
-    """Special case: the first text line of solve and oracle."""
-    return f"instance {instance.name} n={instance.n} metric={instance.metric.kind}\n"
+def _about(instance: Instance) -> dict:
+    """The fields that open the solve and oracle documents."""
+    return {"instance": instance.name, "n": instance.n, "metric": instance.metric.kind}
 
 
 def _bench_report(stats: ExperimentStats, fmt: str, reproducible: bool) -> str:
@@ -144,34 +143,26 @@ def _bench_report(stats: ExperimentStats, fmt: str, reproducible: bool) -> str:
 def _compare_report(
     report: ComparisonReport, fmt: str, reproducible: bool, labels: tuple[str, str]
 ) -> str:
-    doc = {
-        "a": _experiment(report.stats_a, reproducible),
-        "b": _experiment(report.stats_b, reproducible),
-        "mean_ratio": report.mean_ratio,
-        "improvement": report.improvement,
+    arms = {"a": _experiment(report.stats_a, reproducible),
+            "b": _experiment(report.stats_b, reproducible)}
+    fields = {
+        "variant_a": labels[0], "variant_b": labels[1], "mean_ratio": report.mean_ratio,
+        "improvement": report.improvement, "trials": len(report.stats_a.trials),
     }
     if fmt == "json":
-        return _json(doc, stamp=not reproducible)
-    a, b = doc["a"]["summary"], doc["b"]["summary"]
-    if fmt == "csv":
-        rows = [
-            {"trial_id": ta["trial_id"], "seed": ta["seed"],
-             "tour_length_a": ta["tour_length"], "tour_length_b": tb["tour_length"]}
-            for ta, tb in zip(doc["a"]["trials"], doc["b"]["trials"])
-        ]
-        footer = {
-            "mean_a": a["mean"], "std_a": a["std"], "mean_b": b["mean"], "std_b": b["std"],
-            "mean_ratio": report.mean_ratio, "improvement": report.improvement,
-            "trials": a["trials"],
-        }
-        return _csv(rows, footer)
-    # Special case: compare's text opens with one `arm` line per arm.
-    arms = "".join(
-        f"arm {arm}: variant={label} "
-        + " ".join(f"{k}={_cell(s[k])}" for k in ("mean", "std", "min", "max")) + "\n"
-        for arm, label, s in zip("ab", labels, (a, b))
-    )
-    return arms + _text(doc, [("mean_ratio",), ("improvement",)])
+        return _json({**arms, **fields}, stamp=not reproducible)
+    per_arm = {
+        f"{key}_{arm}": doc["summary"][key]
+        for arm, doc in arms.items() for key in ("mean", "std", "min", "max")
+    }
+    if fmt == "text":
+        return _text({**per_arm, **fields})
+    rows = [
+        {"trial_id": ta["trial_id"], "seed": ta["seed"],
+         "tour_length_a": ta["tour_length"], "tour_length_b": tb["tour_length"]}
+        for ta, tb in zip(arms["a"]["trials"], arms["b"]["trials"])
+    ]
+    return _csv(rows, {**per_arm, **fields})
 
 
 def _cmd_solve(args: argparse.Namespace) -> str:
@@ -181,20 +172,13 @@ def _cmd_solve(args: argparse.Namespace) -> str:
     if args.format == "csv":
         return _csv([_trial(TrialRecord.from_result(0, args.seed, r), False)], {})
     doc = {
-        "algorithm": args.algorithm, "variant": args.variant, "seed": args.seed,
-        "length": r.best_length, "tour": r.best_tour.tolist(), "iterations": r.iterations,
-        "fitness_evaluations": r.fitness_evaluations, "wall_time_ms": r.wall_time_ms,
-        "runs": r.runs, "early_outs": r.early_outs, "aborted": r.aborted,
+        **_about(instance), "algorithm": args.algorithm, "variant": args.variant,
+        "seed": args.seed, "length": r.best_length, "tour": r.best_tour.tolist(),
+        "iterations": r.iterations, "fitness_evaluations": r.fitness_evaluations,
+        "wall_time_ms": r.wall_time_ms, "runs": r.runs, "early_outs": r.early_outs,
+        "aborted": r.aborted,
     }
-    if args.format == "json":
-        return _json({"instance": instance.name, **doc}, stamp=False)
-    # Special case: solve's text writes variant and seed as key=value, and
-    # groups the counters on shared lines.
-    lines = [("length",), ("tour",), ("iterations", "fitness_evaluations", "wall_time_ms")]
-    if args.algorithm == "hc":
-        lines.append(("runs", "early_outs", "aborted"))
-    algorithm = f"algorithm {args.algorithm} variant={args.variant} seed={args.seed}\n"
-    return _instance_line(instance) + algorithm + _text(doc, lines)
+    return _json(doc, stamp=False) if args.format == "json" else _text(doc)
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
@@ -225,14 +209,13 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     instance = _load_instance(args)
     result = (held_karp if args.solver == "held-karp" else brute_force)(instance)
     doc = {
+        **_about(instance),
         "solver": args.solver,
         "optimal_length": result.optimal_length,
         "optimal_tour": result.optimal_tour.tolist(),
         "nodes_expanded": result.nodes_expanded,
     }
-    if args.format == "json":
-        return _json({"instance": instance.name, **doc}, stamp=False)
-    return _instance_line(instance) + _text(doc)
+    return _json(doc, stamp=False) if args.format == "json" else _text(doc)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -91,29 +91,26 @@ class _RouletteWheel:
 
     Weight of a member is (longest length - own length) plus a floor
     proportional to the longest length, so shorter tours are strictly
-    favored while every member keeps a real chance. A draw is split in two
-    so a generation can take all of its draws first: ``spin`` takes one
-    number from the rng (``_generation_draws`` decodes the same numbers from
-    raw words), ``land`` maps a batch of spins to members.
+    favored while every member keeps a real chance. When every length is
+    zero (duplicate points) the floor is 1, so every member weighs the same.
+    A draw is split in two so a generation can take all of its draws first:
+    ``spin`` takes one number from the rng (``_generation_draws`` decodes
+    the same numbers from raw words), ``land`` maps a batch of spins to
+    members.
     """
 
     __slots__ = ("cum", "total")
 
     def __init__(self, lengths: np.ndarray) -> None:
         longest = float(lengths.max())
-        weights = (longest - lengths) + _WEIGHT_FLOOR * longest
+        weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
         self.cum = np.cumsum(weights)
         self.total = float(self.cum[-1])
 
     def spin(self, rng: np.random.Generator) -> float:
-        if self.total <= 0.0:
-            # All lengths zero (duplicate points): fall back to uniform.
-            return int(rng.integers(self.cum.size))
         return rng.random() * self.total
 
     def land(self, spins: list[float]) -> np.ndarray:
-        if self.total <= 0.0:
-            return np.array(spins, dtype=np.int64)
         k = np.searchsorted(self.cum, spins, side="right")
         return np.minimum(k, self.cum.size - 1)
 
@@ -162,17 +159,17 @@ def _bounded(word, span: int, has: int, cached: int) -> tuple[int, int, int]:
 
 def _generation_draws(
     rng: np.random.Generator, wheel: _RouletteWheel, n: int, columns: int, rate: float
-) -> tuple[list, list[int], list[tuple[int, int, int]]]:
+) -> tuple[list[float], list[int], list[tuple[int, int, int]]]:
     """Every random draw of one generation, decoded from raw PCG64 words.
 
     Child by child, in the order of per-child ``Generator`` calls: two
-    roulette spins (``random() * total``, or ``integers(size)`` on a
-    uniform wheel), ``columns`` splits (``integers(1, n)``), then the
-    mutation rate draw (``random()``, none at rate 0) and, when it hits,
-    ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The numbers
-    and the final ``bit_generator.state``, half-word cache included, equal
-    those calls'. One block holds the fewest words the generation can take
-    (no mutation, no rejection); any further word is drawn when needed.
+    roulette spins (``random() * total``), ``columns`` splits
+    (``integers(1, n)``), then the mutation rate draw (``random()``, none
+    at rate 0) and, when it hits, ``i``, ``j`` and the ``j == i`` redraws
+    (``integers(n)``). The numbers and the final ``bit_generator.state``,
+    half-word cache included, equal those calls'. One block holds the
+    fewest words the generation can take (no mutation, no rejection); any
+    further word is drawn when needed.
 
     Returns the spins, the splits (``columns`` per child) and the swaps as
     ``(child, i, j)``.
@@ -181,23 +178,16 @@ def _generation_draws(
     state = bitgen.state
     has, cached = state["has_uint32"], state["uinteger"]
     size, total = wheel.cum.size, wheel.total
-    uniform = total <= 0.0
     span = n - 1
-    halves = size * (2 * uniform + columns * (span > 1))
-    k = size * (2 * (not uniform) + (rate > 0.0)) + max(0, halves - has + 1) // 2
+    halves = size * columns * (span > 1)
+    k = size * (2 + (rate > 0.0)) + max(0, halves - has + 1) // 2
     # The block, then one word per call once it is used up.
     word = chain(bitgen.random_raw(k).tolist(), iter(bitgen.random_raw, None)).__next__
     spins, splits, swaps = [], [], []
     spin, split = spins.append, splits.append
     for child in range(size):
-        if uniform:
-            s, has, cached = _bounded(word, size, has, cached)
-            spin(s)
-            s, has, cached = _bounded(word, size, has, cached)
-            spin(s)
-        else:
-            spin((word() >> 11) * _UNIT * total)
-            spin((word() >> 11) * _UNIT * total)
+        spin((word() >> 11) * _UNIT * total)
+        spin((word() >> 11) * _UNIT * total)
         for _ in range(columns):
             s, has, cached = _bounded(word, span, has, cached)
             split(s + 1)

@@ -339,8 +339,10 @@ def hill_climb(
     early_out is True (with no work done) when ``start`` was already in it.
     ``on_visit``, if given, is called with each tour the climb visits and its
     length, ``start`` included.
-    Raises RunAbortedError if the next step would exceed ``max_steps``.
+    Raises ConfigurationError unless ``max_steps`` is an integer of at least
+    1, and RunAbortedError if the next step would exceed it.
     """
+    check_count("max_steps", max_steps, 1)
     current = start
     current_length = tour_length(instance, start)
     if visited is not None:

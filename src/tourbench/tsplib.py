@@ -39,6 +39,18 @@ def _make_instance(name: str, points: list[Point], metric: Metric | None) -> Ins
         raise ParseError(str(err)) from None
 
 
+def _point(x: str, y: str, line: str, idx: int) -> Point:
+    """The point at (x, y); ParseError at line ``idx`` unless both are finite numbers."""
+    try:
+        xy = float(x), float(y)
+    except ValueError:
+        raise ParseError(f"could not parse coordinates from {line!r}", idx) from None
+    try:
+        return Point(*xy)
+    except ValueError as err:  # inf, nan or a number too large for a float
+        raise ParseError(str(err), idx) from None
+
+
 def parse_tsplib(text: str, metric: Metric | None = None) -> Instance:
     """Parse TSPLIB NODE_COORD_SECTION data into an instance.
 
@@ -105,10 +117,7 @@ def parse_tsplib(text: str, metric: Metric | None = None) -> Instance:
             raise ParseError(f"node index {k} outside 1..{dimension}", idx)
         if k in coords:
             raise ParseError(f"duplicate node index {k}", idx)
-        try:
-            coords[k] = Point(float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise ParseError(f"could not parse coordinates from {line!r}", idx) from None
+        coords[k] = _point(parts[1], parts[2], line, idx)
     if len(coords) != dimension:
         raise ParseError(
             f"NODE_COORD_SECTION has {len(coords)} points but DIMENSION says {dimension}", last_line
@@ -129,10 +138,7 @@ def parse_coord_list(text: str, name: str = "coords", metric: Metric | None = No
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ParseError(f"expected 'x y' per line, got {raw.strip()!r}", idx)
-        try:
-            points.append(Point(float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ParseError(f"could not parse coordinates from {raw.strip()!r}", idx) from None
+        points.append(_point(parts[0], parts[1], raw.strip(), idx))
     if len(points) < 2:
         raise ParseError(f"need at least two points, got {len(points)}", last)
     return _make_instance(name, points, metric)
@@ -175,7 +181,15 @@ def bundled_instance(name: str, metric: Metric | None = None) -> Instance:
 
 
 def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:
-    """Load an instance from a file path, detecting the format from content."""
+    """Load an instance from a UTF-8 file path, detecting the format from content.
+
+    Raises ParseError, naming the file and the line, for bytes that are not
+    UTF-8.
+    """
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"{p} is not UTF-8 text: {err.reason} at byte {err.start}", line) from None
     return parse_instance_text(text, name=p.stem, metric=metric)

@@ -159,6 +159,13 @@ def _timeless(stats):
     return [dataclasses.replace(r, wall_time_ms=0.0) for r in stats.trials]
 
 
+@dataclasses.dataclass(frozen=True)
+class OtherConfig:
+    """A config with a seed that is neither a GaConfig nor an HcConfig."""
+
+    seed: int = 0
+
+
 class TestRunExperiment:
     def test_records_are_ordered_with_derived_seeds(self, small_instance):
         stats = run_experiment(small_instance, HcConfig(), trials=5, experiment_seed=9)
@@ -201,6 +208,8 @@ class TestRunExperiment:
     def test_rejects_bad_config(self, small_instance):
         with pytest.raises(ConfigurationError):
             run_experiment(small_instance, HcConfig(restarts=-1), trials=1)
+        with pytest.raises(ConfigurationError, match="unsupported config type OtherConfig"):
+            run_experiment(small_instance, OtherConfig(), trials=1)
 
     def test_rejects_single_point_instance(self):
         with pytest.raises(ConfigurationError):
@@ -356,9 +365,12 @@ class TestFormatComparison:
     def test_csv_layout(self, small_report):
         lines = _compare_report(small_report, "csv", False, LABELS).splitlines()
         assert lines[0] == "trial_id,seed,tour_length_a,tour_length_b"
-        assert len(lines) == 1 + 3 + 7
+        assert len(lines) == 1 + 3 + 13
         keys = [line.split()[1] for line in lines[4:]]
-        assert keys == ["mean_a", "std_a", "mean_b", "std_b", "mean_ratio", "improvement", "trials"]
+        assert keys == [
+            "mean_a", "std_a", "min_a", "max_a", "mean_b", "std_b", "min_b", "max_b",
+            "variant_a", "variant_b", "mean_ratio", "improvement", "trials",
+        ]
         for row, ra, rb in zip(lines[1:4], small_report.stats_a.trials, small_report.stats_b.trials):
             fields = row.split(",")
             assert int(fields[1]) == ra.seed
@@ -369,6 +381,7 @@ class TestFormatComparison:
         doc = json.loads(_compare_report(small_report, "json", False, LABELS))
         assert doc["mean_ratio"] == small_report.mean_ratio
         assert doc["improvement"] == small_report.improvement
+        assert (doc["variant_a"], doc["variant_b"], doc["trials"]) == (*LABELS, 3)
         assert len(doc["a"]["trials"]) == len(doc["b"]["trials"]) == 3
         assert doc["a"]["summary"]["mean"] == small_report.stats_a.mean
         datetime.fromisoformat(doc["metadata"]["created"])

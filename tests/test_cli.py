@@ -1,15 +1,17 @@
 import io
+import itertools
 import json
 import math
-import re
 
 import pytest
 
+from test_golden_reports import CASES, HEXAGON, output, read_record
 from tourbench.cli import (
     EXIT_ABORTED,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARSE,
+    _cell,
     _solver_config,
     build_parser,
     main,
@@ -18,161 +20,6 @@ from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
 
 SQUARE_TEXT = "0 0\n0 1\n1 1\n1 0\n"
-HEXAGON_TEXT = "0 0\n3.5 1\n5 4.25\n2 6\n-1.5 4\n1 2.75\n"
-
-_SOLVE_ARGS = {
-    "ga": ["--population", "8", "--generations", "10", "--stall", "10", "--elitism", "--seed", "12"],
-    "hc": ["--restarts", "3", "--seed", "11"],
-}
-
-# Every byte of solve's reports, with the one wall_time_ms value masked as W.
-SOLVE_PINS = {
-    ("ga", "baseline", "text"): (
-        "instance hexagon n=6 metric=euclidean\n"
-        "algorithm ga variant=baseline seed=12\n"
-        "length 23.672407913650254\n"
-        "tour 1 3 2 5 4 0\n"
-        "iterations 10 fitness_evaluations 88 wall_time_ms W\n"
-    ),
-    ("ga", "baseline", "csv"): (
-        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
-        "0,12,23.672407913650254,W,88,10\n"
-    ),
-    ("ga", "baseline", "json"): (
-        "{\n"
-        '  "instance": "hexagon",\n'
-        '  "algorithm": "ga",\n'
-        '  "variant": "baseline",\n'
-        '  "seed": 12,\n'
-        '  "length": 23.672407913650254,\n'
-        '  "tour": [\n'
-        "    1,\n"
-        "    3,\n"
-        "    2,\n"
-        "    5,\n"
-        "    4,\n"
-        "    0\n"
-        "  ],\n"
-        '  "iterations": 10,\n'
-        '  "fitness_evaluations": 88,\n'
-        '  "wall_time_ms": W,\n'
-        '  "runs": 1,\n'
-        '  "early_outs": 0,\n'
-        '  "aborted": 0\n'
-        "}\n"
-    ),
-    ("ga", "modified", "text"): (
-        "instance hexagon n=6 metric=euclidean\n"
-        "algorithm ga variant=modified seed=12\n"
-        "length 20.44501003152572\n"
-        "tour 2 1 0 5 4 3\n"
-        "iterations 10 fitness_evaluations 168 wall_time_ms W\n"
-    ),
-    ("ga", "modified", "csv"): (
-        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
-        "0,12,20.44501003152572,W,168,10\n"
-    ),
-    ("ga", "modified", "json"): (
-        "{\n"
-        '  "instance": "hexagon",\n'
-        '  "algorithm": "ga",\n'
-        '  "variant": "modified",\n'
-        '  "seed": 12,\n'
-        '  "length": 20.44501003152572,\n'
-        '  "tour": [\n'
-        "    2,\n"
-        "    1,\n"
-        "    0,\n"
-        "    5,\n"
-        "    4,\n"
-        "    3\n"
-        "  ],\n"
-        '  "iterations": 10,\n'
-        '  "fitness_evaluations": 168,\n'
-        '  "wall_time_ms": W,\n'
-        '  "runs": 1,\n'
-        '  "early_outs": 0,\n'
-        '  "aborted": 0\n'
-        "}\n"
-    ),
-    ("hc", "baseline", "text"): (
-        "instance hexagon n=6 metric=euclidean\n"
-        "algorithm hc variant=baseline seed=11\n"
-        "length 20.44501003152572\n"
-        "tour 1 0 5 4 3 2\n"
-        "iterations 11 fitness_evaluations 225 wall_time_ms W\n"
-        "runs 4 early_outs 0 aborted 0\n"
-    ),
-    ("hc", "baseline", "csv"): (
-        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
-        "0,11,20.44501003152572,W,225,11\n"
-    ),
-    ("hc", "baseline", "json"): (
-        "{\n"
-        '  "instance": "hexagon",\n'
-        '  "algorithm": "hc",\n'
-        '  "variant": "baseline",\n'
-        '  "seed": 11,\n'
-        '  "length": 20.44501003152572,\n'
-        '  "tour": [\n'
-        "    1,\n"
-        "    0,\n"
-        "    5,\n"
-        "    4,\n"
-        "    3,\n"
-        "    2\n"
-        "  ],\n"
-        '  "iterations": 11,\n'
-        '  "fitness_evaluations": 225,\n'
-        '  "wall_time_ms": W,\n'
-        '  "runs": 4,\n'
-        '  "early_outs": 0,\n'
-        '  "aborted": 0\n'
-        "}\n"
-    ),
-    ("hc", "modified", "text"): (
-        "instance hexagon n=6 metric=euclidean\n"
-        "algorithm hc variant=modified seed=11\n"
-        "length 20.44501003152572\n"
-        "tour 1 0 5 4 3 2\n"
-        "iterations 15 fitness_evaluations 268 wall_time_ms W\n"
-        "runs 4 early_outs 0 aborted 0\n"
-    ),
-    ("hc", "modified", "csv"): (
-        "trial_id,seed,tour_length,wall_time_ms,fitness_evaluations,iterations\n"
-        "0,11,20.44501003152572,W,268,15\n"
-    ),
-    ("hc", "modified", "json"): (
-        "{\n"
-        '  "instance": "hexagon",\n'
-        '  "algorithm": "hc",\n'
-        '  "variant": "modified",\n'
-        '  "seed": 11,\n'
-        '  "length": 20.44501003152572,\n'
-        '  "tour": [\n'
-        "    1,\n"
-        "    0,\n"
-        "    5,\n"
-        "    4,\n"
-        "    3,\n"
-        "    2\n"
-        "  ],\n"
-        '  "iterations": 15,\n'
-        '  "fitness_evaluations": 268,\n'
-        '  "wall_time_ms": W,\n'
-        '  "runs": 4,\n'
-        '  "early_outs": 0,\n'
-        '  "aborted": 0\n'
-        "}\n"
-    ),
-}
-
-
-def _mask_wall_time(out):
-    out, k = re.subn(r'(wall_time_ms"?:? )[^\s,]+', r"\1W", out)
-    out, j = re.subn(r"^(\d+,\d+,[^,]+,)[^,]+", r"\1W", out, flags=re.M)
-    assert k + j == 1
-    return out
 
 
 @pytest.fixture
@@ -200,12 +47,13 @@ class TestSolve:
         assert code == EXIT_OK
         assert err == ""
         lines = out.splitlines()
-        assert lines[0] == "instance square n=4 metric=euclidean"
-        assert lines[1] == "algorithm hc variant=baseline seed=3"
-        assert lines[2] == "length 4.0"
-        assert lines[3].startswith("tour ")
-        assert lines[4].startswith("iterations ")
-        assert lines[5] == "runs 1 early_outs 0 aborted 0"
+        assert lines[:7] == [
+            "instance square", "n 4", "metric euclidean",
+            "algorithm hc", "variant baseline", "seed 3", "length 4.0",
+        ]
+        assert lines[7].startswith("tour ")
+        assert lines[8].startswith("iterations ")
+        assert lines[11:] == ["runs 1", "early_outs 0", "aborted 0"]
 
     def test_json_output(self, capsys, square_file):
         code, out, _ = run_cli(capsys, [
@@ -253,14 +101,14 @@ class TestSolve:
             "solve", "--instance", "-", "--algorithm", "hc",
         ])
         assert code == EXIT_OK
-        assert out.splitlines()[0] == "instance stdin n=4 metric=euclidean"
+        assert out.splitlines()[:3] == ["instance stdin", "n 4", "metric euclidean"]
 
     def test_bundled_instance_by_name(self, capsys):
         code, out, _ = run_cli(capsys, [
             "solve", "--instance", "att48", "--algorithm", "hc", "--seed", "1",
         ])
         assert code == EXIT_OK
-        assert out.splitlines()[0] == "instance att48 n=48 metric=euclidean"
+        assert out.splitlines()[:3] == ["instance att48", "n 48", "metric euclidean"]
 
     def test_metric_flag(self, capsys, square_file):
         code, out, _ = run_cli(capsys, [
@@ -268,7 +116,7 @@ class TestSolve:
             "--metric", "manhattan",
         ])
         assert code == EXIT_OK
-        assert "metric=manhattan" in out.splitlines()[0]
+        assert out.splitlines()[2] == "metric manhattan"
 
     def test_out_writes_file(self, capsys, square_file, tmp_path):
         target = tmp_path / "result.json"
@@ -281,16 +129,31 @@ class TestSolve:
         assert json.loads(target.read_text())["length"] == 4.0
 
 
-@pytest.mark.parametrize("algorithm, variant, fmt", sorted(SOLVE_PINS))
-def test_solve_output_matches_pin(capsys, tmp_path, algorithm, variant, fmt):
+@pytest.mark.parametrize("algorithm, variant, fmt", itertools.product(
+    ("ga", "hc"), ("baseline", "modified"), ("text", "csv", "json"),
+))
+def test_solve_output_matches_pin(algorithm, variant, fmt):
+    # The pinned bytes are the solve cases of tests/golden/reports.json.
+    name = f"solve-{algorithm}-{variant}-{fmt}"
+    assert output(name) == read_record()[name]
+
+
+@pytest.mark.parametrize("name", [
+    "solve-ga-modified-text", "solve-hc-baseline-text",
+    "oracle-held-karp-text", "oracle-brute-force-json",
+])
+def test_text_lines_are_the_json_document(capsys, tmp_path, name):
     path = tmp_path / "hexagon.txt"
-    path.write_text(HEXAGON_TEXT)
-    code, out, _ = run_cli(capsys, [
-        "solve", "--instance", str(path), "--algorithm", algorithm, "--variant", variant,
-        *_SOLVE_ARGS[algorithm], "--format", fmt,
-    ])
-    assert code == EXIT_OK
-    assert _mask_wall_time(out) == SOLVE_PINS[algorithm, variant, fmt]
+    path.write_text(HEXAGON)
+    argv = [*CASES[name], "--instance", str(path)]
+    _, text, _ = run_cli(capsys, [*argv, "--format", "text"])
+    _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    doc = json.loads(out)
+    lines = text.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == list(doc)
+    for line, (key, value) in zip(lines, doc.items()):
+        if key != "wall_time_ms":  # two runs, two wall times
+            assert line == f"{key} {_cell(value)}"
 
 
 class TestSolverDefaults:
@@ -316,6 +179,14 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["solve", "--instance", str(path)])
         assert code == EXIT_PARSE
         assert err.startswith("error: line ")
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "compare", "oracle"])
+    def test_instance_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tsp"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, [command, "--instance", str(path)])
+        assert code == EXIT_PARSE
+        assert err == f"error: line 1: {path} is not UTF-8 text: invalid start byte at byte 0\n"
 
     def test_bad_metric(self, capsys, square_file):
         code, _, err = run_cli(capsys, [
@@ -382,7 +253,7 @@ class TestErrors:
             "--restarts", "30", "--max-steps", "1",
         ])
         assert code == EXIT_OK
-        assert out.splitlines()[-1] == "runs 31 early_outs 19 aborted 6"
+        assert out.splitlines()[-3:] == ["runs 31", "early_outs 19", "aborted 6"]
 
     def test_argparse_rejects_unknown_arguments(self, square_file):
         with pytest.raises(SystemExit) as err:
@@ -473,11 +344,12 @@ class TestCompare:
             "--trials", "2",
         ])
         assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0].startswith("arm a: variant=baseline")
-        assert lines[1].startswith("arm b: variant=modified")
-        assert lines[2].startswith("mean_ratio ")
-        assert lines[3].startswith("improvement ")
+        keys = [line.split(" ", 1)[0] for line in out.splitlines()]
+        assert keys == [
+            "mean_a", "std_a", "min_a", "max_a", "mean_b", "std_b", "min_b", "max_b",
+            "variant_a", "variant_b", "mean_ratio", "improvement", "trials",
+        ]
+        assert out.splitlines()[8:10] == ["variant_a baseline", "variant_b modified"]
 
     def test_csv_reproducible_bytes(self, capsys, square_file):
         argv = [
@@ -507,7 +379,7 @@ class TestCompare:
         argv = ["compare", "--instance", str(path), "--algorithm", "hc", "--trials", "2"]
         code, text, _ = run_cli(capsys, argv)
         assert code == EXIT_OK
-        assert text.splitlines()[2:] == ["mean_ratio nan", "improvement nan"]
+        assert text.splitlines()[10:12] == ["mean_ratio nan", "improvement nan"]
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == EXIT_OK
         doc = json.loads(out, parse_constant=_reject_constant)
@@ -529,9 +401,10 @@ class TestOracle:
         code, out, _ = run_cli(capsys, ["oracle", "--instance", square_file])
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[1] == "solver held-karp"
-        assert lines[2] == "optimal_length 4.0"
-        assert lines[3] == "optimal_tour 0 1 2 3"
+        assert lines[:3] == ["instance square", "n 4", "metric euclidean"]
+        assert lines[3] == "solver held-karp"
+        assert lines[4] == "optimal_length 4.0"
+        assert lines[5] == "optimal_tour 0 1 2 3"
 
     def test_brute_force_json(self, capsys, square_file):
         code, out, _ = run_cli(capsys, [

@@ -343,11 +343,7 @@ def _reference_draws(rng, wheel, n, columns, rate):
     size = wheel.cum.size
     spins, splits, swaps = [], [], []
     for child in range(size):
-        for _ in range(2):
-            if wheel.total <= 0.0:
-                spins.append(int(rng.integers(size)))
-            else:
-                spins.append(rng.random() * wheel.total)
+        spins += [rng.random() * wheel.total for _ in range(2)]
         splits += [int(rng.integers(1, n)) for _ in range(columns)]
         if rate > 0.0 and rng.random() < rate:
             i = int(rng.integers(n))

@@ -114,8 +114,9 @@ def _cases() -> dict:
     euclidean13 = lambda: _instance("euclidean", 13)  # noqa: E731
     for variant in ("baseline", "reversal_invariant"):
         cases[f"ga-{variant}-att48"] = _ga(att48, variant, 48, 24, 6)
-        # Every length is zero, so the roulette wheel falls back to uniform
-        # draws; the mutation count (in the evaluations) follows the stream.
+        # Every length is zero, so every member weighs the same on the
+        # roulette wheel; the mutation count (in the evaluations) follows
+        # the stream.
         cases[f"ga-{variant}-coincident"] = _ga(_coincident, variant, 7, 12, 8, mutation_rate=0.5)
         cases[f"ga-{variant}-no-elitism-euclidean-n13"] = _ga(
             euclidean13, variant, 13, 16, 12, mutation_rate=0.3, elitism=False

@@ -276,6 +276,14 @@ class TestSteepestStep:
         with pytest.raises(ValueError, match="for an instance of 16 points"):
             steepest_step(inst, Tour(np.arange(17)))
 
+    def test_empty_visited_set_forbids_nothing(self, att48):
+        t = random_tour(48, np.random.default_rng(71))
+        tour, length, evaluated = steepest_step(att48, t, VisitedSet())
+        free_tour, free_length, free_evaluated = steepest_step(att48, t)
+        assert tour == free_tour
+        assert float.hex(length) == float.hex(free_length)
+        assert evaluated == free_evaluated == 1128
+
     def test_matches_neighborhood_scan(self):
         rng = np.random.default_rng(61)
         inst = random_instance(rng, 8)
@@ -321,6 +329,16 @@ class TestHillClimbBaseline:
     def test_evaluation_count_is_full_neighborhood_per_visit(self, trap):
         _, _, steps, evaluations, _ = hill_climb(trap, Tour(TRAP_START), max_steps=10_000)
         assert evaluations == (steps + 1) * 21  # n(n-1)/2 = 21 for n = 7
+
+
+@pytest.mark.parametrize("max_steps", [2.5, True, 0, -4, "3", None])
+@pytest.mark.parametrize("climb", [
+    lambda inst, start, max_steps: hill_climb_baseline(inst, start, max_steps),
+    lambda inst, start, max_steps: hill_climb_modified(inst, start, VisitedSet(), max_steps),
+], ids=["baseline", "modified"])
+def test_climbs_reject_bad_step_budgets(att48, climb, max_steps):
+    with pytest.raises(ConfigurationError, match="max_steps must be"):
+        climb(att48, random_tour(48, np.random.default_rng(5)), max_steps)
 
 
 class TestHillClimbModified:

@@ -62,8 +62,9 @@ class TestParseTsplib:
         assert inst.n == 3
 
     def test_blank_lines_tolerated(self):
-        inst = parse_tsplib(MINIMAL.replace("NODE_COORD_SECTION\n", "NODE_COORD_SECTION\n\n"))
-        assert inst.n == 3
+        for line in ("TYPE : TSP\n", "NODE_COORD_SECTION\n"):  # in the header and the section
+            inst = parse_tsplib(MINIMAL.replace(line, line + "\n"))
+            assert inst.n == 3
 
     def test_missing_eof_is_fine(self):
         inst = parse_tsplib(MINIMAL.replace("EOF\n", ""))
@@ -78,6 +79,7 @@ class TestParseTsplib:
         (lambda t: t.replace("2 1 0", "9 1 0"), 8, "outside 1..3"),
         (lambda t: t.replace("2 1 0", "1 1 0"), 8, "duplicate node index 1"),
         (lambda t: t.replace("2 1 0", "2 one 0"), 8, "could not parse coordinates"),
+        (lambda t: t.replace("2 1 0", "2 inf 0"), 8, "coordinates must be finite"),
         (lambda t: t.replace("3 2.5 0\n", ""), 9, "2 points but DIMENSION says 3"),
         (lambda t: t.replace("NODE_COORD_SECTION\n", "").replace("1 0 0\n2 1 0\n3 2.5 0\n", ""),
          6, "before NODE_COORD_SECTION"),
@@ -133,6 +135,19 @@ class TestParseCoordList:
         with pytest.raises(ParseError) as err:
             parse_coord_list("0 0\n1\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("row, fragment", [
+        ("1 x", "could not parse coordinates from '1 x'"),
+        ("inf 1", "coordinates must be finite"),
+        ("nan 1", "coordinates must be finite"),
+        ("1e309 1", "coordinates must be finite"),
+        ("1, -inf", "coordinates must be finite"),
+    ])
+    def test_bad_coordinates_carry_line_numbers(self, row, fragment):
+        with pytest.raises(ParseError) as err:
+            parse_coord_list(f"0 0\n{row}\n")
+        assert err.value.line == 2
+        assert fragment in str(err.value)
 
     def test_rejects_single_point(self):
         with pytest.raises(ParseError):
@@ -193,3 +208,12 @@ def test_load_instance_from_path(tmp_path):
     inst = load_instance(p)
     assert inst.n == 3
     assert inst.name == "tiny"
+
+
+def test_load_instance_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"0 0\n1 1\n2 \xff\n")
+    with pytest.raises(ParseError) as err:
+        load_instance(p)
+    assert err.value.line == 3
+    assert f"{p} is not UTF-8 text" in str(err.value)
