@@ -24,7 +24,14 @@ from .core import ConfigurationError, Instance, Metric
 from .ga import GaConfig, run_ga
 from .hillclimb import HcConfig, RunAbortedError, run_hc
 from .oracle import brute_force, held_karp
-from .tsplib import ParseError, bundled_instance, bundled_names, load_instance, parse_instance_text
+from .tsplib import (
+    ParseError,
+    bundled_instance,
+    bundled_names,
+    decode_utf8,
+    load_instance,
+    parse_instance_text,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +46,8 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     metric = Metric.parse(args.metric)
     source = args.instance
     if source == "-":
-        return parse_instance_text(sys.stdin.read(), name="stdin", metric=metric)
+        text = decode_utf8(sys.stdin.buffer.read(), "stdin")
+        return parse_instance_text(text, name="stdin", metric=metric)
     if Path(source).is_file():
         return load_instance(source, metric=metric)
     if source in bundled_names():
@@ -130,7 +138,7 @@ def _experiment(stats: ExperimentStats, reproducible: bool) -> dict:
 
 def _about(instance: Instance) -> dict:
     """The fields that open the solve and oracle documents."""
-    return {"instance": instance.name, "n": instance.n, "metric": instance.metric.kind}
+    return {"instance": instance.name, "n": instance.n, "metric": instance.metric.spec}
 
 
 def _bench_report(stats: ExperimentStats, fmt: str, reproducible: bool) -> str:

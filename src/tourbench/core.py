@@ -116,6 +116,13 @@ class Metric:
             return cls(name, wx, wy)
         raise ConfigurationError(f"unknown metric {text!r}")
 
+    @property
+    def spec(self) -> str:
+        """The string ``parse`` reads back, such as ``euclidean`` or ``wmanhattan:2.0,0.5``."""
+        if self.kind in ("euclidean", "manhattan"):
+            return self.kind
+        return f"{self.kind}:{float(self.wx)!r},{float(self.wy)!r}"
+
     def distance(self, a: Point, b: Point) -> float:
         # Scalar reference for pairwise(): the tests check the table against
         # it entry by entry, so it must mirror pairwise() operation for

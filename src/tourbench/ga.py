@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -51,6 +51,12 @@ _WEIGHT_FLOOR = 0.5
 # cached for the next 32-bit draw).
 _UNIT = 2.0**-53
 _LOW32 = 0xFFFFFFFF
+
+# Children whose draws run_ga decodes in one pass: whole generations, at
+# least one. After a child that rejects or redraws, the next pass spans
+# twice the run of children before it, and at least _MIN_WINDOW.
+_CHUNK_CHILDREN = 1024
+_MIN_WINDOW = 16
 
 
 def _check_rate(name: str, rate: object) -> None:
@@ -94,9 +100,9 @@ class _RouletteWheel:
     favored while every member keeps a real chance. When every length is
     zero (duplicate points) the floor is 1, so every member weighs the same.
     A draw is split in two so a generation can take all of its draws first:
-    ``spin`` takes one number from the rng (``_generation_draws`` decodes
-    the same numbers from raw words), ``land`` maps a batch of spins to
-    members.
+    ``spin`` takes one number from the rng (``_Draws`` decodes the same
+    numbers from raw words, as unit floats times ``total``), ``land`` maps a
+    batch of spins to members.
     """
 
     __slots__ = ("cum", "total")
@@ -157,67 +163,195 @@ def _bounded(word, span: int, has: int, cached: int) -> tuple[int, int, int]:
             return m >> 32, has, cached
 
 
-def _generation_draws(
-    rng: np.random.Generator, wheel: _RouletteWheel, n: int, columns: int, rate: float
-) -> tuple[list[float], list[int], list[tuple[int, int, int]]]:
-    """Every random draw of one generation, decoded from raw PCG64 words.
+class _Draws:
+    """Every random draw of ``run_ga``'s generations, decoded from raw PCG64 words.
 
     Child by child, in the order of per-child ``Generator`` calls: two
-    roulette spins (``random() * total``), ``columns`` splits
-    (``integers(1, n)``), then the mutation rate draw (``random()``, none
-    at rate 0) and, when it hits, ``i``, ``j`` and the ``j == i`` redraws
-    (``integers(n)``). The numbers and the final ``bit_generator.state``,
-    half-word cache included, equal those calls'. One block holds the
-    fewest words the generation can take (no mutation, no rejection); any
-    further word is drawn when needed.
+    roulette spins (``random()``), ``columns`` splits (``integers(1, n)``),
+    then the mutation rate draw (``random()``, none at rate 0) and, when it
+    hits, ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The
+    numbers, the words taken and the half-word cache equal those calls'.
 
-    Returns the spins, the splits (``columns`` per child) and the swaps as
-    ``(child, i, j)``.
+    The cache is read from ``bit_generator.state`` once; after that the
+    words come from ``random_raw`` blocks, so the Generator is left
+    mid-stream and must not be drawn from again. ``take`` decodes many
+    children per pass. Without rejections and mutation hits, every draw's
+    word has a closed-form position: each child takes ``full`` whole words
+    plus the 32-bit halves it starts fresh, and a half starts a fresh word
+    exactly when it follows an even number of halves from an empty cache. A
+    hit takes one more word and keeps the parity, so one walk over the rate
+    words places every hit; all acceptance tests are then one array
+    expression. The first child with a Lemire rejection or ``j == i`` is
+    decoded alone with ``_bounded``, and the pass resumes after it.
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    has, cached = state["has_uint32"], state["uinteger"]
-    size, total = wheel.cum.size, wheel.total
-    span = n - 1
-    halves = size * columns * (span > 1)
-    k = size * (2 + (rate > 0.0)) + max(0, halves - has + 1) // 2
-    # The block, then one word per call once it is used up.
-    word = chain(bitgen.random_raw(k).tolist(), iter(bitgen.random_raw, None)).__next__
-    spins, splits, swaps = [], [], []
-    spin, split = spins.append, splits.append
-    for child in range(size):
-        spin((word() >> 11) * _UNIT * total)
-        spin((word() >> 11) * _UNIT * total)
-        for _ in range(columns):
-            s, has, cached = _bounded(word, span, has, cached)
-            split(s + 1)
-        if rate > 0.0 and (word() >> 11) * _UNIT < rate:
+
+    def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
+        state = rng.bit_generator.state
+        self.has, self.cached = state["has_uint32"], state["uinteger"]
+        self.random_raw = rng.bit_generator.random_raw
+        self.words = np.empty(0, dtype=np.uint64)  # drawn and not yet taken
+        self.taken = 0
+        self.n, self.columns, self.rate = n, columns, rate
+        self.halves = columns if n > 2 else 0  # 32-bit split draws per child
+        self.full = 2 + (rate > 0.0)  # whole words per child without a hit
+        # The span and Lemire's rejection limit of each half slot: the splits, i and j.
+        self.spans = np.array([n - 1] * self.halves + [n, n], dtype=np.uint64)
+        self.limits = (1 << 32) % self.spans
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` children's draws.
+
+        Returns the spins as unit floats, (count, 2); the splits,
+        (count, columns); and the swaps as (child, i, j) rows.
+        """
+        out = ([], [], [])
+        done, window = 0, count
+        while done < count:
+            window = min(window, count - done)
+            good = self._prefix(window, done, out)
+            done += good
+            if good < window:
+                self._child(done, out)
+                done += 1
+            window = max(2 * good, _MIN_WINDOW)
+        return tuple(np.concatenate(parts) for parts in out)
+
+    def generations(self, size: int, limit: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """Up to ``limit`` generations of ``size`` children, decoded a chunk at a time.
+
+        Yields each generation's unit spins, (size, 2); splits,
+        (size, columns); and swaps as (child, i, j) rows.
+        """
+        per_pass = max(1, _CHUNK_CHILDREN // size)
+        for first in range(0, limit, per_pass):
+            count = min(per_pass, limit - first)
+            units, splits, swaps = self.take(count * size)
+            ends = np.searchsorted(swaps[:, 0], np.arange(1, count) * size)
+            swaps[:, 0] %= size
+            yield from zip(
+                units.reshape(count, size, 2),
+                splits.reshape(count, size, self.columns),
+                np.split(swaps, ends),
+            )
+
+    def _prefix(self, count: int, first: int, out: tuple[list, list, list]) -> int:
+        """Decode children up to the first that rejects or redraws; return how many."""
+        rate, full, halves, has = self.rate, self.full, self.halves, self.has
+        k = np.arange(count)
+        # The most words the children can take without a rejection.
+        need = count * full + (count * (halves + 2) + 1) // 2
+        if self.words.size < need:
+            self.words = np.concatenate([self.words, self.random_raw(need - self.words.size)])
+        words = self.words
+        hits = []
+        if rate > 0.0:
+            # Child k's rate word, if no child before it hits; each hit moves it one on.
+            rate_at = k * full + 2 + ((k + 1) * halves + 1 - has) // 2
+            below = ((words[: rate_at[-1] + count] >> 11) * _UNIT < rate).tolist()
+            for child, at in enumerate(rate_at.tolist()):
+                if below[at + len(hits)]:
+                    hits.append(child)
+        hits = np.array(hits, dtype=np.intp)
+        # One row of half slots per child, in draw order: its splits, then
+        # the swap's i and j, present only when it hits. A present half is a
+        # fresh word's low half when an even number of halves lies between it
+        # and an empty cache; otherwise it is the high half of the latest
+        # fresh word, whose position only grows along the rows.
+        width = halves + 2
+        present = np.ones((count, width), dtype=bool)
+        present[:, halves:] = False
+        present[hits, halves:] = True
+        fresh = present & ((np.cumsum(present) + has) % 2 == 1).reshape(count, width)
+        before = np.zeros(count * width + 1, dtype=np.intp)
+        np.cumsum(fresh, out=before[1:])
+        # A fresh half's word: the child's whole words and fresh halves before
+        # it, past the two spins, and past the rate word for i and j.
+        at = k[:, None] * full + 2 + (np.arange(width) >= halves)
+        at += before[:-1].reshape(count, width)
+        source = np.maximum.accumulate(np.where(fresh, at, -1).ravel()).reshape(count, width)
+        word = words[source]
+        value = np.where(fresh, word & _LOW32, word >> 32)
+        value[source < 0] = self.cached
+        # Lemire's multiply-shift on every half at once; absent halves pass.
+        product = value * self.spans
+        draw = product >> 32
+        ok = ((product & _LOW32 >= self.limits) | ~present).all(axis=1)
+        ok &= (draw[:, -2] != draw[:, -1]) | ~present[:, -1]
+        bad = np.flatnonzero(~ok)
+        done = int(bad[0]) if bad.size else count
+
+        units, splits, swaps = out
+        spin = k[:done] * full + before[: done * width : width]
+        units.append((words[spin[:, None] + np.arange(2)] >> 11) * _UNIT)
+        if halves:
+            splits.append(draw[:done, :halves].astype(np.intp) + 1)
+        else:
+            splits.append(np.ones((done, self.columns), dtype=np.intp))
+        kept = hits[hits < done]
+        swap = np.empty((kept.size, 3), dtype=np.intp)
+        swap[:, 0], swap[:, 1:] = kept + first, draw[kept, halves:]
+        swaps.append(swap)
+        used = done * full + int(before[done * width])
+        if before[done * width]:
+            self.cached = int(word.flat[done * width - 1] >> 32)
+        self.has = (has + done * halves + 2 * len(swap)) % 2
+        self.words = words[used:]
+        self.taken += used
+        return done
+
+    def _child(self, child: int, out: tuple[list, list, list]) -> None:
+        """Decode one child draw by draw, rejections and redraws included."""
+        n, buf, used = self.n, self.words, 0
+
+        def word() -> int:
+            nonlocal buf, used
+            if used == buf.size:
+                buf = np.concatenate([buf, self.random_raw(16)])
+            used += 1
+            return int(buf[used - 1])
+
+        units, splits, swaps = out
+        units.append(np.array([[(word() >> 11) * _UNIT, (word() >> 11) * _UNIT]]))
+        row, has, cached = [], self.has, self.cached
+        for _ in range(self.columns):
+            s, has, cached = _bounded(word, n - 1, has, cached)
+            row.append(s + 1)
+        splits.append(np.array([row], dtype=np.intp))
+        if self.rate > 0.0 and (word() >> 11) * _UNIT < self.rate:
             i, has, cached = _bounded(word, n, has, cached)
             j, has, cached = _bounded(word, n, has, cached)
             while j == i:
                 j, has, cached = _bounded(word, n, has, cached)
-            swaps.append((child, i, j))
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has, cached
-    bitgen.state = state
-    return spins, splits, swaps
+            swaps.append(np.array([[child, i, j]], dtype=np.intp))
+        self.has, self.cached = has, cached
+        self.words = buf[used:]
+        self.taken += used
 
 
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """Baseline crossover of each row pair of two (k, n) parent arrays.
+    """Children of each row pair of two (k, n) parent arrays, (columns, k, n).
 
-    The child keeps ``p1`` before the split. The cities of ``p2`` that
-    ``p1`` has from the split on fill the rest, in ``p2``'s order: each
-    row's tail takes exactly n - split of them, so one mask assignment in
-    row-major order places every row's tail.
+    ``splits`` is (k, columns). Column 0 is baseline crossover: the child
+    keeps ``p1`` before the split, and the cities of ``p2`` that ``p1`` has
+    from the split on fill the rest, in ``p2``'s order. Each row's tail
+    takes exactly n - split of them, so one mask assignment in row-major
+    order places every row's tail. Column 1 breeds from the reversed mate:
+    its tail holds the cities the same mask selects at its own split, in
+    reverse order, so they are written right to left into the reversed view
+    of the child.
     """
     k, n = p1.shape
-    rows = np.arange(k)[:, None]
-    where_in_p1 = np.empty_like(p1)
-    where_in_p1[rows, p1] = np.arange(n)
-    child = p1.copy()
-    child[np.arange(n) >= splits[:, None]] = p2[where_in_p1[rows, p2] >= splits[:, None]]
-    return child
+    # Flat indices into one (k, n) array: faster than (rows, cols) pairs.
+    rows = np.arange(0, k * n, n)[:, None]
+    where_in_p1 = np.empty(k * n, dtype=p1.dtype)
+    where_in_p1[p1 + rows] = np.arange(n)
+    pos = where_in_p1[p2 + rows]
+    tails = np.arange(n) >= splits.T[:, :, None]
+    children = np.array([p1] * splits.shape[1])
+    children[0][tails[0]] = p2[pos >= splits[:, :1]]
+    if splits.shape[1] == 2:
+        children[1][:, ::-1][tails[1][:, ::-1]] = p2[pos >= splits[:, 1:]]
+    return children
 
 
 def _offspring(
@@ -228,18 +362,18 @@ def _offspring(
     ``splits`` is (k, 1) for baseline crossover. With a second column the
     crossover is reversal-invariant: a second child is bred from the
     reversed mate at that split, and the shorter of the two is kept, the tie
-    going to the unreversed mate's child. Costs one length evaluation per
-    child per column.
+    going to the unreversed mate's child. Both columns are evaluated in one
+    ``row_lengths`` call, one length evaluation per child per column.
     """
-    children = _crossover_rows(p1, p2, splits[:, 0])
-    lengths = row_lengths(instance, children)
-    if splits.shape[1] == 2:
-        flipped = _crossover_rows(p1, p2[:, ::-1], splits[:, 1])
-        flipped_lengths = row_lengths(instance, flipped)
-        shorter = flipped_lengths < lengths
-        children = np.where(shorter[:, None], flipped, children)
-        lengths = np.where(shorter, flipped_lengths, lengths)
-    return children, lengths
+    children = _crossover_rows(p1, p2, splits)
+    lengths = row_lengths(instance, children.reshape(-1, p1.shape[1])).reshape(splits.shape[::-1])
+    if splits.shape[1] == 1:
+        return children[0], lengths[0]
+    shorter = lengths[1] < lengths[0]
+    return (
+        np.where(shorter[:, None], children[1], children[0]),
+        np.where(shorter, lengths[1], lengths[0]),
+    )
 
 
 def crossover_baseline(
@@ -260,7 +394,7 @@ def crossover_baseline(
         check_integer("split", split)
         if not 1 <= split <= n - 1:
             raise ValueError(f"split must be in 1..{n - 1}, got {split}")
-    return Tour(_crossover_rows(p1.order[None, :], p2.order[None, :], np.array([split]))[0])
+    return Tour(_crossover_rows(p1.order[None, :], p2.order[None, :], np.array([[split]]))[0, 0])
 
 
 def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
@@ -308,6 +442,9 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     columns = 2 if config.crossover_variant == "reversal_invariant" else 1
 
     population = random_rows(n, size, rng)
+    # Every draw comes from here, in the per-offspring order, so the results
+    # do not depend on how the array work is batched.
+    draws = _Draws(rng, n, columns, rate).generations(size, config.max_generations)
     lengths = row_lengths(instance, population)
     evaluations = size
     best = int(np.argmin(lengths))
@@ -315,20 +452,15 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     generations = 0
     stall = 0
     while generations < config.max_generations and stall < config.max_stall_generations:
-        # Every draw of the generation first, in the per-offspring order, so
-        # the results do not depend on how the array work is batched.
+        units, splits, swaps = next(draws)
         wheel = _RouletteWheel(lengths)
-        spins, splits, swaps = _generation_draws(rng, wheel, n, columns, rate)
-        parents = wheel.land(spins).reshape(size, 2)
+        parents = wheel.land(units * wheel.total)
         offspring, offspring_lengths = _offspring(
-            instance,
-            population[parents[:, 0]],
-            population[parents[:, 1]],
-            np.array(splits).reshape(size, columns),
+            instance, population[parents[:, 0]], population[parents[:, 1]], splits
         )
         evaluations += size * columns
-        if swaps:
-            rows, i, j = np.array(swaps).T
+        if swaps.size:
+            rows, i, j = swaps.T
             offspring[rows, i], offspring[rows, j] = offspring[rows, j], offspring[rows, i]
             offspring_lengths[rows] = row_lengths(instance, offspring[rows])
             evaluations += rows.size

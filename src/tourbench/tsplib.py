@@ -12,6 +12,7 @@ __all__ = [
     "ParseError",
     "bundled_instance",
     "bundled_names",
+    "decode_utf8",
     "detect_format",
     "load_instance",
     "parse_coord_list",
@@ -187,9 +188,14 @@ def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:
     UTF-8.
     """
     p = Path(path)
+    return parse_instance_text(decode_utf8(p.read_bytes(), str(p)), name=p.stem, metric=metric)
+
+
+def decode_utf8(data: bytes, source: str) -> str:
+    """``data`` as UTF-8 text; ParseError naming ``source`` and the line otherwise."""
     try:
-        text = p.read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = err.object.count(b"\n", 0, err.start) + 1
-        raise ParseError(f"{p} is not UTF-8 text: {err.reason} at byte {err.start}", line) from None
-    return parse_instance_text(text, name=p.stem, metric=metric)
+        line = data.count(b"\n", 0, err.start) + 1
+        message = f"{source} is not UTF-8 text: {err.reason} at byte {err.start}"
+        raise ParseError(message, line) from None

@@ -16,6 +16,7 @@ from tourbench.cli import (
     build_parser,
     main,
 )
+from tourbench.core import Metric
 from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
 
@@ -31,6 +32,11 @@ def square_file(tmp_path):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A text stdin over ``data`` in a locale that is not UTF-8."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
 
 
 def run_cli(capsys, argv):
@@ -96,12 +102,26 @@ class TestSolve:
         assert a["fitness_evaluations"] == b["fitness_evaluations"]
 
     def test_reads_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(SQUARE_TEXT))
+        monkeypatch.setattr("sys.stdin", _stdin(SQUARE_TEXT.encode()))
         code, out, _ = run_cli(capsys, [
             "solve", "--instance", "-", "--algorithm", "hc",
         ])
         assert code == EXIT_OK
         assert out.splitlines()[:3] == ["instance stdin", "n 4", "metric euclidean"]
+
+    @pytest.mark.parametrize("data,offset", [
+        (b"0 0\n1 1\n2 \xff\n", 10),
+        (b"0 0 # \xff\n1 1\n", 6),
+    ])
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch, data, offset):
+        # Decoded as UTF-8 whatever the locale: a bad byte in a coordinate
+        # and one in a comment are the same parse error.
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        code, _, err = run_cli(capsys, ["oracle", "--instance", "-"])
+        assert code == EXIT_PARSE
+        line = data.count(b"\n", 0, offset) + 1
+        reason = f"stdin is not UTF-8 text: invalid start byte at byte {offset}"
+        assert err == f"error: line {line}: {reason}\n"
 
     def test_bundled_instance_by_name(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -117,6 +137,30 @@ class TestSolve:
         ])
         assert code == EXIT_OK
         assert out.splitlines()[2] == "metric manhattan"
+
+    def test_metric_weights_are_reported(self, capsys, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 0\n3 0\n3 4\n")
+        lines = {}
+        for weights in ("2,0.5", "1,1"):
+            code, out, _ = run_cli(capsys, [
+                "oracle", "--instance", str(path), "--metric", f"wmanhattan:{weights}",
+            ])
+            assert code == EXIT_OK
+            lines[weights] = out.splitlines()
+        assert lines["2,0.5"][2] == "metric wmanhattan:2.0,0.5"
+        assert lines["1,1"][2] == "metric wmanhattan:1.0,1.0"
+        assert lines["2,0.5"][4] != lines["1,1"][4]
+
+    @pytest.mark.parametrize("metric", [
+        "euclidean", "manhattan", "wmanhattan:2,0.5", "wchebyshev:0.1,3e-05",
+    ])
+    def test_reported_metric_parses_back(self, capsys, square_file, metric):
+        code, out, _ = run_cli(capsys, [
+            "oracle", "--instance", square_file, "--metric", metric, "--format", "json",
+        ])
+        assert code == EXIT_OK
+        assert Metric.parse(json.loads(out)["metric"]) == Metric.parse(metric)
 
     def test_out_writes_file(self, capsys, square_file, tmp_path):
         target = tmp_path / "result.json"

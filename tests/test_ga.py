@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance, reversal_invariant_child, square_instance
+from tourbench import ga
 from tourbench.core import (
     ConfigurationError,
     Metric,
@@ -20,7 +21,7 @@ from tourbench.ga import (
     _WEIGHT_FLOOR,
     CROSSOVER_VARIANTS,
     GaConfig,
-    _generation_draws,
+    _Draws,
     _RouletteWheel,
     crossover_baseline,
     mutate,
@@ -354,33 +355,41 @@ def _reference_draws(rng, wheel, n, columns, rate):
     return spins, splits, swaps
 
 
-def _words_taken(before: dict, after: dict, limit: int = 10_000) -> int:
-    """How many raw words lie between two PCG64 states."""
-    bitgen = np.random.PCG64()
-    bitgen.state = before
-    for taken in range(limit):
-        if bitgen.state["state"] == after["state"]:
-            return taken
-        bitgen.random_raw()
-    raise AssertionError(f"states more than {limit} words apart")
-
-
 class TestGenerationDraws:
-    """The raw-word decode takes exactly the draws the Generator calls take."""
+    """The chunked raw-word decode takes exactly the draws the Generator calls take."""
 
-    def _assert_matches(self, seed, lengths, n, columns, rate, primed, generations=4):
+    def _assert_matches(self, seed, lengths, n, columns, rate, primed, generations=3):
+        """Decode ``generations`` generations in one call; the reference takes one per call."""
         ours, theirs = make_rng(seed), make_rng(seed)
         if primed:
             # One 32-bit draw leaves the high half of its word cached.
             ours.integers(5), theirs.integers(5)
-        assert ours.bit_generator.state["has_uint32"] == primed
-        for _ in range(generations):
+        start = ours.bit_generator.state
+        assert start["has_uint32"] == primed
+        size = lengths.size
+        draws = _Draws(ours, n, columns, rate)
+        units, splits, swaps = draws.take(generations * size)
+        assert units.shape == (generations * size, 2)
+        assert splits.shape == (generations * size, columns)
+        swaps = swaps.tolist()
+        for g in range(generations):
             wheel = _RouletteWheel(lengths)
-            expected = _reference_draws(theirs, wheel, n, columns, rate)
-            assert _generation_draws(ours, wheel, n, columns, rate) == expected
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            first, end = g * size, (g + 1) * size
+            decoded = (
+                (units[first:end] * wheel.total).ravel().tolist(),
+                splits[first:end].ravel().tolist(),
+                [(child - first, i, j) for child, i, j in swaps if first <= child < end],
+            )
+            assert decoded == _reference_draws(theirs, wheel, n, columns, rate)
             lengths = np.roll(lengths, 1)
-        return ours
+        # The decode took exactly the reference's words and left its half-word cache.
+        taken = np.random.PCG64()
+        taken.state = start
+        taken.advance(draws.taken)
+        state = theirs.bit_generator.state
+        assert taken.state["state"] == state["state"]
+        assert (draws.has, draws.cached) == (state["has_uint32"], state["uinteger"])
+        return draws
 
     @pytest.mark.parametrize("size", [7, 8])
     @pytest.mark.parametrize("n", [2, 3, 48])
@@ -393,11 +402,23 @@ class TestGenerationDraws:
         lengths = np.zeros(size) if uniform else make_rng(seed).uniform(1.0, 100.0, size)
         self._assert_matches(seed, lengths, n, columns, rate, primed)
 
+    # run_ga decodes about 1,024 children per call: five generations at 200.
+    @pytest.mark.parametrize("size,generations", [
+        (7, 1), (7, 40), (8, 3), (8, 40), (11, 1), (11, 3), (11, 40), (200, 1), (200, 3), (200, 5),
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 48])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_many_generations_per_call(self, size, generations, n, rate, primed):
+        seed = generations * 100_000 + size * 100 + n
+        lengths = make_rng(seed).uniform(1.0, 100.0, size)
+        self._assert_matches(seed, lengths, n, 2, rate, primed, generations)
+
     def test_odd_baseline_generation_leaves_half_a_word(self):
         # Seven baseline children take seven 32-bit split draws, so the next
         # generation starts with the cache full.
-        rng = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
-        assert rng.bit_generator.state["has_uint32"] == 1
+        draws = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
+        assert draws.has == 1
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
@@ -406,7 +427,25 @@ class TestGenerationDraws:
         # and redrawn, both for the splits and for the swap positions.
         n, size, columns = 3 << 30, 64, 2
         lengths = make_rng(n).uniform(1.0, 100.0, size)
-        before = make_rng(5).bit_generator.state
-        rng = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
+        draws = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
         fewest = size * (2 + (rate > 0.0)) + (size * columns - primed + 1) // 2
-        assert _words_taken(before, rng.bit_generator.state) - primed > fewest + 4
+        assert draws.taken > fewest + 4
+
+    @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("elitism", [False, True])
+    def test_chunk_size_changes_no_result(self, monkeypatch, variant, rate, elitism):
+        # 1,024 children are 34 generations of 30: the default takes two passes.
+        inst = random_instance(np.random.default_rng(58), 16)
+        config = GaConfig(population_size=30, mutation_rate=rate, max_generations=40,
+                          max_stall_generations=40, crossover_variant=variant,
+                          elitism=elitism, seed=13)
+
+        def result(chunk):
+            monkeypatch.setattr(ga, "_CHUNK_CHILDREN", chunk)
+            r = run_ga(inst, config)
+            return r.best_tour, r.best_length, r.fitness_evaluations, r.iterations
+
+        default = result(ga._CHUNK_CHILDREN)
+        assert result(1) == default
+        assert result(100_000) == default
