@@ -17,11 +17,16 @@ neighbors whose screened change lies within a rigorous rounding band of
 the smallest. Below that size, where the screen costs more than it saves,
 every allowed neighbor is measured. Either way the step returns the first
 exact minimum in pair order, the one a full scan would return.
+
+A climb walks on int64 order rows, and each step hands the visited set
+the Zobrist hash of the row it chose. A ``Tour`` is built only for what the
+climb hands out: its best, RunAbortedError and the ``on_visit`` hook.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -80,6 +85,10 @@ class RunAbortedError(RuntimeError):
 # the set lookup.
 _FIRST_BITS = 4096
 _FILTER_RATIO = 64
+# A doubling rehashes the stored tours this many Zobrist words (1 MiB) at a
+# time, so its transient memory does not grow with the set.
+_REHASH_WORDS = 1 << 17
+_NONE_STORED = (np.empty(0, dtype=np.intp), None)  # no stored neighbor, no hashes
 
 
 def _zobrist_table(n: int) -> np.ndarray:
@@ -107,9 +116,9 @@ class VisitedSet:
     never forbids an unvisited tour. The filter starts at ``_FIRST_BITS``
     entries and doubles while stored tours times ``_FILTER_RATIO`` exceed
     its size; it is never sized by ``cap``, and each doubling rehashes the
-    set's own bytes in one pass. An entry costs n bytes (2n above 256
-    cities) plus at most about 245 B for the bytes object, its set slot and
-    its share of the filter.
+    set's own bytes, ``_REHASH_WORDS`` hash words at a time. An entry costs
+    n bytes (2n above 256 cities) plus at most about 245 B for the bytes
+    object, its set slot and its share of the filter.
 
     The first ``add`` fixes the tour size; adding a tour of another size
     raises ValueError, and such a tour is never ``in`` the set.
@@ -136,24 +145,32 @@ class VisitedSet:
 
     def add(self, tour: Tour) -> bool:
         order = tour.order
-        if self._words is not None and order.size != self._words.shape[0]:
+        if self._words is None:
+            self._words = _zobrist_table(order.size)
+            self._dtype = np.min_scalar_type(order.size - 1)
+        elif order.size != self._words.shape[0]:
             raise ValueError(
                 f"this set holds tours over {self._words.shape[0]} points, got {order.size}"
             )
+        return self._store(order, self._hashes(order))
+
+    def _store(self, order: np.ndarray, key_hash: np.uint64) -> bool:
+        """``add`` for a tour row of this set's size whose Zobrist hash is ``key_hash``."""
         if len(self._seen) >= self.cap:
             return False
-        if self._words is None:
-            n = order.size
-            self._words = _zobrist_table(n)
-            self._dtype = np.min_scalar_type(n - 1)
         key = order.astype(self._dtype).tobytes()
         if key not in self._seen:
             self._seen.add(key)
-            added = order  # the tours whose filter entries are set
             if len(self._seen) * _FILTER_RATIO > self._filter.size:
                 self._filter = np.zeros(2 * self._filter.size, dtype=bool)
-                added = np.frombuffer(b"".join(self._seen), self._dtype).reshape(-1, order.size)
-            self._filter[self._hashes(added) & np.uint64(self._filter.size - 1)] = True
+                mask = np.uint64(self._filter.size - 1)
+                n = order.size
+                keys = iter(self._seen)
+                while chunk := b"".join(itertools.islice(keys, max(1, _REHASH_WORDS // n))):
+                    rows = np.frombuffer(chunk, self._dtype).reshape(-1, n)
+                    self._filter[self._hashes(rows) & mask] = True
+            else:
+                self._filter[int(key_hash) & (self._filter.size - 1)] = True
         return True
 
     def __contains__(self, tour: Tour) -> bool:
@@ -168,20 +185,27 @@ class VisitedSet:
 
         True where the neighbor is not stored.
         """
-        flat = _pairs(order.size).flat
-        allowed = np.ones(flat.size, dtype=bool)
+        allowed = np.ones(_pairs(order.size).flat.size, dtype=bool)
+        allowed[self._forbidden(order)[0]] = False
+        return allowed
+
+    def _forbidden(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pair indices of the stored neighbors of ``order``, and every neighbor's hash.
+
+        Both are in pair order; the hashes are None before a tour of that size is stored.
+        """
         if self._words is None or order.size != self._words.shape[0]:
-            return allowed
+            return _NONE_STORED
         # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
         # for words[i, t_j] and words[j, t_i].
         words = self._words.take(order, axis=1)  # words[p, q] = words[p, t_q]
         own = words.diagonal()
         trade = words ^ own.reshape(-1, 1)
-        hashes = (trade ^ trade.T).ravel()[flat] ^ np.bitwise_xor.reduce(own)
+        hashes = (trade ^ trade.T).ravel()[_pairs(order.size).flat] ^ np.bitwise_xor.reduce(own)
         query = np.flatnonzero(self._filter.take(hashes & np.uint64(self._filter.size - 1)))
         rows = _neighbor_rows(order.astype(self._dtype), query)
-        allowed[query] = [row.tobytes() not in self._seen for row in rows]
-        return allowed
+        stored = np.array([row.tobytes() in self._seen for row in rows], dtype=bool)
+        return query[stored], hashes
 
 
 @dataclass(frozen=True)
@@ -204,13 +228,14 @@ class HcConfig:
 
 
 # From this many points on the steepest step screens swaps by their length
-# change; below it, measuring every allowed neighbor in full is faster.
-# Timed per step on uniform instances, with and without a visited set, the
-# full scan was faster up to n = 14, the two were within 10% of each other
-# at n = 15 and 16, and the screen was faster from n = 17 (twice as fast at
-# n = 24). End to end, screening at every size slowed the benchmark's
-# exact-small workload (n = 9..14): a median of 38.7 trials/s against 41.3
-# with the full scan, which was faster in 5 of 5 alternating pairs.
+# change; below it, every allowed neighbor is measured in full. Timed per
+# step from random tours on uniform instances, with and without a visited
+# set, the two are within 8% of each other at n = 9 and 10, and the screen
+# takes 0.87-0.93 of the full scan's time at n = 12, 0.64-0.74 at n = 16
+# and 0.39-0.51 at n = 20. The cut stays at 16 until the benchmark's
+# exact-small workload (n = 9..14) shows a lower one no slower end to end:
+# with the step's earlier per-call costs, screening at every size slowed it
+# from 41.3 to 38.7 trials/s in the median, in 5 of 5 alternating pairs.
 _SCREEN_MIN_N = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -231,14 +256,11 @@ def _pairs(n: int) -> _Pairs:
     return _Pairs(i, j, i * n + j, adjacent)
 
 
-def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.ndarray:
-    """Transposition neighbors of ``order`` as rows, in pair order.
-
-    ``picked`` selects pairs by mask or index; None takes them all.
-    """
+def _neighbor_rows(order: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """The transposition neighbors of ``order`` at the pair indices ``picked``, as rows."""
     n = order.size
     pairs = _pairs(n)
-    i, j = (pairs.i, pairs.j) if picked is None else (pairs.i[picked], pairs.j[picked])
+    i, j = pairs.i[picked], pairs.j[picked]
     rows = np.empty((i.size, n), dtype=order.dtype)
     rows[:] = order
     starts = np.arange(0, rows.size, n)  # flat index of each row's first position
@@ -247,7 +269,9 @@ def _neighbor_rows(order: np.ndarray, picked: np.ndarray | None = None) -> np.nd
     return rows
 
 
-def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
+def _screen(
+    table: np.ndarray, order: np.ndarray, length: float, dmax: float
+) -> tuple[np.ndarray, float]:
     """Length change of every transposition of ``order``, in pair order, and its band.
 
     Swapping positions i < j replaces the edges at positions i-1, i, j-1 and
@@ -259,14 +283,14 @@ def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
 
     Every neighbor whose ``row_lengths`` length is the exact minimum has a
     change within the returned band of the smallest change. The band adds
-    two error bounds, for u the unit roundoff and dmax the longest edge:
+    two error bounds, for u the unit roundoff, L = ``length`` the tour's
+    ``row_lengths`` length and dmax the table's longest edge:
 
     - A length is a sum of n non-negative edges, so it is within
       gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the edges' true sum (Higham
       2002, "Accuracy and Stability of Numerical Algorithms", ch. 4), and
-      every neighbor's true sum is at most L + 4 dmax, for L the current
-      tour's. Two minimal-length candidates thus differ in true sum by at
-      most 2 gamma_{n-1} (L + 4 dmax).
+      every neighbor's true sum is at most L + 4 dmax. Two minimal-length
+      candidates thus differ in true sum by at most 2 gamma_{n-1} (L + 4 dmax).
     - A change passes through at most eight roundings of values below
       6 dmax, so it is within 48 u dmax of the true change; it counts once
       for each of the two changes compared.
@@ -287,10 +311,40 @@ def _screen(table: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
     deltas[adjacent] += 2.0 * between.ravel()[flat[adjacent]]
     u = _UNIT_ROUNDOFF
     gamma = (n - 1) * u / (1 - (n - 1) * u)
-    dmax = float(between.max())
-    length = float(here.sum()) / 2
     band = 2 * (2 * gamma * (length + 4 * dmax) + 2 * 48 * u * dmax)
     return deltas, band
+
+
+def _step(
+    instance: Instance, order: np.ndarray, length: float, dmax: float, visited: VisitedSet | None
+) -> tuple[np.ndarray, float, int, np.uint64 | None] | None:
+    """``steepest_step`` on the row ``order`` of ``row_lengths`` length ``length``.
+
+    ``dmax`` is the table's longest edge. Returns the chosen row, its length,
+    the evaluated count and the row's Zobrist hash in ``visited`` (None
+    without a stored tour), or None when every neighbor is stored.
+    """
+    n = order.size
+    pairs = _pairs(n)
+    stored, hashes = _NONE_STORED if visited is None else visited._forbidden(order)
+    evaluated = pairs.flat.size - stored.size
+    if evaluated == 0:
+        return None
+    if n >= _SCREEN_MIN_N:
+        deltas, band = _screen(instance.distance_table(), order, length, dmax)
+        deltas[stored] = np.inf
+        picked = np.flatnonzero(deltas <= deltas.min() + band)
+    else:
+        picked = np.delete(np.arange(pairs.flat.size), stored)
+    if picked.size == 1:  # the usual survivor count of a screen
+        i, j = pairs.i[picked[0]], pairs.j[picked[0]]
+        rows = order.copy().reshape(1, n)
+        rows[0, i], rows[0, j] = order[j], order[i]
+    else:
+        rows = _neighbor_rows(order, picked)
+    lengths = row_lengths(instance, rows)
+    m = int(np.argmin(lengths))  # first minimum = lexicographically first pair
+    return rows[m], float(lengths[m]), evaluated, None if hashes is None else hashes[picked[m]]
 
 
 def steepest_step(
@@ -301,25 +355,12 @@ def steepest_step(
     Ties go to the first pair in lexicographic (i, j) order. Neighbors in
     ``forbidden`` are skipped; None means every neighbor was forbidden.
     Every allowed neighbor counts as evaluated; see the module docstring for
-    the screen that decides which of them are measured in full.
+    the screen that decides which of them are measured in full. This is one
+    step of ``hill_climb``, which takes it on rows and builds no Tour.
     """
-    order = tour.order
-    n = order.size
-    if n != instance.n:  # the message tour_length gives; the screen would index past the table
-        raise ValueError(f"tours of shape {(1, n)} for an instance of {instance.n} points")
-    picked = None if forbidden is None else forbidden.allowed(order)
-    evaluated = n * (n - 1) // 2 if picked is None else int(np.count_nonzero(picked))
-    if evaluated == 0:
-        return None
-    if n >= _SCREEN_MIN_N:
-        deltas, band = _screen(instance.distance_table(), order)
-        if picked is not None:
-            deltas[~picked] = np.inf
-        picked = deltas <= deltas.min() + band
-    rows = _neighbor_rows(order, picked)
-    lengths = row_lengths(instance, rows)
-    k = int(np.argmin(lengths))  # first minimum = lexicographically first pair
-    return Tour(rows[k]), float(lengths[k]), evaluated
+    length = tour_length(instance, tour)  # rejects a tour of another size
+    found = _step(instance, tour.order, length, float(instance.distance_table().max()), forbidden)
+    return None if found is None else (Tour(found[0]), found[1], found[2])
 
 
 def hill_climb(
@@ -343,24 +384,25 @@ def hill_climb(
     1, and RunAbortedError if the next step would exceed it.
     """
     check_count("max_steps", max_steps, 1)
-    current = start
+    current = start.order
     current_length = tour_length(instance, start)
     if visited is not None:
         if start in visited:
             return start, current_length, 0, 0, True
         visited.add(start)
-    best, best_length = current, current_length
     if on_visit is not None:
-        on_visit(current, current_length)
+        on_visit(start, current_length)
+    best, best_length = current, current_length
+    dmax = float(instance.distance_table().max())
     steps = 0
     evaluations = 0
     allowance_spent = visited is None
     trigger_length = -np.inf  # set when the allowance is spent; the baseline never re-arms
     while True:
-        found = steepest_step(instance, current, visited)
+        found = _step(instance, current, current_length, dmax, visited)
         if found is None:
             break  # every neighbor already visited
-        neighbor, neighbor_length, evaluated = found
+        neighbor, neighbor_length, evaluated, neighbor_hash = found
         evaluations += evaluated
         if neighbor_length < current_length:
             pass
@@ -370,18 +412,18 @@ def hill_climb(
         else:
             break
         if steps >= max_steps:
-            raise RunAbortedError(best, best_length, steps, evaluations)
+            raise RunAbortedError(Tour(best), best_length, steps, evaluations)
         current, current_length = neighbor, neighbor_length
         steps += 1
         if visited is not None:
-            visited.add(current)
+            visited._store(current, neighbor_hash)
         if on_visit is not None:
-            on_visit(current, current_length)
+            on_visit(Tour(current), current_length)
         if current_length < best_length:
             best, best_length = current, current_length
         if allowance_spent and current_length < trigger_length:
             allowance_spent = False
-    return best, best_length, steps, evaluations, False
+    return Tour(best), best_length, steps, evaluations, False
 
 
 def hill_climb_baseline(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance, square_instance
+from tourbench import hillclimb
 from tourbench.core import (
     ConfigurationError,
     Tour,
@@ -150,6 +151,27 @@ class TestVisitedSet:
                 tracemalloc.stop()
             assert len(vs) == 4097
             assert worst <= allowance, (n, worst)
+
+    def test_filter_doubling_holds_little_beyond_the_new_filter(self):
+        # The 65,537th tour doubles the filter to 8 MiB. Hashing all stored
+        # tours at once would gather 8n bytes per tour on top of it.
+        rng = np.random.default_rng(53)
+        rows = rng.permuted(np.tile(np.arange(48), (65_537, 1)), axis=1)
+        vs = VisitedSet()
+        for row in rows[:-1]:
+            vs.add(Tour(row))
+        assert len(vs) == 65_536
+        last = Tour(rows[-1])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vs.add(last)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        new_filter = 8 * 1024 * 1024
+        assert len(vs) == 65_537 and last in vs
+        assert rise <= new_filter + 2 * 1024 * 1024, rise
 
     def test_stores_tours_over_256_cities(self):
         # Cities 256 apart share a low byte, so keys cut to one byte per city
@@ -387,6 +409,32 @@ class TestHillClimbModified:
         assert len(seen) >= 2
         for t in seen:
             assert t in vs
+
+
+def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
+    # The climb stores each tour under the hash its step computed, not a
+    # fresh one: after three climbs that pass several filter doublings, every
+    # stored key's own hash must hit a set filter entry, and the mask must
+    # equal set membership along the last climb.
+    sets, paths = [], []
+
+    def kept(cap):
+        sets.append(VisitedSet(cap))
+        return sets[-1]
+
+    def traced(instance, start, visited, max_steps):
+        paths.append([])
+        return hill_climb(instance, start, visited, max_steps, lambda t, _: paths[-1].append(t))
+
+    monkeypatch.setattr(hillclimb, "VisitedSet", kept)
+    monkeypatch.setattr(hillclimb, "hill_climb", traced)
+    run_hc(att48, HcConfig(variant="modified", restarts=2, seed=11))
+    (vs,) = sets
+    assert len(paths) == 3 and vs._filter.size > hillclimb._FIRST_BITS
+    keys = np.frombuffer(b"".join(vs._seen), vs._dtype).reshape(len(vs), att48.n)
+    assert vs._filter[vs._hashes(keys) & np.uint64(vs._filter.size - 1)].all()
+    for t in paths[-1]:
+        assert vs.allowed(t.order).tolist() == [nb not in vs for nb in neighbors(t)]
 
 
 class TestEntryPointsAgree:

@@ -32,6 +32,7 @@ from tourbench.hillclimb import (
     HC_VARIANTS,
     HcConfig,
     VisitedSet,
+    hill_climb,
     run_hc,
     steepest_step,
 )
@@ -197,3 +198,60 @@ def test_steepest_step_matches_full_scan(metric, data):
         if visited is not None:
             visited.add(tour)
             forbidden.add(tuple(tour))
+
+
+def reference_climb(instance, start, visited):
+    """hill_climb written out plainly over reference_step, with a set of tuples or None."""
+    length = tour_length(instance, start)
+    if visited is not None:
+        if tuple(start) in visited:
+            return start.tolist(), float.hex(length), 0, 0, True
+        visited.add(tuple(start))
+    tour, best = start.tolist(), (start.tolist(), length)
+    steps = evaluations = 0
+    spent, trigger = visited is None, -np.inf
+    while True:
+        found = reference_step(instance, Tour(tour), visited if visited is not None else set())
+        if found is None:
+            break
+        neighbor, neighbor_length, evaluated = found[0], float.fromhex(found[1]), found[2]
+        evaluations += evaluated
+        if neighbor_length >= length:
+            if spent:
+                break
+            spent, trigger = True, length
+        tour, length = neighbor, neighbor_length
+        steps += 1
+        if visited is not None:
+            visited.add(tuple(tour))
+        if length < best[1]:
+            best = (tour, length)
+        if spent and length < trigger:
+            spent = False
+    return best[0], float.hex(best[1]), steps, evaluations, False
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=6)
+@given(st.data())
+def test_hill_climb_matches_reference_climb(metric, data):
+    # Two climbs sharing one set, on both sides of the screen's crossover; the
+    # second may start where the first did, which is an early-out. Integer
+    # grid points tie exactly and often.
+    n = data.draw(st.one_of(st.integers(9, 14), st.integers(_SCREEN_MIN_N, 30)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    modified = data.draw(st.sampled_from(HC_VARIANTS)) == "modified"
+    visited, expected_visited = (VisitedSet(), set()) if modified else (None, None)
+    first = Tour(rng.permutation(n))
+    for start in (first, data.draw(st.sampled_from([first, Tour(rng.permutation(n))]))):
+        best, length, steps, evaluations, early = hill_climb(instance, start, visited)
+        expected = reference_climb(instance, start, expected_visited)
+        assert (best.tolist(), float.hex(length), steps, evaluations, early) == expected
+    if modified:
+        assert len(visited) == len(expected_visited)
+        assert all(Tour(key) in visited for key in expected_visited)
