@@ -230,9 +230,9 @@ class HcConfig:
 # From this many points on the steepest step screens swaps by their length
 # change; below it, every allowed neighbor is measured in full. Timed per
 # step from random tours on uniform instances, with and without a visited
-# set, the two are within 8% of each other at n = 9 and 10, and the screen
-# takes 0.87-0.93 of the full scan's time at n = 12, 0.64-0.74 at n = 16
-# and 0.39-0.51 at n = 20. The cut stays at 16 until the benchmark's
+# set, the screen takes 1.15-1.26 of the full scan's time at n = 9,
+# 0.94-1.07 at n = 12, 0.77-0.84 at n = 16 and 0.41-0.63 at n = 20, so
+# the two cross near n = 13. The cut stays at 16 until the benchmark's
 # exact-small workload (n = 9..14) shows a lower one no slower end to end:
 # with the step's earlier per-call costs, screening at every size slowed it
 # from 41.3 to 38.7 trials/s in the median, in 5 of 5 alternating pairs.
@@ -336,12 +336,7 @@ def _step(
         picked = np.flatnonzero(deltas <= deltas.min() + band)
     else:
         picked = np.delete(np.arange(pairs.flat.size), stored)
-    if picked.size == 1:  # the usual survivor count of a screen
-        i, j = pairs.i[picked[0]], pairs.j[picked[0]]
-        rows = order.copy().reshape(1, n)
-        rows[0, i], rows[0, j] = order[j], order[i]
-    else:
-        rows = _neighbor_rows(order, picked)
+    rows = _neighbor_rows(order, picked)
     lengths = row_lengths(instance, rows)
     m = int(np.argmin(lengths))  # first minimum = lexicographically first pair
     return rows[m], float(lengths[m]), evaluated, None if hashes is None else hashes[picked[m]]

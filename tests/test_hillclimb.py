@@ -413,7 +413,7 @@ class TestHillClimbModified:
 
 def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
     # The climb stores each tour under the hash its step computed, not a
-    # fresh one: after three climbs that pass several filter doublings, every
+    # fresh one: after three climbs that pass two filter doublings, every
     # stored key's own hash must hit a set filter entry, and the mask must
     # equal set membership along the last climb.
     sets, paths = [], []
@@ -430,7 +430,7 @@ def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
     monkeypatch.setattr(hillclimb, "hill_climb", traced)
     run_hc(att48, HcConfig(variant="modified", restarts=2, seed=11))
     (vs,) = sets
-    assert len(paths) == 3 and vs._filter.size > hillclimb._FIRST_BITS
+    assert len(paths) == 3 and vs._filter.size >= hillclimb._FIRST_BITS << 2
     keys = np.frombuffer(b"".join(vs._seen), vs._dtype).reshape(len(vs), att48.n)
     assert vs._filter[vs._hashes(keys) & np.uint64(vs._filter.size - 1)].all()
     for t in paths[-1]:
