@@ -8,6 +8,7 @@ hill climbers.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -264,6 +265,14 @@ class Tour:
         self.order = arr
 
 
+@functools.cache
+def _successor(n: int) -> np.ndarray:
+    """Position p + 1 mod n for each position p of an n-point tour."""
+    successor = np.roll(np.arange(n, dtype=np.intp), -1)
+    successor.setflags(write=False)
+    return successor
+
+
 def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     """Closed-tour lengths of the k tours stored as the rows of a (k, n) array.
 
@@ -273,12 +282,14 @@ def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     all evaluate bit-for-bit equal. Every tour length in the library comes
     from here.
     """
-    if rows.ndim != 2 or rows.shape[1] != instance.n:
-        raise ValueError(f"tours of shape {rows.shape} for an instance of {instance.n} points")
-    nxt = np.empty_like(rows)
-    nxt[:, :-1] = rows[:, 1:]
-    nxt[:, -1] = rows[:, 0]
-    edges = instance.distance_table()[rows, nxt]
+    n = instance.n
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"tours of shape {rows.shape} for an instance of {n} points")
+    # Edge (a, b) sits at a * n + b of the raveled table. The index is intp,
+    # because rows of a narrow dtype times n would wrap.
+    flat = np.multiply(rows, n, dtype=np.intp)
+    flat += rows.take(_successor(n), axis=1)
+    edges = instance.distance_table().take(flat)
     edges.sort(axis=1)
     # np.cumsum is a sequential scan; np.sum pairs terms and may differ.
     return np.cumsum(edges, axis=1)[:, -1]

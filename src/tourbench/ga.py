@@ -252,15 +252,17 @@ class _Draws:
                 if below[at + len(hits)]:
                     hits.append(child)
         hits = np.array(hits, dtype=np.intp)
-        # One row of half slots per child, in draw order: its splits, then
-        # the swap's i and j, present only when it hits. A present half is a
-        # fresh word's low half when an even number of halves lies between it
-        # and an empty cache; otherwise it is the high half of the latest
-        # fresh word, whose position only grows along the rows.
-        width = halves + 2
+        # One row of half slots per child, in draw order: its splits, then,
+        # in a pass with a hit, the swap's i and j, present only when the
+        # child hits. A present half is a fresh word's low half when an even
+        # number of halves lies between it and an empty cache; otherwise it
+        # is the high half of the latest fresh word, whose position only
+        # grows along the rows.
+        width = halves + 2 if hits.size else halves
         present = np.ones((count, width), dtype=bool)
-        present[:, halves:] = False
-        present[hits, halves:] = True
+        if hits.size:
+            present[:, halves:] = False
+            present[hits, halves:] = True
         fresh = present & ((np.cumsum(present) + has) % 2 == 1).reshape(count, width)
         before = np.zeros(count * width + 1, dtype=np.intp)
         np.cumsum(fresh, out=before[1:])
@@ -273,15 +275,18 @@ class _Draws:
         value = np.where(fresh, word & _LOW32, word >> 32)
         value[source < 0] = self.cached
         # Lemire's multiply-shift on every half at once; absent halves pass.
-        product = value * self.spans
+        product = value * self.spans[:width]
         draw = product >> 32
-        ok = ((product & _LOW32 >= self.limits) | ~present).all(axis=1)
-        ok &= (draw[:, -2] != draw[:, -1]) | ~present[:, -1]
+        ok = ((product & _LOW32 >= self.limits[:width]) | ~present).all(axis=1)
+        if hits.size:
+            ok &= (draw[:, -2] != draw[:, -1]) | ~present[:, -1]
         bad = np.flatnonzero(~ok)
         done = int(bad[0]) if bad.size else count
 
         units, splits, swaps = out
-        spin = k[:done] * full + before[: done * width : width]
+        spin = k[:done] * full
+        if width:  # at n = 2 a pass without a hit has no half slots
+            spin += before[: done * width : width]
         units.append((words[spin[:, None] + np.arange(2)] >> 11) * _UNIT)
         if halves:
             splits.append(draw[:done, :halves].astype(np.intp) + 1)
@@ -289,7 +294,8 @@ class _Draws:
             splits.append(np.ones((done, self.columns), dtype=np.intp))
         kept = hits[hits < done]
         swap = np.empty((kept.size, 3), dtype=np.intp)
-        swap[:, 0], swap[:, 1:] = kept + first, draw[kept, halves:]
+        if kept.size:
+            swap[:, 0], swap[:, 1:] = kept + first, draw[kept, halves:]
         swaps.append(swap)
         used = done * full + int(before[done * width])
         if before[done * width]:
@@ -348,9 +354,9 @@ def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.nd
     pos = where_in_p1[p2 + rows]
     tails = np.arange(n) >= splits.T[:, :, None]
     children = np.array([p1] * splits.shape[1])
-    children[0][tails[0]] = p2[pos >= splits[:, :1]]
+    children[0][tails[0]] = np.compress((pos >= splits[:, :1]).ravel(), p2)
     if splits.shape[1] == 2:
-        children[1][:, ::-1][tails[1][:, ::-1]] = p2[pos >= splits[:, 1:]]
+        children[1][:, ::-1][tails[1][:, ::-1]] = np.compress((pos >= splits[:, 1:]).ravel(), p2)
     return children
 
 
@@ -455,9 +461,8 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
         units, splits, swaps = next(draws)
         wheel = _RouletteWheel(lengths)
         parents = wheel.land(units * wheel.total)
-        offspring, offspring_lengths = _offspring(
-            instance, population[parents[:, 0]], population[parents[:, 1]], splits
-        )
+        p1, p2 = population.take(parents.T, axis=0)
+        offspring, offspring_lengths = _offspring(instance, p1, p2, splits)
         evaluations += size * columns
         if swaps.size:
             rows, i, j = swaps.T

@@ -9,13 +9,11 @@ forbids revisiting any permutation and lets restarts that land on
 already-seen ground return immediately.
 
 A steepest step counts every allowed neighbor as evaluated but measures
-few of them in full. From ``_SCREEN_MIN_N`` points on it screens each swap
-by its length change, computed from the at most four edges the swap touches
-(Bentley 1992, "Fast algorithms for geometric traveling salesman
-problems"), and builds and measures with ``row_lengths`` only the
-neighbors whose screened change lies within a rigorous rounding band of
-the smallest. Below that size, where the screen costs more than it saves,
-every allowed neighbor is measured. Either way the step returns the first
+few of them in full. It screens each swap by its length change, computed
+from the at most four edges the swap touches (Bentley 1992, "Fast
+algorithms for geometric traveling salesman problems"), and builds and
+measures with ``row_lengths`` only the neighbors whose screened change lies
+within a rigorous rounding band of the smallest. The step returns the first
 exact minimum in pair order, the one a full scan would return.
 
 A climb walks on int64 order rows, and each step hands the visited set
@@ -227,16 +225,6 @@ class HcConfig:
         check_integer("seed", self.seed)
 
 
-# From this many points on the steepest step screens swaps by their length
-# change; below it, every allowed neighbor is measured in full. Timed per
-# step from random tours on uniform instances, with and without a visited
-# set, the screen takes 1.15-1.26 of the full scan's time at n = 9,
-# 0.94-1.07 at n = 12, 0.77-0.84 at n = 16 and 0.41-0.63 at n = 20, so
-# the two cross near n = 13. The cut stays at 16 until the benchmark's
-# exact-small workload (n = 9..14) shows a lower one no slower end to end:
-# with the step's earlier per-call costs, screening at every size slowed it
-# from 41.3 to 38.7 trials/s in the median, in 5 of 5 alternating pairs.
-_SCREEN_MIN_N = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -296,7 +284,10 @@ def _screen(
       for each of the two changes compared.
 
     The band is twice their sum, which absorbs the rounding of L and of the
-    band itself.
+    band itself. It is summed term by term, so it stays finite when L is
+    near float64's limit. ``Instance`` keeps n dmax finite, and the changes
+    stay within 4 dmax, or 2 dmax at three points; at two points the one
+    change can overflow, so ``_step`` does not screen there.
     """
     n = order.size
     _, _, flat, adjacent = _pairs(n)
@@ -311,7 +302,7 @@ def _screen(
     deltas[adjacent] += 2.0 * between.ravel()[flat[adjacent]]
     u = _UNIT_ROUNDOFF
     gamma = (n - 1) * u / (1 - (n - 1) * u)
-    band = 2 * (2 * gamma * (length + 4 * dmax) + 2 * 48 * u * dmax)
+    band = 4 * gamma * length + (16 * gamma + 4 * 48 * u) * dmax
     return deltas, band
 
 
@@ -330,12 +321,12 @@ def _step(
     evaluated = pairs.flat.size - stored.size
     if evaluated == 0:
         return None
-    if n >= _SCREEN_MIN_N:
+    if n == 2:  # the one neighbor, allowed; the screen could overflow
+        picked = np.zeros(1, dtype=np.intp)
+    else:
         deltas, band = _screen(instance.distance_table(), order, length, dmax)
         deltas[stored] = np.inf
         picked = np.flatnonzero(deltas <= deltas.min() + band)
-    else:
-        picked = np.delete(np.arange(pairs.flat.size), stored)
     rows = _neighbor_rows(order, picked)
     lengths = row_lengths(instance, rows)
     m = int(np.argmin(lengths))  # first minimum = lexicographically first pair

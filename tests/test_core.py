@@ -281,6 +281,22 @@ class TestTourLength:
         with pytest.raises(ValueError):
             row_lengths(square_instance(), np.zeros(shape, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
+    def test_row_lengths_of_narrow_rows_match_int64(self, dtype):
+        """Edges are gathered at city * n + successor; 47 * 48 does not fit a uint8."""
+        rng = np.random.default_rng(19)
+        inst = make_instance(rng.uniform(0, 1000, size=(48, 2)))
+        rows = random_rows(48, 30, rng)
+        np.testing.assert_array_equal(
+            row_lengths(inst, rows.astype(dtype)), row_lengths(inst, rows)
+        )
+
+    def test_row_lengths_rejects_a_city_past_the_table(self):
+        # City 3 starts the edge (3, 1), at flat index 3 * 3 + 1, past the 9 entries.
+        inst = make_instance([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(IndexError):
+            row_lengths(inst, np.array([[0, 3, 1]]))
+
     def test_reversal_and_rotation_are_exact(self):
         """Same cycle, same float, regardless of traversal."""
         rng = np.random.default_rng(17)

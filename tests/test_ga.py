@@ -407,7 +407,9 @@ class TestGenerationDraws:
         (7, 1), (7, 40), (8, 3), (8, 40), (11, 1), (11, 3), (11, 40), (200, 1), (200, 3), (200, 5),
     ])
     @pytest.mark.parametrize("n", [2, 3, 48])
-    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 1.0])
+    # At 0.02 and n = 2 or 3, where j == i often ends a pass, one take mixes
+    # passes with a hit (swap slots) and passes without (split slots only).
+    @pytest.mark.parametrize("rate", [0.0, 0.02, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
     def test_many_generations_per_call(self, size, generations, n, rate, primed):
         seed = generations * 100_000 + size * 100 + n

@@ -8,6 +8,7 @@ from helpers import make_instance, random_instance, square_instance
 from tourbench import hillclimb
 from tourbench.core import (
     ConfigurationError,
+    Metric,
     Tour,
     make_rng,
     neighbors,
@@ -305,6 +306,44 @@ class TestSteepestStep:
         assert tour == free_tour
         assert float.hex(length) == float.hex(free_length)
         assert evaluated == free_evaluated == 1128
+
+    def test_tours_near_the_float_limit_skip_forbidden_neighbors(self):
+        # Eight cities on each side of a gap of 1.79e308 / 17, the tour
+        # alternating sides: every edge spans the gap, so the tour is 16 gaps
+        # long, and its length plus 4 gaps overflows. A band summed that way
+        # is inf and lets the forbidden neighbors through.
+        gap = 1.79e308 / 17
+        inst = make_instance(
+            [(0, k) for k in range(8)] + [(gap, k) for k in range(8)], metric=Metric("manhattan")
+        )
+        t = Tour([c for k in range(8) for c in (k, 8 + k)])
+        _, best, _ = steepest_step(inst, t)
+        vs = VisitedSet()
+        for nb in neighbors(t):
+            if tour_length(inst, nb) == best:
+                vs.add(nb)
+        neighbor, length, _ = steepest_step(inst, t, forbidden=vs)
+        assert neighbor not in vs
+        assert length > best
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_small_tours_near_the_float_limit(self, n):
+        # Random points scaled until n times the longest edge nearly
+        # overflows, the most Instance accepts; at two points the swap's
+        # screened change is 4 times the edge.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            coords = rng.uniform(0.0, 1.0, size=(n, 2))
+            manhattan = Metric("manhattan")
+            longest = make_instance(coords, metric=manhattan).distance_table().max()
+            coords = (coords - coords.min(axis=0)) / longest  # the longest edge is now 1
+            inst = make_instance(coords * (1.79e308 / (1.001 * n)), metric=manhattan)
+            t = Tour(rng.permutation(n))
+            lengths = [tour_length(inst, nb) for nb in neighbors(t)]
+            neighbor, length, evaluated = steepest_step(inst, t)
+            assert length == min(lengths)
+            assert neighbor == list(neighbors(t))[lengths.index(length)]
+            assert evaluated == len(lengths)
 
     def test_matches_neighborhood_scan(self):
         rng = np.random.default_rng(61)

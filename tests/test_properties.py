@@ -28,7 +28,6 @@ from tourbench.ga import (
     run_ga,
 )
 from tourbench.hillclimb import (
-    _SCREEN_MIN_N,
     HC_VARIANTS,
     HcConfig,
     VisitedSet,
@@ -163,12 +162,10 @@ def reference_step(instance, tour, forbidden):
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_steepest_step_matches_full_scan(metric, data):
-    # Sizes on both sides of the screen's crossover, from 2 and 3 points, where
-    # every swap shares an edge; integer grid points tie exactly and often, and
-    # coincident ones give zero-length edges.
-    n = data.draw(st.one_of(
-        st.integers(2, _SCREEN_MIN_N - 1), st.integers(_SCREEN_MIN_N, _SCREEN_MIN_N + 16)
-    ))
+    # Small sizes, from 2 and 3 points, where every swap shares an edge, and
+    # larger ones; integer grid points tie exactly and often, and coincident
+    # ones give zero-length edges.
+    n = data.draw(st.one_of(st.integers(2, 15), st.integers(16, 32)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
         coords = rng.integers(0, 5, size=(n, 2)).astype(float)
@@ -235,10 +232,10 @@ def reference_climb(instance, start, visited):
 @settings(deadline=None, max_examples=6)
 @given(st.data())
 def test_hill_climb_matches_reference_climb(metric, data):
-    # Two climbs sharing one set, on both sides of the screen's crossover; the
-    # second may start where the first did, which is an early-out. Integer
-    # grid points tie exactly and often.
-    n = data.draw(st.one_of(st.integers(9, 14), st.integers(_SCREEN_MIN_N, 30)))
+    # Two climbs sharing one set, at the exact-small benchmark's sizes and
+    # larger ones; the second may start where the first did, which is an
+    # early-out. Integer grid points tie exactly and often.
+    n = data.draw(st.one_of(st.integers(9, 14), st.integers(16, 30)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
         coords = rng.integers(0, 5, size=(n, 2)).astype(float)
