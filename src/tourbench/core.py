@@ -281,6 +281,12 @@ def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     identical float. In particular a tour, its reversal, and its rotations
     all evaluate bit-for-bit equal. Every tour length in the library comes
     from here.
+
+    Rows may have any integer dtype, such as brute_force's int8. The entries
+    must be cities 0..n-1 and are not checked: a negative one can wrap
+    around the raveled table and give a finite length that is no tour's,
+    while one of n or more raises IndexError. Tour and tour_length are the
+    checked entry points.
     """
     n = instance.n
     if rows.ndim != 2 or rows.shape[1] != n:

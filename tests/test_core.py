@@ -297,6 +297,13 @@ class TestTourLength:
         with pytest.raises(IndexError):
             row_lengths(inst, np.array([[0, 3, 1]]))
 
+    def test_tour_length_rejects_a_negative_city(self):
+        # row_lengths would wrap -1 around the raveled table and give 8.0;
+        # the checked entry point refuses the order before any edge is read.
+        inst = make_instance([(0, 0), (3, 0), (0, 4)])
+        with pytest.raises(ValueError, match="exactly once"):
+            tour_length(inst, Tour([0, -1, 1]))
+
     def test_reversal_and_rotation_are_exact(self):
         """Same cycle, same float, regardless of traversal."""
         rng = np.random.default_rng(17)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,16 @@ from tourbench.oracle import (
     BRUTE_FORCE_MAX,
     HELD_KARP_MAX,
     ExactResult,
+    _pinned_tours,
     brute_force,
     held_karp,
 )
+
+
+def pinned_tours_by_permutations(n):
+    """Reference enumeration: one tuple per order, reflections skipped."""
+    rest = [p for p in itertools.permutations(range(1, n)) if p[0] <= p[-1]]
+    return np.array([(0,) + p for p in rest], dtype=np.int64)
 
 
 def held_karp_by_subset(instance):
@@ -110,9 +118,30 @@ class TestBruteForce:
             brute_force(inst)
 
     def test_nodes_expanded_counts_distinct_tours(self):
-        inst = random_instance(np.random.default_rng(2), 6)
         # (n-1)!/2 tours once rotations and reflections are removed
-        assert brute_force(inst).nodes_expanded == 60
+        for n in range(3, BRUTE_FORCE_MAX + 1):
+            inst = random_instance(np.random.default_rng(2), n)
+            assert brute_force(inst).nodes_expanded == math.factorial(n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(2, BRUTE_FORCE_MAX + 1))
+    def test_enumerates_the_permutation_reference_in_order(self, n):
+        tours = _pinned_tours(n)
+        assert tours.dtype == np.int8
+        np.testing.assert_array_equal(tours, pinned_tours_by_permutations(n))
+
+    def test_memory_stays_near_the_edge_arrays(self):
+        # row_lengths holds three float64 or intp arrays of one entry per
+        # edge. A tuple per tour plus an int64 copy of them went past 4x.
+        n = BRUTE_FORCE_MAX
+        inst = random_instance(np.random.default_rng(10), n)
+        edges = math.factorial(n - 1) // 2 * n * 8
+        tracemalloc.start()
+        try:
+            brute_force(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * edges
 
     def test_tie_break_is_lexicographic(self):
         # A duplicated point makes swapping cities 1 and 2 an exact tie.
