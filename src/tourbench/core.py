@@ -297,8 +297,10 @@ def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     flat += rows.take(_successor(n), axis=1)
     edges = instance.distance_table().take(flat)
     edges.sort(axis=1)
-    # np.cumsum is a sequential scan; np.sum pairs terms and may differ.
-    return np.cumsum(edges, axis=1)[:, -1]
+    # np.cumsum is a sequential scan; np.sum pairs terms and may differ. It
+    # runs in place, and the copy keeps the lengths from pinning the edges.
+    np.cumsum(edges, axis=1, out=edges)
+    return edges[:, -1].copy()
 
 
 def tour_length(instance: Instance, tour: Tour) -> float:

@@ -99,10 +99,8 @@ class _RouletteWheel:
     proportional to the longest length, so shorter tours are strictly
     favored while every member keeps a real chance. When every length is
     zero (duplicate points) the floor is 1, so every member weighs the same.
-    A draw is split in two so a generation can take all of its draws first:
-    ``spin`` takes one number from the rng (``_Draws`` decodes the same
-    numbers from raw words, as unit floats times ``total``), ``land`` maps a
-    batch of spins to members.
+    A spin is a unit float times ``total``, and ``land`` maps a batch of
+    spins to members, so a generation can take all of its draws first.
     """
 
     __slots__ = ("cum", "total")
@@ -112,9 +110,6 @@ class _RouletteWheel:
         weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
         self.cum = np.cumsum(weights)
         self.total = float(self.cum[-1])
-
-    def spin(self, rng: np.random.Generator) -> float:
-        return rng.random() * self.total
 
     def land(self, spins: list[float]) -> np.ndarray:
         k = np.searchsorted(self.cum, spins, side="right")
@@ -127,7 +122,7 @@ def select_parent(
     """Roulette-wheel pick over length-based weights; shorter is likelier."""
     lengths = np.array([length for _, length in population], dtype=np.float64)
     wheel = _RouletteWheel(lengths)
-    return population[int(wheel.land([wheel.spin(rng)])[0])][0]
+    return population[int(wheel.land([rng.random() * wheel.total])[0])][0]
 
 
 def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int] | None:
@@ -141,28 +136,6 @@ def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int]
     return i, j
 
 
-def _bounded(word, span: int, has: int, cached: int) -> tuple[int, int, int]:
-    """numpy's ``integers(span)`` on PCG64 words, for ``span`` up to 2**32.
-
-    Lemire's multiply-shift on ``next_uint32`` (Lemire 2019, "Fast random
-    integer generation in an interval"), redrawn while the low half of the
-    product is below 2**32 mod ``span``; ``span == 1`` takes no draw.
-    ``word`` yields the next raw word, and ``(has, cached)`` is the half-word
-    cache, returned updated with the value.
-    """
-    if span == 1:
-        return 0, has, cached
-    threshold = (1 << 32) % span
-    while True:
-        if has:
-            has, m = 0, cached * span
-        else:
-            w = word()
-            has, cached, m = 1, w >> 32, (w & _LOW32) * span
-        if m & _LOW32 >= threshold:
-            return m >> 32, has, cached
-
-
 class _Draws:
     """Every random draw of ``run_ga``'s generations, decoded from raw PCG64 words.
 
@@ -172,9 +145,10 @@ class _Draws:
     hits, ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The
     numbers, the words taken and the half-word cache equal those calls'.
 
-    The cache is read from ``bit_generator.state`` once; after that the
-    words come from ``random_raw`` blocks, so the Generator is left
-    mid-stream and must not be drawn from again. ``take`` decodes many
+    The cache is read from ``bit_generator.state`` once and then kept in
+    ``has`` and ``cached``; ``words`` holds the words drawn from the bit
+    generator with ``random_raw`` and not yet taken, so the bit generator
+    runs ahead of the draws by ``words.size``. ``take`` decodes many
     children per pass. Without rejections and mutation hits, every draw's
     word has a closed-form position: each child takes ``full`` whole words
     plus the 32-bit halves it starts fresh, and a half starts a fresh word
@@ -182,15 +156,15 @@ class _Draws:
     hit takes one more word and keeps the parity, so one walk over the rate
     words places every hit; all acceptance tests are then one array
     expression. The first child with a Lemire rejection or ``j == i`` is
-    decoded alone with ``_bounded``, and the pass resumes after it.
+    drawn by ``_child`` with the Generator's own calls, and the pass resumes
+    after it.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
-        state = rng.bit_generator.state
+        self.rng, self.bits = rng, rng.bit_generator
+        state = self.bits.state
         self.has, self.cached = state["has_uint32"], state["uinteger"]
-        self.random_raw = rng.bit_generator.random_raw
-        self.words = np.empty(0, dtype=np.uint64)  # drawn and not yet taken
-        self.taken = 0
+        self.words = np.empty(0, dtype=np.uint64)
         self.n, self.columns, self.rate = n, columns, rate
         self.halves = columns if n > 2 else 0  # 32-bit split draws per child
         self.full = 2 + (rate > 0.0)  # whole words per child without a hit
@@ -241,7 +215,7 @@ class _Draws:
         # The most words the children can take without a rejection.
         need = count * full + (count * (halves + 2) + 1) // 2
         if self.words.size < need:
-            self.words = np.concatenate([self.words, self.random_raw(need - self.words.size)])
+            self.words = np.concatenate([self.words, self.bits.random_raw(need - self.words.size)])
         words = self.words
         hits = []
         if rate > 0.0:
@@ -302,36 +276,31 @@ class _Draws:
             self.cached = int(word.flat[done * width - 1] >> 32)
         self.has = (has + done * halves + 2 * len(swap)) % 2
         self.words = words[used:]
-        self.taken += used
         return done
 
     def _child(self, child: int, out: tuple[list, list, list]) -> None:
-        """Decode one child draw by draw, rejections and redraws included."""
-        n, buf, used = self.n, self.words, 0
+        """Draw one child with per-child Generator calls, rejections and redraws included.
 
-        def word() -> int:
-            nonlocal buf, used
-            if used == buf.size:
-                buf = np.concatenate([buf, self.random_raw(16)])
-            used += 1
-            return int(buf[used - 1])
-
+        The bit generator is stepped back over the untaken words: PCG64's
+        period is 2**128, so advancing by 2**128 - k steps back k words. It
+        gets the half-word cache, makes the child's calls, and hands the
+        cache back; the buffer is then empty.
+        """
+        rng, bits, n = self.rng, self.bits, self.n
+        if self.words.size:
+            bits.advance((1 << 128) - self.words.size)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = self.has, self.cached
+        bits.state = state
         units, splits, swaps = out
-        units.append(np.array([[(word() >> 11) * _UNIT, (word() >> 11) * _UNIT]]))
-        row, has, cached = [], self.has, self.cached
-        for _ in range(self.columns):
-            s, has, cached = _bounded(word, n - 1, has, cached)
-            row.append(s + 1)
-        splits.append(np.array([row], dtype=np.intp))
-        if self.rate > 0.0 and (word() >> 11) * _UNIT < self.rate:
-            i, has, cached = _bounded(word, n, has, cached)
-            j, has, cached = _bounded(word, n, has, cached)
-            while j == i:
-                j, has, cached = _bounded(word, n, has, cached)
-            swaps.append(np.array([[child, i, j]], dtype=np.intp))
-        self.has, self.cached = has, cached
-        self.words = buf[used:]
-        self.taken += used
+        units.append(rng.random((1, 2)))
+        splits.append(rng.integers(1, n, size=(1, self.columns)))
+        swap = _draw_swap(n, self.rate, rng)
+        if swap is not None:
+            swaps.append(np.array([[child, *swap]], dtype=np.intp))
+        state = bits.state
+        self.has, self.cached = state["has_uint32"], state["uinteger"]
+        self.words = self.words[:0]
 
 
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:

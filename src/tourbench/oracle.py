@@ -56,9 +56,9 @@ def brute_force(instance: Instance) -> ExactResult:
     the lexicographically smallest order.
 
     The tours come from _pinned_tours as one int8 array, and row_lengths
-    evaluates them in one batch: at n = 10, 181,440 rows in about 50 ms (5 ms
-    at n = 9) on a 2-core shared Xeon, with a peak of about 43 MiB, nearly
-    all of it row_lengths' arrays of one float64 or intp per edge.
+    evaluates them in one batch: at n = 10, 181,440 rows in about 45 ms (5 ms
+    at n = 9) on a 2-core shared Xeon, with a peak of about 31 MiB, nearly
+    all of it row_lengths' two arrays of one float64 or intp per edge.
     """
     _check_size(instance, BRUTE_FORCE_MAX, "brute_force")
     tours = _pinned_tours(instance.n)

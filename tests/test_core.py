@@ -276,6 +276,13 @@ class TestTourLength:
                 total += e
             assert length == total
 
+    def test_row_lengths_own_their_memory(self):
+        # A view of the last column of the (k, n) sums would keep all of them alive.
+        rng = np.random.default_rng(23)
+        inst = make_instance(rng.uniform(0, 1000, size=(48, 2)))
+        lengths = row_lengths(inst, random_rows(48, 30, rng))
+        assert lengths.base is None
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5)])
     def test_row_lengths_rejects_bad_shape(self, shape):
         with pytest.raises(ValueError):

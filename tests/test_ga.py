@@ -355,6 +355,16 @@ def _reference_draws(rng, wheel, n, columns, rate):
     return spins, splits, swaps
 
 
+def _assert_same_position(draws, rng):
+    """Step ``draws``' bit generator back over its untaken words; it then stands where ``rng`` does."""
+    if draws.words.size:
+        draws.bits.advance((1 << 128) - draws.words.size)
+        draws.words = draws.words[:0]
+    state = rng.bit_generator.state
+    assert draws.bits.state["state"] == state["state"]
+    assert (draws.has, draws.cached) == (state["has_uint32"], state["uinteger"])
+
+
 class TestGenerationDraws:
     """The chunked raw-word decode takes exactly the draws the Generator calls take."""
 
@@ -382,14 +392,10 @@ class TestGenerationDraws:
             )
             assert decoded == _reference_draws(theirs, wheel, n, columns, rate)
             lengths = np.roll(lengths, 1)
-        # The decode took exactly the reference's words and left its half-word cache.
-        taken = np.random.PCG64()
-        taken.state = start
-        taken.advance(draws.taken)
-        state = theirs.bit_generator.state
-        assert taken.state["state"] == state["state"]
-        assert (draws.has, draws.cached) == (state["has_uint32"], state["uinteger"])
-        return draws
+        # Stepped back over its untaken words, the bit generator stands where
+        # the reference's does, and the decode holds the reference's cache.
+        _assert_same_position(draws, theirs)
+        return draws, start
 
     @pytest.mark.parametrize("size", [7, 8])
     @pytest.mark.parametrize("n", [2, 3, 48])
@@ -419,7 +425,7 @@ class TestGenerationDraws:
     def test_odd_baseline_generation_leaves_half_a_word(self):
         # Seven baseline children take seven 32-bit split draws, so the next
         # generation starts with the cache full.
-        draws = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
+        draws, _ = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
         assert draws.has == 1
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
@@ -429,9 +435,40 @@ class TestGenerationDraws:
         # and redrawn, both for the splits and for the swap positions.
         n, size, columns = 3 << 30, 64, 2
         lengths = make_rng(n).uniform(1.0, 100.0, size)
-        draws = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
+        draws, start = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
         fewest = size * (2 + (rate > 0.0)) + (size * columns - primed + 1) // 2
-        assert draws.taken > fewest + 4
+        # Count the words taken by stepping a probe from the start to where
+        # the rewound bit generator stands.
+        probe = np.random.PCG64()
+        probe.state = start
+        end = draws.bits.state["state"]
+        taken = 0
+        while probe.state["state"] != end:
+            assert taken < 4 * fewest, "the decode's end is not on the stream"
+            probe.random_raw()
+            taken += 1
+        assert taken > fewest + 4
+
+    @pytest.mark.parametrize("buffered", [0, 5])
+    @pytest.mark.parametrize("n", [3, 48])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_child_makes_the_generator_calls(self, buffered, n, primed):
+        # _child takes over from a pass: the bit generator may have run
+        # ahead by untaken words, and the cache lives in the decoder.
+        for seed in range(20):
+            ours, theirs = make_rng(seed), make_rng(seed)
+            if primed:
+                ours.integers(5), theirs.integers(5)
+            draws = _Draws(ours, n, 2, 1.0)
+            draws.words = draws.bits.random_raw(buffered)
+            out = ([], [], [])
+            draws._child(9, out)
+            units, splits, swaps = (np.concatenate(parts).tolist() for parts in out)
+            assert units == [[theirs.random(), theirs.random()]]
+            assert splits == [[int(theirs.integers(1, n)), int(theirs.integers(1, n))]]
+            assert swaps == [[9, *ga._draw_swap(n, 1.0, theirs)]]
+            assert draws.words.size == 0
+            _assert_same_position(draws, theirs)
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
