@@ -92,28 +92,21 @@ class GaConfig:
         check_integer("seed", self.seed)
 
 
-class _RouletteWheel:
-    """Cumulative selection weights for one fixed population.
+def _land(lengths: np.ndarray, units: np.ndarray | float) -> np.ndarray:
+    """Members a roulette wheel over ``lengths`` lands on for unit floats ``units``.
 
     Weight of a member is (longest length - own length) plus a floor
     proportional to the longest length, so shorter tours are strictly
     favored while every member keeps a real chance. When every length is
     zero (duplicate points) the floor is 1, so every member weighs the same.
-    A spin is a unit float times ``total``, and ``land`` maps a batch of
-    spins to members, so a generation can take all of its draws first.
+    A spin is a unit float times the weights' total, so a generation can
+    take all of its unit draws first.
     """
-
-    __slots__ = ("cum", "total")
-
-    def __init__(self, lengths: np.ndarray) -> None:
-        longest = float(lengths.max())
-        weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
-        self.cum = np.cumsum(weights)
-        self.total = float(self.cum[-1])
-
-    def land(self, spins: list[float]) -> np.ndarray:
-        k = np.searchsorted(self.cum, spins, side="right")
-        return np.minimum(k, self.cum.size - 1)
+    longest = float(lengths.max())
+    weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
+    cum = np.cumsum(weights)
+    k = np.searchsorted(cum, units * float(cum[-1]), side="right")
+    return np.minimum(k, cum.size - 1)
 
 
 def select_parent(
@@ -121,8 +114,7 @@ def select_parent(
 ) -> Tour:
     """Roulette-wheel pick over length-based weights; shorter is likelier."""
     lengths = np.array([length for _, length in population], dtype=np.float64)
-    wheel = _RouletteWheel(lengths)
-    return population[int(wheel.land([rng.random() * wheel.total])[0])][0]
+    return population[int(_land(lengths, rng.random()))][0]
 
 
 def _draw_swap(n: int, rate: float, rng: np.random.Generator) -> tuple[int, int] | None:
@@ -145,26 +137,25 @@ class _Draws:
     hits, ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The
     numbers, the words taken and the half-word cache equal those calls'.
 
-    The cache is read from ``bit_generator.state`` once and then kept in
-    ``has`` and ``cached``; ``words`` holds the words drawn from the bit
-    generator with ``random_raw`` and not yet taken, so the bit generator
-    runs ahead of the draws by ``words.size``. ``take`` decodes many
-    children per pass. Without rejections and mutation hits, every draw's
-    word has a closed-form position: each child takes ``full`` whole words
-    plus the 32-bit halves it starts fresh, and a half starts a fresh word
-    exactly when it follows an even number of halves from an empty cache. A
-    hit takes one more word and keeps the parity, so one walk over the rate
+    The Generator holds the stream between passes: each pass reads the
+    half-word cache from ``bit_generator.state``, draws with ``random_raw``
+    the most words its children can take, and hands back the words they did
+    not take and the cache they leave, so between passes the Generator
+    stands where per-child calls would. ``take`` decodes many children per
+    pass.
+    Without rejections and mutation hits, every draw's word has a
+    closed-form position: each child takes ``full`` whole words plus the
+    32-bit halves it starts fresh, and a half starts a fresh word exactly
+    when it follows an even number of halves from an empty cache. A hit
+    takes one more word and keeps the parity, so one walk over the rate
     words places every hit; all acceptance tests are then one array
     expression. The first child with a Lemire rejection or ``j == i`` is
-    drawn by ``_child`` with the Generator's own calls, and the pass resumes
-    after it.
+    drawn by ``_child`` with the Generator's own calls, and the next pass
+    starts after it.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
         self.rng, self.bits = rng, rng.bit_generator
-        state = self.bits.state
-        self.has, self.cached = state["has_uint32"], state["uinteger"]
-        self.words = np.empty(0, dtype=np.uint64)
         self.n, self.columns, self.rate = n, columns, rate
         self.halves = columns if n > 2 else 0  # 32-bit split draws per child
         self.full = 2 + (rate > 0.0)  # whole words per child without a hit
@@ -209,14 +200,22 @@ class _Draws:
             )
 
     def _prefix(self, count: int, first: int, out: tuple[list, list, list]) -> int:
-        """Decode children up to the first that rejects or redraws; return how many."""
-        rate, full, halves, has = self.rate, self.full, self.halves, self.has
+        """Decode children up to the first that rejects or redraws; return how many.
+
+        The pass draws the most words its children can take, and then steps
+        the bit generator back over the words they did not take: PCG64's
+        period is 2**128, so advancing by 2**128 - k steps back k words. The
+        step empties the half-word cache, so the pass writes its cache after.
+        """
+        rate, full, halves = self.rate, self.full, self.halves
+        state = self.bits.state
+        has, cached = state["has_uint32"], state["uinteger"]
         k = np.arange(count)
-        # The most words the children can take without a rejection.
-        need = count * full + (count * (halves + 2) + 1) // 2
-        if self.words.size < need:
-            self.words = np.concatenate([self.words, self.bits.random_raw(need - self.words.size)])
-        words = self.words
+        # The most words the children can take without a rejection: the
+        # whole words, and a fresh word for every other half, i and j only
+        # at a nonzero rate.
+        need = count * full + (count * (halves + 2 * (rate > 0.0)) + 1 - has) // 2
+        words = self.bits.random_raw(need)
         hits = []
         if rate > 0.0:
             # Child k's rate word, if no child before it hits; each hit moves it one on.
@@ -247,7 +246,7 @@ class _Draws:
         source = np.maximum.accumulate(np.where(fresh, at, -1).ravel()).reshape(count, width)
         word = words[source]
         value = np.where(fresh, word & _LOW32, word >> 32)
-        value[source < 0] = self.cached
+        value[source < 0] = cached
         # Lemire's multiply-shift on every half at once; absent halves pass.
         product = value * self.spans[:width]
         draw = product >> 32
@@ -273,34 +272,22 @@ class _Draws:
         swaps.append(swap)
         used = done * full + int(before[done * width])
         if before[done * width]:
-            self.cached = int(word.flat[done * width - 1] >> 32)
-        self.has = (has + done * halves + 2 * len(swap)) % 2
-        self.words = words[used:]
+            cached = int(word.flat[done * width - 1] >> 32)
+        self.bits.advance((1 << 128) - (need - used))
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = (has + done * halves + 2 * len(swap)) % 2, cached
+        self.bits.state = state
         return done
 
     def _child(self, child: int, out: tuple[list, list, list]) -> None:
-        """Draw one child with per-child Generator calls, rejections and redraws included.
-
-        The bit generator is stepped back over the untaken words: PCG64's
-        period is 2**128, so advancing by 2**128 - k steps back k words. It
-        gets the half-word cache, makes the child's calls, and hands the
-        cache back; the buffer is then empty.
-        """
-        rng, bits, n = self.rng, self.bits, self.n
-        if self.words.size:
-            bits.advance((1 << 128) - self.words.size)
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = self.has, self.cached
-        bits.state = state
+        """Draw one child with per-child Generator calls, rejections and redraws included."""
+        rng, n = self.rng, self.n
         units, splits, swaps = out
         units.append(rng.random((1, 2)))
         splits.append(rng.integers(1, n, size=(1, self.columns)))
         swap = _draw_swap(n, self.rate, rng)
         if swap is not None:
             swaps.append(np.array([[child, *swap]], dtype=np.intp))
-        state = bits.state
-        self.has, self.cached = state["has_uint32"], state["uinteger"]
-        self.words = self.words[:0]
 
 
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
@@ -428,8 +415,7 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     stall = 0
     while generations < config.max_generations and stall < config.max_stall_generations:
         units, splits, swaps = next(draws)
-        wheel = _RouletteWheel(lengths)
-        parents = wheel.land(units * wheel.total)
+        parents = _land(lengths, units)
         p1, p2 = population.take(parents.T, axis=0)
         offspring, offspring_lengths = _offspring(instance, p1, p2, splits)
         evaluations += size * columns

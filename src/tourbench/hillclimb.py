@@ -107,7 +107,7 @@ class VisitedSet:
     A bool filter (Bloom 1970, "Space/time trade-offs in hash coding with
     allowable errors", with one hash) is set at the low bits of each stored
     tour's 64-bit Zobrist hash (Zobrist 1970): the XOR of one random word per
-    (position, city). A swap trades four of those words, so ``allowed``
+    (position, city). A swap trades four of those words, so ``_forbidden``
     hashes all n(n-1)/2 neighbors of a tour in one array expression without
     building them, and builds and looks up in the set only the neighbors
     whose filter entry is set. A hash collision thus costs a lookup but
@@ -177,15 +177,6 @@ class VisitedSet:
 
     def __len__(self) -> int:
         return len(self._seen)
-
-    def allowed(self, order: np.ndarray) -> np.ndarray:
-        """Mask over the transposition neighbors of ``order``, in pair order.
-
-        True where the neighbor is not stored.
-        """
-        allowed = np.ones(_pairs(order.size).flat.size, dtype=bool)
-        allowed[self._forbidden(order)[0]] = False
-        return allowed
 
     def _forbidden(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Pair indices of the stored neighbors of ``order``, and every neighbor's hash.

@@ -22,7 +22,7 @@ from tourbench.ga import (
     CROSSOVER_VARIANTS,
     GaConfig,
     _Draws,
-    _RouletteWheel,
+    _land,
     crossover_baseline,
     mutate,
     run_ga,
@@ -339,12 +339,26 @@ class TestRunGa:
             run_ga(make_instance([(0, 0)]), GaConfig())
 
 
-def _reference_draws(rng, wheel, n, columns, rate):
+class TestLand:
+    def test_matches_searchsorted_over_the_weights(self):
+        rng = make_rng(4)
+        for lengths in (rng.uniform(1.0, 100.0, 9), np.zeros(5), np.array([3.0, 3.0, 1.0, 3.0])):
+            longest = lengths.max()
+            weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
+            cum = np.cumsum(weights)
+            # A unit of 1.0 spins exactly the total, past the last boundary:
+            # it lands on the last member.
+            units = np.append(rng.random(200), [0.0, 1.0])
+            expected = np.searchsorted(cum, units * cum[-1], "right")
+            assert expected[-1] == lengths.size
+            assert _land(lengths, units).tolist() == np.minimum(expected, lengths.size - 1).tolist()
+
+
+def _reference_draws(rng, size, n, columns, rate):
     """One generation's draws as per-child Generator calls, in run_ga's order."""
-    size = wheel.cum.size
-    spins, splits, swaps = [], [], []
+    units, splits, swaps = [], [], []
     for child in range(size):
-        spins += [rng.random() * wheel.total for _ in range(2)]
+        units += [rng.random() for _ in range(2)]
         splits += [int(rng.integers(1, n)) for _ in range(columns)]
         if rate > 0.0 and rng.random() < rate:
             i = int(rng.integers(n))
@@ -352,48 +366,52 @@ def _reference_draws(rng, wheel, n, columns, rate):
             while j == i:
                 j = int(rng.integers(n))
             swaps.append((child, i, j))
-    return spins, splits, swaps
+    return units, splits, swaps
+
+
+def _decoded(units, splits, swaps):
+    """Draws as ``_reference_draws`` lists them."""
+    return units.ravel().tolist(), splits.ravel().tolist(), [tuple(row) for row in swaps.tolist()]
 
 
 def _assert_same_position(draws, rng):
-    """Step ``draws``' bit generator back over its untaken words; it then stands where ``rng`` does."""
-    if draws.words.size:
-        draws.bits.advance((1 << 128) - draws.words.size)
-        draws.words = draws.words[:0]
-    state = rng.bit_generator.state
-    assert draws.bits.state["state"] == state["state"]
-    assert (draws.has, draws.cached) == (state["has_uint32"], state["uinteger"])
+    """``draws``' Generator stands where ``rng`` does, half-word cache included."""
+    assert draws.bits.state == rng.bit_generator.state
 
 
 class TestGenerationDraws:
     """The chunked raw-word decode takes exactly the draws the Generator calls take."""
 
-    def _assert_matches(self, seed, lengths, n, columns, rate, primed, generations=3):
-        """Decode ``generations`` generations in one call; the reference takes one per call."""
+    def _assert_matches(self, seed, size, n, columns, rate, primed, generations=3, by_generation=False):
+        """Decode ``generations`` generations of ``size`` children; the reference takes one per call.
+
+        The decode takes them all in one ``take`` call, or ``by_generation``
+        through ``generations``, as ``run_ga`` does.
+        """
         ours, theirs = make_rng(seed), make_rng(seed)
         if primed:
             # One 32-bit draw leaves the high half of its word cached.
             ours.integers(5), theirs.integers(5)
         start = ours.bit_generator.state
         assert start["has_uint32"] == primed
-        size = lengths.size
         draws = _Draws(ours, n, columns, rate)
-        units, splits, swaps = draws.take(generations * size)
-        assert units.shape == (generations * size, 2)
-        assert splits.shape == (generations * size, columns)
-        swaps = swaps.tolist()
-        for g in range(generations):
-            wheel = _RouletteWheel(lengths)
-            first, end = g * size, (g + 1) * size
-            decoded = (
-                (units[first:end] * wheel.total).ravel().tolist(),
-                splits[first:end].ravel().tolist(),
-                [(child - first, i, j) for child, i, j in swaps if first <= child < end],
-            )
-            assert decoded == _reference_draws(theirs, wheel, n, columns, rate)
-            lengths = np.roll(lengths, 1)
-        # Stepped back over its untaken words, the bit generator stands where
-        # the reference's does, and the decode holds the reference's cache.
+        if by_generation:
+            decoded = [_decoded(*parts) for parts in draws.generations(size, generations)]
+        else:
+            units, splits, swaps = draws.take(generations * size)
+            assert units.shape == (generations * size, 2)
+            assert splits.shape == (generations * size, columns)
+            generation = swaps[:, 0] // size
+            swaps[:, 0] %= size
+            decoded = [
+                _decoded(*(part[g * size : (g + 1) * size] for part in (units, splits)),
+                         swaps[generation == g])
+                for g in range(generations)
+            ]
+        assert len(decoded) == generations
+        for parts in decoded:
+            assert parts == _reference_draws(theirs, size, n, columns, rate)
+        # Between passes the Generator stands where the reference's does.
         _assert_same_position(draws, theirs)
         return draws, start
 
@@ -402,11 +420,10 @@ class TestGenerationDraws:
     @pytest.mark.parametrize("columns", [1, 2])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
-    @pytest.mark.parametrize("uniform", [False, True])
-    def test_matches_generator_calls(self, size, n, columns, rate, primed, uniform):
+    @pytest.mark.parametrize("by_generation", [False, True])
+    def test_matches_generator_calls(self, size, n, columns, rate, primed, by_generation):
         seed = size * 1000 + n * 10 + columns
-        lengths = np.zeros(size) if uniform else make_rng(seed).uniform(1.0, 100.0, size)
-        self._assert_matches(seed, lengths, n, columns, rate, primed)
+        self._assert_matches(seed, size, n, columns, rate, primed, by_generation=by_generation)
 
     # run_ga decodes about 1,024 children per call: five generations at 200.
     @pytest.mark.parametrize("size,generations", [
@@ -419,14 +436,13 @@ class TestGenerationDraws:
     @pytest.mark.parametrize("primed", [False, True])
     def test_many_generations_per_call(self, size, generations, n, rate, primed):
         seed = generations * 100_000 + size * 100 + n
-        lengths = make_rng(seed).uniform(1.0, 100.0, size)
-        self._assert_matches(seed, lengths, n, 2, rate, primed, generations)
+        self._assert_matches(seed, size, n, 2, rate, primed, generations)
 
     def test_odd_baseline_generation_leaves_half_a_word(self):
         # Seven baseline children take seven 32-bit split draws, so the next
         # generation starts with the cache full.
-        draws, _ = self._assert_matches(3, np.arange(1.0, 8.0), 48, 1, 0.0, False, generations=1)
-        assert draws.has == 1
+        draws, _ = self._assert_matches(3, 7, 48, 1, 0.0, False, generations=1)
+        assert draws.rng.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
@@ -434,11 +450,10 @@ class TestGenerationDraws:
         # At n = 3 * 2**30 about a quarter of the 32-bit draws are rejected
         # and redrawn, both for the splits and for the swap positions.
         n, size, columns = 3 << 30, 64, 2
-        lengths = make_rng(n).uniform(1.0, 100.0, size)
-        draws, start = self._assert_matches(5, lengths, n, columns, rate, primed, generations=1)
+        draws, start = self._assert_matches(5, size, n, columns, rate, primed, generations=1)
         fewest = size * (2 + (rate > 0.0)) + (size * columns - primed + 1) // 2
         # Count the words taken by stepping a probe from the start to where
-        # the rewound bit generator stands.
+        # the bit generator stands.
         probe = np.random.PCG64()
         probe.state = start
         end = draws.bits.state["state"]
@@ -449,25 +464,24 @@ class TestGenerationDraws:
             taken += 1
         assert taken > fewest + 4
 
-    @pytest.mark.parametrize("buffered", [0, 5])
+    @pytest.mark.parametrize("passed", [0, 5])
     @pytest.mark.parametrize("n", [3, 48])
     @pytest.mark.parametrize("primed", [False, True])
-    def test_child_makes_the_generator_calls(self, buffered, n, primed):
-        # _child takes over from a pass: the bit generator may have run
-        # ahead by untaken words, and the cache lives in the decoder.
+    def test_child_makes_the_generator_calls(self, passed, n, primed):
+        # _child takes over from the start or from a pass of up to
+        # ``passed`` children, which hands the stream back where the
+        # reference's calls leave it; at n = 3 and rate 1 the pass often
+        # stops early at a j == i redraw, which _child then draws.
         for seed in range(20):
             ours, theirs = make_rng(seed), make_rng(seed)
             if primed:
                 ours.integers(5), theirs.integers(5)
             draws = _Draws(ours, n, 2, 1.0)
-            draws.words = draws.bits.random_raw(buffered)
             out = ([], [], [])
-            draws._child(9, out)
-            units, splits, swaps = (np.concatenate(parts).tolist() for parts in out)
-            assert units == [[theirs.random(), theirs.random()]]
-            assert splits == [[int(theirs.integers(1, n)), int(theirs.integers(1, n))]]
-            assert swaps == [[9, *ga._draw_swap(n, 1.0, theirs)]]
-            assert draws.words.size == 0
+            done = draws._prefix(passed, 0, out) if passed else 0
+            draws._child(done, out)
+            decoded = _decoded(*(np.concatenate(parts) for parts in out))
+            assert decoded == _reference_draws(theirs, done + 1, n, 2, 1.0)
             _assert_same_position(draws, theirs)
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
