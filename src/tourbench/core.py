@@ -1,9 +1,7 @@
 """Tours, metrics, and tour-length evaluation for planar TSP instances.
 
 Candidate solutions are permutations of the point indices, read as closed
-tours. Local-search moves swap two positions of the permutation, so the
-neighborhood helpers here define the transposition graph used by the
-hill climbers.
+tours.
 """
 
 from __future__ import annotations
@@ -26,13 +24,10 @@ __all__ = [
     "check_count",
     "check_integer",
     "make_rng",
-    "neighbors",
     "random_rows",
     "random_tour",
-    "reverse",
     "row_lengths",
     "tour_length",
-    "transpose",
 ]
 
 
@@ -123,20 +118,6 @@ class Metric:
         if self.kind in ("euclidean", "manhattan"):
             return self.kind
         return f"{self.kind}:{float(self.wx)!r},{float(self.wy)!r}"
-
-    def distance(self, a: Point, b: Point) -> float:
-        # Scalar reference for pairwise(): the tests check the table against
-        # it entry by entry, so it must mirror pairwise() operation for
-        # operation. Evaluation itself reads the table.
-        dx = a.x - b.x
-        dy = a.y - b.y
-        if self.kind == "euclidean":
-            return math.sqrt(dx * dx + dy * dy)
-        if self.kind == "manhattan":
-            return abs(dx) + abs(dy)
-        if self.kind == "wmanhattan":
-            return self.wx * abs(dx) + self.wy * abs(dy)
-        return max(self.wx * abs(dx), self.wy * abs(dy))
 
     def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Full distance table for coordinate vectors ``xs`` and ``ys``."""
@@ -309,27 +290,6 @@ def tour_length(instance: Instance, tour: Tour) -> float:
     See row_lengths for the summation order.
     """
     return float(row_lengths(instance, tour.order[None, :])[0])
-
-
-def reverse(tour: Tour) -> Tour:
-    """The same cycle walked in the opposite direction."""
-    return Tour(tour.order[::-1])
-
-
-def transpose(tour: Tour, i: int, j: int) -> Tour:
-    """New tour with positions ``i`` and ``j`` swapped (``0 <= i < j < n``)."""
-    n = len(tour)
-    if not (0 <= i < j <= n - 1):
-        raise ValueError(f"positions must satisfy 0 <= i < j <= {n - 1}, got ({i}, {j})")
-    arr = tour.order.copy()
-    arr[i], arr[j] = arr[j], arr[i]
-    return Tour(arr)
-
-
-def neighbors(tour: Tour) -> Iterator[Tour]:
-    """All transposition neighbors, in lexicographic ``(i, j)`` position order."""
-    n = len(tour)
-    return (transpose(tour, i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 
 def random_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

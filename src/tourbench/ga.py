@@ -54,7 +54,10 @@ _LOW32 = 0xFFFFFFFF
 
 # Children whose draws run_ga decodes in one pass: whole generations, at
 # least one. After a child that rejects or redraws, the next pass spans
-# twice the run of children before it, and at least _MIN_WINDOW.
+# twice the run of children before it, and at least _MIN_WINDOW: a pass
+# decodes every child in its window however early one stops it, so passes
+# that spanned every child left would decode most of them again after each
+# stop (190,000 children for take(1000) at n = 3 and rate 1, against 6,800).
 _CHUNK_CHILDREN = 1024
 _MIN_WINDOW = 16
 

@@ -178,7 +178,7 @@ def bundled_instance(name: str, metric: Metric | None = None) -> Instance:
     path = resources.files("tourbench.data") / f"{name}.tsp"
     if not path.is_file():
         raise FileNotFoundError(f"no bundled instance named {name!r}; have {bundled_names()}")
-    return parse_tsplib(path.read_text(), metric=metric)
+    return parse_tsplib(decode_utf8(path.read_bytes(), str(path)), metric=metric)
 
 
 def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:
@@ -192,10 +192,16 @@ def load_instance(path: str | Path, metric: Metric | None = None) -> Instance:
 
 
 def decode_utf8(data: bytes, source: str) -> str:
-    """``data`` as UTF-8 text; ParseError naming ``source`` and the line otherwise."""
+    """``data`` as UTF-8 text, less one leading byte-order mark.
+
+    Bytes that are not UTF-8 raise ParseError naming ``source``, the offset
+    in ``data`` and the line as the parsers number it (by ``splitlines``,
+    so a lone carriage return ends a line too).
+    """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
+        # The bad byte stands where the "x" does, on the last line.
+        line = len((data[: err.start].decode("utf-8") + "x").splitlines())
         message = f"{source} is not UTF-8 text: {err.reason} at byte {err.start}"
         raise ParseError(message, line) from None

@@ -21,6 +21,7 @@ from tourbench.ga import GaConfig
 from tourbench.hillclimb import HcConfig
 
 SQUARE_TEXT = "0 0\n0 1\n1 1\n1 0\n"
+TSPLIB_SQUARE = "NAME : square\nDIMENSION : 4\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 1\n4 1 0\nEOF\n"
 
 
 @pytest.fixture
@@ -109,9 +110,17 @@ class TestSolve:
         assert code == EXIT_OK
         assert out.splitlines()[:3] == ["instance stdin", "n 4", "metric euclidean"]
 
+    @pytest.mark.parametrize("text", [SQUARE_TEXT, TSPLIB_SQUARE], ids=["coords", "tsplib"])
+    def test_reads_stdin_after_a_byte_order_mark(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", _stdin(b"\xef\xbb\xbf" + text.encode()))
+        code, out, err = run_cli(capsys, ["oracle", "--instance", "-", "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["optimal_length"] == 4.0
+
     @pytest.mark.parametrize("data,offset", [
         (b"0 0\n1 1\n2 \xff\n", 10),
         (b"0 0 # \xff\n1 1\n", 6),
+        (b"\xef\xbb\xbf0 0\n1 \xff\n", 9),  # counted from the file's first byte
     ])
     def test_stdin_that_is_not_utf8(self, capsys, monkeypatch, data, offset):
         # Decoded as UTF-8 whatever the locale: a bad byte in a coordinate

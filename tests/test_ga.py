@@ -1,10 +1,13 @@
+import collections
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from helpers import make_instance, random_instance, reversal_invariant_child, square_instance
+from reference import reverse
 from tourbench import ga
 from tourbench.core import (
     ConfigurationError,
@@ -13,7 +16,6 @@ from tourbench.core import (
     make_rng,
     random_rows,
     random_tour,
-    reverse,
     row_lengths,
     tour_length,
 )
@@ -75,42 +77,43 @@ class TestGaConfig:
 
 
 class TestSelectParent:
-    def _draw_counts(self, population, draws, seed=123):
-        rng = make_rng(seed)
-        counts = {}
-        for _ in range(draws):
-            t = select_parent(population, rng)
-            counts[t.key()] = counts.get(t.key(), 0) + 1
-        return counts
+    """Fed M evenly spaced units, each member is picked its weight share of M times, to within one."""
+
+    DRAWS = 1_000
+
+    def _draw_counts(self, population):
+        grid = iter((np.arange(self.DRAWS) + 0.5) / self.DRAWS)
+        units = types.SimpleNamespace(random=lambda: next(grid))  # its only draw is random()
+        counts = collections.Counter(
+            select_parent(population, units).key() for _ in range(self.DRAWS)
+        )
+        return [counts[t.key()] for t, _ in population]
 
     def test_equal_lengths_select_uniformly(self):
         tours = [Tour(np.roll(np.arange(4), k)) for k in range(4)]
-        population = [(t, 10.0) for t in tours]
-        counts = self._draw_counts(population, 10_000)
-        for t in tours:
-            assert 2_300 <= counts[t.key()] <= 2_700
+        counts = self._draw_counts([(t, 10.0) for t in tours])
+        for count in counts:
+            assert abs(count - self.DRAWS / 4) <= 1
 
     def test_shorter_is_strictly_likelier(self):
         short, long_ = Tour([0, 1, 2]), Tour([0, 2, 1])
-        counts = self._draw_counts([(short, 10.0), (long_, 30.0)], 20_000)
-        assert counts[short.key()] > counts[long_.key()]
+        short_count, long_count = self._draw_counts([(short, 10.0), (long_, 30.0)])
+        assert short_count > long_count
 
     def test_frequencies_match_weights(self):
-        """Draw frequencies track the roulette weights within 2 percent."""
         short, long_ = Tour([0, 1, 2]), Tour([0, 2, 1])
         lengths = (10.0, 30.0)
-        counts = self._draw_counts(list(zip((short, long_), lengths)), 100_000)
+        counts = self._draw_counts(list(zip((short, long_), lengths)))
         longest = max(lengths)
         weights = [(longest - v) + _WEIGHT_FLOOR * longest for v in lengths]
-        expected = weights[0] / sum(weights)
-        observed = counts[short.key()] / 100_000
-        assert abs(observed - expected) <= 0.02
+        for count, weight in zip(counts, weights):
+            assert abs(count - self.DRAWS * weight / sum(weights)) <= 1
 
     def test_all_zero_lengths_fall_back_to_uniform(self):
         tours = [Tour(np.roll(np.arange(4), k)) for k in range(4)]
-        counts = self._draw_counts([(t, 0.0) for t in tours], 4_000)
-        for t in tours:
-            assert 800 <= counts[t.key()] <= 1_200
+        counts = self._draw_counts([(t, 0.0) for t in tours])
+        for count in counts:
+            assert abs(count - self.DRAWS / 4) <= 1
 
 
 class TestCrossoverBaseline:
@@ -483,6 +486,22 @@ class TestGenerationDraws:
             decoded = _decoded(*(np.concatenate(parts) for parts in out))
             assert decoded == _reference_draws(theirs, done + 1, n, 2, 1.0)
             _assert_same_position(draws, theirs)
+
+    def test_window_grows_after_a_rare_child(self, monkeypatch):
+        # At n = 3 and rate 1, j == i stops about one child in three, so a
+        # pass that spanned every child left would decode most of them again
+        # after each stop: about 190,000 children for these 1,000.
+        decoded = 0
+        prefix = _Draws._prefix
+
+        def counting(draws, count, first, out):
+            nonlocal decoded
+            decoded += count
+            return prefix(draws, count, first, out)
+
+        monkeypatch.setattr(_Draws, "_prefix", counting)
+        _Draws(make_rng(1), 3, 2, 1.0).take(1_000)
+        assert decoded <= 10 * 1_000
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reversal_invariant_child
+from reference import neighbors, reference_step, reverse
 from tourbench.core import (
     Instance,
     Metric,
     Point,
     Tour,
-    neighbors,
-    reverse,
     row_lengths,
     tour_length,
 )
@@ -143,19 +142,6 @@ def test_solvers_report_their_tour_and_never_beat_the_optimum(metric, data):
     for result in results:
         assert result.best_length == tour_length(instance, result.best_tour)
         assert result.best_length >= floor
-
-
-def reference_step(instance, tour, forbidden):
-    """steepest_step written out plainly: every allowed neighbour, first minimum."""
-    best, evaluated = None, 0
-    for nb in neighbors(tour):
-        if tuple(nb) in forbidden:
-            continue
-        evaluated += 1
-        length = tour_length(instance, nb)
-        if best is None or length < best[1]:
-            best = (nb, length)
-    return None if best is None else (best[0].tolist(), float.hex(best[1]), evaluated)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)

@@ -217,3 +217,42 @@ def test_load_instance_rejects_bytes_that_are_not_utf8(tmp_path):
         load_instance(p)
     assert err.value.line == 3
     assert f"{p} is not UTF-8 text" in str(err.value)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "text,name,n", [(MINIMAL, "demo", 3), ("0 0\n0 3\n4 0\n", "bom", 3)], ids=["tsplib", "coords"]
+)
+def test_load_instance_skips_a_byte_order_mark(tmp_path, text, name, n):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(BOM + text.encode())
+    inst = load_instance(p)
+    assert (inst.name, inst.n) == (name, n)
+    assert inst.points == parse_instance_text(text).points
+
+
+def test_bad_byte_after_a_byte_order_mark_gives_the_file_offset(tmp_path):
+    # A decode that drops the mark first would count from after it, byte 6.
+    p = tmp_path / "bom.txt"
+    p.write_bytes(BOM + b"0 0\n1 \xff\n")
+    with pytest.raises(ParseError) as err:
+        load_instance(p)
+    assert err.value.line == 2
+    assert str(err.value).endswith("invalid start byte at byte 9")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\u2028"], ids=["lf", "crlf", "cr", "ls"])
+def test_bytes_that_are_not_utf8_get_the_parsers_line_number(tmp_path, end):
+    # The same row with an x in place of the bad byte fails to parse; both
+    # errors name the line that str.splitlines gives.
+    rows = [b"0 0", b"1 0", b"\xff 1", b"2 2"]
+    p = tmp_path / "rows.txt"
+    p.write_bytes(end.encode().join(rows))
+    with pytest.raises(ParseError) as decoding:
+        load_instance(p)
+    p.write_bytes(end.encode().join(rows).replace(b"\xff", b"x"))
+    with pytest.raises(ParseError, match="could not parse coordinates") as parsing:
+        load_instance(p)
+    assert decoding.value.line == parsing.value.line == 3
