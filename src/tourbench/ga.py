@@ -93,6 +93,10 @@ class GaConfig:
         if not isinstance(self.elitism, bool):
             raise ConfigurationError(f"elitism must be a bool, got {self.elitism!r}")
         check_integer("seed", self.seed)
+        # numpy scalars pass the checks; keep Python numbers, so every path compares in float64.
+        for name, kind in (("population_size", int), ("mutation_rate", float),
+                           ("max_generations", int), ("max_stall_generations", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def _land(lengths: np.ndarray, units: np.ndarray | float) -> np.ndarray:
@@ -139,6 +143,8 @@ class _Draws:
     then the mutation rate draw (``random()``, none at rate 0) and, when it
     hits, ``i``, ``j`` and the ``j == i`` redraws (``integers(n)``). The
     numbers, the words taken and the half-word cache equal those calls'.
+    Each child has one row in each of ``take``'s arrays, and a child the
+    rate draw missed has the swap (0, 0), which changes nothing.
 
     The Generator holds the stream between passes: each pass reads the
     half-word cache from ``bit_generator.state``, draws with ``random_raw``
@@ -167,43 +173,38 @@ class _Draws:
         self.limits = (1 << 32) % self.spans
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``count`` children's draws.
+        """The next ``count`` children's draws, one row per child.
 
         Returns the spins as unit floats, (count, 2); the splits,
-        (count, columns); and the swaps as (child, i, j) rows.
+        (count, columns); and the swap positions, (count, 2): a hit always
+        has j != i, and a child the rate draw missed has (0, 0).
         """
-        out = ([], [], [])
+        rows = (np.empty((count, 2)), np.empty((count, self.columns), dtype=np.intp),
+                np.zeros((count, 2), dtype=np.intp))
         done, window = 0, count
         while done < count:
             window = min(window, count - done)
-            good = self._prefix(window, done, out)
+            good = self._prefix([part[done : done + window] for part in rows])
             done += good
             if good < window:
-                self._child(done, out)
+                self._child([part[done] for part in rows])
                 done += 1
             window = max(2 * good, _MIN_WINDOW)
-        return tuple(np.concatenate(parts) for parts in out)
+        return rows
 
     def generations(self, size: int, limit: int) -> Iterator[tuple[np.ndarray, ...]]:
         """Up to ``limit`` generations of ``size`` children, decoded a chunk at a time.
 
-        Yields each generation's unit spins, (size, 2); splits,
-        (size, columns); and swaps as (child, i, j) rows.
+        Yields each generation's rows of ``take``: unit spins, (size, 2);
+        splits, (size, columns); and swap positions, (size, 2).
         """
         per_pass = max(1, _CHUNK_CHILDREN // size)
         for first in range(0, limit, per_pass):
             count = min(per_pass, limit - first)
-            units, splits, swaps = self.take(count * size)
-            ends = np.searchsorted(swaps[:, 0], np.arange(1, count) * size)
-            swaps[:, 0] %= size
-            yield from zip(
-                units.reshape(count, size, 2),
-                splits.reshape(count, size, self.columns),
-                np.split(swaps, ends),
-            )
+            yield from zip(*(part.reshape(count, size, -1) for part in self.take(count * size)))
 
-    def _prefix(self, count: int, first: int, out: tuple[list, list, list]) -> int:
-        """Decode children up to the first that rejects or redraws; return how many.
+    def _prefix(self, rows: list[np.ndarray]) -> int:
+        """Decode children into ``rows`` up to the first that rejects or redraws; return how many.
 
         The pass draws the most words its children can take, and then steps
         the bit generator back over the words they did not take: PCG64's
@@ -211,6 +212,8 @@ class _Draws:
         step empties the half-word cache, so the pass writes its cache after.
         """
         rate, full, halves = self.rate, self.full, self.halves
+        units, splits, swaps = rows
+        count = len(units)
         state = self.bits.state
         has, cached = state["has_uint32"], state["uinteger"]
         k = np.arange(count)
@@ -259,38 +262,32 @@ class _Draws:
         bad = np.flatnonzero(~ok)
         done = int(bad[0]) if bad.size else count
 
-        units, splits, swaps = out
         spin = k[:done] * full
         if width:  # at n = 2 a pass without a hit has no half slots
             spin += before[: done * width : width]
-        units.append((words[spin[:, None] + np.arange(2)] >> 11) * _UNIT)
-        if halves:
-            splits.append(draw[:done, :halves].astype(np.intp) + 1)
-        else:
-            splits.append(np.ones((done, self.columns), dtype=np.intp))
+        units[:done] = (words[spin[:, None] + np.arange(2)] >> 11) * _UNIT
+        splits[:done] = draw[:done, :halves] + 1 if halves else 1
         kept = hits[hits < done]
-        swap = np.empty((kept.size, 3), dtype=np.intp)
         if kept.size:
-            swap[:, 0], swap[:, 1:] = kept + first, draw[kept, halves:]
-        swaps.append(swap)
+            swaps[kept] = draw[kept, halves:]
         used = done * full + int(before[done * width])
         if before[done * width]:
             cached = int(word.flat[done * width - 1] >> 32)
         self.bits.advance((1 << 128) - (need - used))
         state = self.bits.state
-        state["has_uint32"], state["uinteger"] = (has + done * halves + 2 * len(swap)) % 2, cached
+        state["has_uint32"], state["uinteger"] = (has + done * halves + 2 * kept.size) % 2, cached
         self.bits.state = state
         return done
 
-    def _child(self, child: int, out: tuple[list, list, list]) -> None:
-        """Draw one child with per-child Generator calls, rejections and redraws included."""
+    def _child(self, row: list[np.ndarray]) -> None:
+        """Draw one child into ``row`` with per-child Generator calls, redraws included."""
         rng, n = self.rng, self.n
-        units, splits, swaps = out
-        units.append(rng.random((1, 2)))
-        splits.append(rng.integers(1, n, size=(1, self.columns)))
-        swap = _draw_swap(n, self.rate, rng)
-        if swap is not None:
-            swaps.append(np.array([[child, *swap]], dtype=np.intp))
+        units, splits, swap = row
+        rng.random(out=units)
+        splits[:] = rng.integers(1, n, size=self.columns)
+        drawn = _draw_swap(n, self.rate, rng)
+        if drawn is not None:
+            swap[:] = drawn
 
 
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
@@ -369,7 +366,7 @@ def mutate(tour: Tour, rate: float, rng: np.random.Generator) -> Tour:
     skip re-evaluation with an identity check.
     """
     _check_rate("mutation rate", rate)
-    swap = _draw_swap(len(tour), rate, rng)
+    swap = _draw_swap(len(tour), float(rate), rng)
     if swap is None:
         return tour
     i, j = swap
@@ -412,8 +409,8 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     draws = _Draws(rng, n, columns, rate).generations(size, config.max_generations)
     lengths = row_lengths(instance, population)
     evaluations = size
-    best = int(np.argmin(lengths))
-    best_row, best_length = population[best], float(lengths[best])
+    gen = int(np.argmin(lengths))  # the population's shortest member
+    best_row, best_length = population[gen], float(lengths[gen])
     generations = 0
     stall = 0
     while generations < config.max_generations and stall < config.max_stall_generations:
@@ -422,16 +419,17 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
         p1, p2 = population.take(parents.T, axis=0)
         offspring, offspring_lengths = _offspring(instance, p1, p2, splits)
         evaluations += size * columns
-        if swaps.size:
-            rows, i, j = swaps.T
+        i, j = swaps.T
+        rows = (i != j).nonzero()[0]
+        if rows.size:
+            i, j = i[rows], j[rows]
             offspring[rows, i], offspring[rows, j] = offspring[rows, j], offspring[rows, i]
             offspring_lengths[rows] = row_lengths(instance, offspring[rows])
             evaluations += rows.size
         if config.elitism:
-            incumbent = int(np.argmin(lengths))
             worst = int(np.argmax(offspring_lengths))
-            offspring[worst] = population[incumbent]
-            offspring_lengths[worst] = lengths[incumbent]
+            offspring[worst] = population[gen]
+            offspring_lengths[worst] = lengths[gen]
         population, lengths = offspring, offspring_lengths
         generations += 1
         gen = int(np.argmin(lengths))

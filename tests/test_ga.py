@@ -9,6 +9,7 @@ import pytest
 from helpers import make_instance, random_instance, reversal_invariant_child, square_instance
 from reference import reverse
 from tourbench import ga
+from tourbench.bench import run_experiment
 from tourbench.core import (
     ConfigurationError,
     Metric,
@@ -244,6 +245,15 @@ class TestMutate:
         with pytest.raises(ValueError, match="mutation rate must be a real number"):
             mutate(Tour([0, 1, 2, 3, 4]), rate, make_rng(0))
 
+    def test_numpy_rate_compares_in_float64(self):
+        # float32(0.1) is 0.10000000149...; in a float32 comparison this draw
+        # just below it rounds up to it and would miss.
+        rate = np.float32(0.1)
+        positions = iter([0, 1])
+        rng = types.SimpleNamespace(random=lambda: float(rate) - 1e-12,
+                                    integers=lambda n: next(positions))
+        assert mutate(Tour([0, 1, 2]), rate, rng).tolist() == [1, 0, 2]
+
     def test_rejects_one_point_tour(self):
         # No two distinct positions exist, so the swap draw could never end.
         with pytest.raises(ValueError):
@@ -335,6 +345,32 @@ class TestRunGa:
         with pytest.raises(ConfigurationError, match="too long for a roulette wheel of 20"):
             run_ga(inst, GaConfig(population_size=20))
 
+    @pytest.mark.parametrize("field,value", [
+        ("population_size", np.int64(5)),
+        ("max_generations", np.int64(3)),
+        ("max_stall_generations", np.int64(2)),
+        ("mutation_rate", np.float64(0.5)),
+        ("mutation_rate", np.float32(0.5)),
+        ("mutation_rate", np.float32(0.1)),
+    ])
+    def test_numpy_scalar_fields_run_as_python_numbers(self, field, value):
+        inst = random_instance(np.random.default_rng(59), 9)
+        fields = dict(population_size=6, mutation_rate=0.3, max_generations=4,
+                      max_stall_generations=4, crossover_variant="reversal_invariant", seed=3)
+        plain = GaConfig(**{**fields, field: type(fields[field])(value)})
+        scalar = GaConfig(**{**fields, field: value})
+
+        def outcome(r):
+            return r.best_tour, float.hex(r.best_length), r.fitness_evaluations, r.iterations
+
+        assert outcome(run_ga(inst, scalar)) == outcome(run_ga(inst, plain))
+        trials = [
+            [(float.hex(t.tour_length), t.fitness_evaluations, t.iterations) for t in stats.trials]
+            for stats in (run_experiment(inst, config, 3, 1) for config in (scalar, plain))
+        ]
+        assert trials[0] == trials[1]
+        assert type(getattr(scalar, field)) is type(fields[field])
+
     def test_validates_config_and_instance(self):
         with pytest.raises(ConfigurationError):
             run_ga(square_instance(), GaConfig(population_size=1))
@@ -373,8 +409,12 @@ def _reference_draws(rng, size, n, columns, rate):
 
 
 def _decoded(units, splits, swaps):
-    """Draws as ``_reference_draws`` lists them."""
-    return units.ravel().tolist(), splits.ravel().tolist(), [tuple(row) for row in swaps.tolist()]
+    """Draws as ``_reference_draws`` lists them; a swap row is (0, 0) or has i != j."""
+    i, j = swaps.T
+    assert (((i == 0) & (j == 0)) | (i != j)).all()
+    hit = np.flatnonzero(i != j)
+    return (units.ravel().tolist(), splits.ravel().tolist(),
+            list(zip(hit.tolist(), i[hit].tolist(), j[hit].tolist())))
 
 
 def _assert_same_position(draws, rng):
@@ -399,21 +439,20 @@ class TestGenerationDraws:
         assert start["has_uint32"] == primed
         draws = _Draws(ours, n, columns, rate)
         if by_generation:
-            decoded = [_decoded(*parts) for parts in draws.generations(size, generations)]
+            rows = list(draws.generations(size, generations))
         else:
             units, splits, swaps = draws.take(generations * size)
             assert units.shape == (generations * size, 2)
             assert splits.shape == (generations * size, columns)
-            generation = swaps[:, 0] // size
-            swaps[:, 0] %= size
-            decoded = [
-                _decoded(*(part[g * size : (g + 1) * size] for part in (units, splits)),
-                         swaps[generation == g])
+            assert swaps.shape == (generations * size, 2)
+            rows = [
+                tuple(part[g * size : (g + 1) * size] for part in (units, splits, swaps))
                 for g in range(generations)
             ]
-        assert len(decoded) == generations
-        for parts in decoded:
-            assert parts == _reference_draws(theirs, size, n, columns, rate)
+        assert len(rows) == generations
+        for units, splits, swaps in rows:
+            assert units.shape == swaps.shape == (size, 2) and splits.shape == (size, columns)
+            assert _decoded(units, splits, swaps) == _reference_draws(theirs, size, n, columns, rate)
         # Between passes the Generator stands where the reference's does.
         _assert_same_position(draws, theirs)
         return draws, start
@@ -480,10 +519,11 @@ class TestGenerationDraws:
             if primed:
                 ours.integers(5), theirs.integers(5)
             draws = _Draws(ours, n, 2, 1.0)
-            out = ([], [], [])
-            done = draws._prefix(passed, 0, out) if passed else 0
-            draws._child(done, out)
-            decoded = _decoded(*(np.concatenate(parts) for parts in out))
+            rows = (np.empty((passed + 1, 2)), np.empty((passed + 1, 2), dtype=np.intp),
+                    np.zeros((passed + 1, 2), dtype=np.intp))
+            done = draws._prefix([part[:passed] for part in rows]) if passed else 0
+            draws._child([part[done] for part in rows])
+            decoded = _decoded(*(part[: done + 1] for part in rows))
             assert decoded == _reference_draws(theirs, done + 1, n, 2, 1.0)
             _assert_same_position(draws, theirs)
 
@@ -494,10 +534,10 @@ class TestGenerationDraws:
         decoded = 0
         prefix = _Draws._prefix
 
-        def counting(draws, count, first, out):
+        def counting(draws, rows):
             nonlocal decoded
-            decoded += count
-            return prefix(draws, count, first, out)
+            decoded += len(rows[0])
+            return prefix(draws, rows)
 
         monkeypatch.setattr(_Draws, "_prefix", counting)
         _Draws(make_rng(1), 3, 2, 1.0).take(1_000)
