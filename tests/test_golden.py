@@ -133,6 +133,13 @@ def _cases() -> dict:
     # An odd population of baseline children takes an odd number of 32-bit
     # split draws, so a generation can start with half a random word cached.
     cases["ga-baseline-pop15-euclidean-n13"] = _ga(euclidean13, "baseline", 15, 15, 12)
+    # The GA keeps cities, positions and splits in the narrowest unsigned
+    # dtype that holds n - 1: uint8 up to n = 256, uint16 from n = 257.
+    for n in (256, 257):
+        for variant in ("baseline", "reversal_invariant"):
+            cases[f"ga-{variant}-euclidean-n{n}"] = _ga(
+                lambda n=n: _instance("euclidean", n), variant, n, 8, 4
+            )
     # HC at sizes the cases above do not reach: att48 with and without a
     # restart, and a tie-heavy grid where the first-pair tie-break decides.
     grid30 = lambda: _grid_manhattan(30)  # noqa: E731
