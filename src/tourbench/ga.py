@@ -10,6 +10,7 @@ exactly two length evaluations per offspring instead of one.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -70,6 +71,11 @@ def _check_rate(name: str, rate: object) -> None:
         raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
 
 
+def _narrow(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds n - 1: any city, position or split of n points."""
+    return np.min_scalar_type(n - 1)
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 200
@@ -112,8 +118,8 @@ def _land(lengths: np.ndarray, units: np.ndarray | float) -> np.ndarray:
     longest = float(lengths.max())
     weights = (longest - lengths) + (_WEIGHT_FLOOR * longest if longest > 0.0 else 1.0)
     cum = np.cumsum(weights)
-    k = np.searchsorted(cum, units * float(cum[-1]), side="right")
-    return np.minimum(k, cum.size - 1)
+    # Searching all but the last sum lands a spin of the whole total on the last member.
+    return np.searchsorted(cum[:-1], units * float(cum[-1]), side="right")
 
 
 def select_parent(
@@ -176,10 +182,11 @@ class _Draws:
         """The next ``count`` children's draws, one row per child.
 
         Returns the spins as unit floats, (count, 2); the splits,
-        (count, columns); and the swap positions, (count, 2): a hit always
-        has j != i, and a child the rate draw missed has (0, 0).
+        (count, columns), in ``_narrow(n)``; and the swap positions,
+        (count, 2): a hit always has j != i, and a child the rate draw
+        missed has (0, 0).
         """
-        rows = (np.empty((count, 2)), np.empty((count, self.columns), dtype=np.intp),
+        rows = (np.empty((count, 2)), np.empty((count, self.columns), dtype=_narrow(self.n)),
                 np.zeros((count, 2), dtype=np.intp))
         done, window = 0, count
         while done < count:
@@ -290,6 +297,21 @@ class _Draws:
             swap[:] = drawn
 
 
+@functools.lru_cache(maxsize=4)
+def _crossover_constants(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shape constants of ``_crossover_rows`` for k rows of n cities.
+
+    Returns each row's offset into the raveled (k, n) array, (k, 1) in intp,
+    and the positions 0 .. n-1 tiled k times, (k * n,) in ``_narrow(n)``.
+    A run breeds the same shape every generation, so it builds them once.
+    """
+    offsets = np.arange(0, k * n, n)[:, None]
+    ranks = np.tile(np.arange(n, dtype=_narrow(n)), k)
+    offsets.setflags(write=False)
+    ranks.setflags(write=False)
+    return offsets, ranks
+
+
 def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """Children of each row pair of two (k, n) parent arrays, (columns, k, n).
 
@@ -301,18 +323,26 @@ def _crossover_rows(p1: np.ndarray, p2: np.ndarray, splits: np.ndarray) -> np.nd
     its tail holds the cities the same mask selects at its own split, in
     reverse order, so they are written right to left into the reversed view
     of the child.
+
+    The children have the parents' dtype, which may be any integer dtype;
+    ``run_ga`` passes rows and splits in ``_narrow(n)``. Each city's
+    position in its first parent is kept in ``_narrow(n)``, so with narrow
+    splits the tail masks and the masks that pick the mates' cities are each
+    one narrow compare over every column.
     """
     k, n = p1.shape
     # Flat indices into one (k, n) array: faster than (rows, cols) pairs.
-    rows = np.arange(0, k * n, n)[:, None]
-    where_in_p1 = np.empty(k * n, dtype=p1.dtype)
-    where_in_p1[p1 + rows] = np.arange(n)
-    pos = where_in_p1[p2 + rows]
-    tails = np.arange(n) >= splits.T[:, :, None]
+    offsets, ranks = _crossover_constants(k, n)
+    where_in_p1 = np.empty(k * n, dtype=ranks.dtype)
+    where_in_p1[(p1 + offsets).ravel()] = ranks
+    pos = where_in_p1[p2 + offsets]
+    cut = splits.T[:, :, None]
+    tails = ranks[:n] >= cut
+    picks = pos >= cut
     children = np.array([p1] * splits.shape[1])
-    children[0][tails[0]] = np.compress((pos >= splits[:, :1]).ravel(), p2)
+    children[0][tails[0]] = np.compress(picks[0].ravel(), p2)
     if splits.shape[1] == 2:
-        children[1][:, ::-1][tails[1][:, ::-1]] = np.compress((pos >= splits[:, 1:]).ravel(), p2)
+        children[1][:, ::-1][tails[1][:, ::-1]] = np.compress(picks[1].ravel(), p2)
     return children
 
 
@@ -332,10 +362,9 @@ def _offspring(
     if splits.shape[1] == 1:
         return children[0], lengths[0]
     shorter = lengths[1] < lengths[0]
-    return (
-        np.where(shorter[:, None], children[1], children[0]),
-        np.where(shorter, lengths[1], lengths[0]),
-    )
+    np.copyto(children[0], children[1], where=shorter[:, None])
+    np.copyto(lengths[0], lengths[1], where=shorter)
+    return children[0], lengths[0]
 
 
 def crossover_baseline(
@@ -403,7 +432,7 @@ def run_ga(instance: Instance, config: GaConfig, on_generation=None) -> RunResul
     started = time.perf_counter()
     columns = 2 if config.crossover_variant == "reversal_invariant" else 1
 
-    population = random_rows(n, size, rng)
+    population = random_rows(n, size, rng).astype(_narrow(n))
     # Every draw comes from here, in the per-offspring order, so the results
     # do not depend on how the array work is batched.
     draws = _Draws(rng, n, columns, rate).generations(size, config.max_generations)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -150,7 +151,8 @@ def recording_pool(monkeypatch):
 
     # The initializer runs in this process; restore the global it sets.
     monkeypatch.setattr(bench, "_worker_experiment", None)
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool when it starts one, from this module.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return log
 
 

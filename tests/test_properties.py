@@ -94,6 +94,27 @@ def test_batched_crossover_matches_reference_row_by_row(data):
         assert child_flipped == reference_child(a, b[::-1], split)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_batched_crossover_keeps_the_parents_dtype(data):
+    # run_ga breeds uint8 rows up to n = 256 and uint16 rows from n = 257,
+    # while crossover_baseline passes int64 ones. Each column has its own split.
+    n = data.draw(st.sampled_from([2, 255, 256, 257]) | st.integers(2, 12))
+    dtype = data.draw(
+        st.sampled_from([np.uint8, np.uint16, np.int64]).filter(lambda d: np.iinfo(d).max >= n - 1)
+    )
+    cases = data.draw(st.lists(parents(n=n), min_size=1, max_size=4))
+    flips = [data.draw(st.integers(1, n - 1)) for _ in cases]
+    p1 = np.array([c[0] for c in cases], dtype=dtype)
+    p2 = np.array([c[1] for c in cases], dtype=dtype)
+    splits = np.array([[c[2], flip] for c, flip in zip(cases, flips)], dtype=dtype)
+    children = _crossover_rows(p1, p2, splits)
+    assert children.dtype == dtype
+    for child, child_flipped, (a, b, split), flip in zip(*children.tolist(), cases, flips):
+        assert child == reference_child(a, b, split)
+        assert child_flipped == reference_child(a, b[::-1], flip)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_reversal_invariant_ignores_mate_direction(data):
