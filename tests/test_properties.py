@@ -94,7 +94,7 @@ def test_batched_crossover_matches_reference_row_by_row(data):
         assert child_flipped == reference_child(a, b[::-1], split)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_batched_crossover_keeps_the_parents_dtype(data):
     # run_ga breeds uint8 rows up to n = 256 and uint16 rows from n = 257,
