@@ -246,6 +246,10 @@ class Tour:
         self.order = arr
 
 
+# Edges per row_lengths block: about 64 KiB for each float64 or intp temporary.
+_BLOCK = 8192
+
+
 @functools.cache
 def _successor(n: int) -> np.ndarray:
     """Position p + 1 mod n for each position p of an n-point tour."""
@@ -258,10 +262,19 @@ def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     """Closed-tour lengths of the k tours stored as the rows of a (k, n) array.
 
     Each row's edges, the wrap-around edge included, are sorted ascending
-    before accumulating, so any two tours over the same edge set get the
-    identical float. In particular a tour, its reversal, and its rotations
-    all evaluate bit-for-bit equal. Every tour length in the library comes
-    from here.
+    and added one at a time, smallest first, so any two tours over the same
+    edge set get the identical float. In particular a tour, its reversal,
+    and its rotations all evaluate bit-for-bit equal. Every tour length in
+    the library comes from here.
+
+    The batch runs in blocks of max(2, _BLOCK // n) rows, so no temporary
+    holds more than max(_BLOCK, 2n) edges, whatever k is. A block of two or
+    more rows is summed down the columns of its transposed (n, rows) copy:
+    numpy pairs terms only along the axis that is contiguous in memory, so
+    there each row's edges are added one at a time, the same sequential
+    order as np.cumsum along the row and faster. A lone row keeps np.cumsum,
+    because its column would be the contiguous axis and would be summed
+    pairwise.
 
     Rows may have any integer dtype, such as brute_force's int8. The entries
     must be cities 0..n-1 and are not checked: a negative one can wrap
@@ -272,16 +285,25 @@ def row_lengths(instance: Instance, rows: np.ndarray) -> np.ndarray:
     n = instance.n
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"tours of shape {rows.shape} for an instance of {n} points")
-    # Edge (a, b) sits at a * n + b of the raveled table. The index is intp,
-    # because rows of a narrow dtype times n would wrap.
-    flat = np.multiply(rows, n, dtype=np.intp)
-    flat += rows.take(_successor(n), axis=1)
-    edges = instance.distance_table().take(flat)
-    edges.sort(axis=1)
-    # np.cumsum is a sequential scan; np.sum pairs terms and may differ. It
-    # runs in place, and the copy keeps the lengths from pinning the edges.
-    np.cumsum(edges, axis=1, out=edges)
-    return edges[:, -1].copy()
+    table = instance.distance_table()
+    successor = _successor(n)
+    step = max(2, _BLOCK // n)
+    lengths = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        # Edge (a, b) sits at a * n + b of the raveled table. The index is
+        # intp, because rows of a narrow dtype times n would wrap.
+        flat = np.multiply(block, n, dtype=np.intp)
+        flat += block.take(successor, axis=1)
+        edges = table.take(flat)
+        edges.sort(axis=1)
+        if len(edges) == 1:
+            # For exactness: np.add.reduce would pair the terms of one row,
+            # while cumsum scans them in order.
+            lengths[start] = edges.cumsum()[-1]
+        else:
+            np.add.reduce(edges.T.copy(), axis=0, out=lengths[start : start + step])
+    return lengths
 
 
 def tour_length(instance: Instance, tour: Tour) -> float:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,11 +276,29 @@ class TestTourLength:
             assert length == total
 
     def test_row_lengths_own_their_memory(self):
-        # A view of the last column of the (k, n) sums would keep all of them alive.
+        # A view of the last column of the (k, n) sums, or of one block's
+        # sums, would keep them alive. At n = 48, 400 rows take three blocks.
         rng = np.random.default_rng(23)
         inst = make_instance(rng.uniform(0, 1000, size=(48, 2)))
-        lengths = row_lengths(inst, random_rows(48, 30, rng))
-        assert lengths.base is None
+        for k in (1, 30, 400):
+            lengths = row_lengths(inst, random_rows(48, k, rng))
+            assert lengths.base is None
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_row_lengths_memory_stays_near_the_output(self, dtype):
+        # Past the float64 output, the batch holds one block's few temporaries
+        # of at most _BLOCK entries each, about 200 KiB whatever k is. Per-edge
+        # arrays of the whole batch took 15 MB here.
+        rng = np.random.default_rng(29)
+        inst = make_instance(rng.uniform(0, 1000, size=(48, 2)))
+        rows = random_rows(48, 20_000, rng).astype(dtype)
+        tracemalloc.start()
+        try:
+            lengths = row_lengths(inst, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lengths.nbytes + 2**20
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5)])
     def test_row_lengths_rejects_bad_shape(self, shape):

@@ -130,8 +130,8 @@ class TestBruteForce:
         np.testing.assert_array_equal(tours, pinned_tours_by_permutations(n))
 
     def test_memory_stays_near_the_edge_arrays(self):
-        # row_lengths holds three float64 or intp arrays of one entry per
-        # edge. A tuple per tour plus an int64 copy of them went past 4x.
+        # Four float64 arrays of one entry per edge: a tuple per tour plus an
+        # int64 copy of them went past it. The next test's bound is tighter.
         n = BRUTE_FORCE_MAX
         inst = random_instance(np.random.default_rng(10), n)
         edges = math.factorial(n - 1) // 2 * n * 8
@@ -142,6 +142,21 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 4 * edges
+
+    def test_memory_stays_near_the_tours_and_lengths(self):
+        # Growing the int8 tours peaks at about 4.2 times their size, and
+        # row_lengths adds the float64 lengths and one block of temporaries.
+        # One float64 per edge of every tour would be 8 times the tours.
+        n = BRUTE_FORCE_MAX
+        inst = random_instance(np.random.default_rng(10), n)
+        count = math.factorial(n - 1) // 2
+        tracemalloc.start()
+        try:
+            brute_force(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * count * n + 8 * count
 
     def test_tie_break_is_lexicographic(self):
         # A duplicated point makes swapping cities 1 and 2 an exact tie.

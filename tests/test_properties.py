@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from helpers import reversal_invariant_child
 from reference import neighbors, reference_step, reverse
 from tourbench.core import (
+    _BLOCK,
     Instance,
     Metric,
     Point,
     Tour,
+    random_rows,
     row_lengths,
     tour_length,
 )
@@ -35,6 +37,7 @@ from tourbench.hillclimb import (
     steepest_step,
 )
 from tourbench.oracle import held_karp
+from tourbench.tsplib import bundled_instance
 
 METRICS = (
     Metric("euclidean"),
@@ -135,6 +138,49 @@ def test_row_lengths_invariant_under_reversal_and_rotation(data):
     rows = np.stack([tour, tour[::-1], np.roll(tour, shift), np.roll(tour[::-1], shift)])
     lengths = row_lengths(instance, rows)
     assert lengths.tolist() == [lengths[0]] * 4
+
+
+def sequential_lengths(instance, rows):
+    """Each row's sorted edges, the wrap-around edge included, added one at a time."""
+    table = instance.distance_table()
+    edges = np.sort(table[rows, np.roll(rows, -1, axis=1)], axis=1)
+    lengths = []
+    for row in edges.tolist():
+        total = 0.0
+        for edge in row:
+            total += edge
+        lengths.append(total)
+    return lengths
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_row_lengths_add_each_rows_sorted_edges_in_order(data):
+    # Batches on both sides of row_lengths' block boundaries, a lone row
+    # among them; 257 and 300 points do not fit uint8 rows.
+    n = data.draw(st.one_of(st.sampled_from((2, 3, 9, 48, 257, 300)), st.integers(2, 300)))
+    step = max(2, _BLOCK // n)
+    k = data.draw(st.sampled_from((0, 1, 2, step - 1, step, step + 1, 2 * step + 1)))
+    fits = [d for d in (np.uint8, np.uint16, np.int64) if n - 1 <= np.iinfo(d).max]
+    dtype = data.draw(st.sampled_from(fits))
+    instance = data.draw(instances(n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rows = random_rows(n, k, np.random.default_rng(seed)).astype(dtype)
+    lengths = row_lengths(instance, rows)
+    assert lengths.dtype == np.float64
+    assert lengths.tolist() == sequential_lengths(instance, rows)
+
+
+def test_a_lone_row_is_added_in_order():
+    # numpy sums an (n, 1) column pairwise, and for this tour that gives a
+    # different float from adding its sorted edges one at a time.
+    instance = bundled_instance("att48")
+    row = random_rows(48, 1, np.random.default_rng(4))
+    edges = np.sort(instance.distance_table()[row, np.roll(row, -1, axis=1)], axis=1)
+    (length,) = sequential_lengths(instance, row)
+    assert np.add.reduce(edges.T.copy(), axis=0)[0] != length
+    assert row_lengths(instance, row)[0] == length
+    assert tour_length(instance, Tour(row[0])) == length
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
