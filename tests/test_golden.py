@@ -27,6 +27,7 @@ METRIC_KINDS = ("euclidean", "manhattan", "wmanhattan", "wchebyshev")
 # Brute force stops at n=10; Held-Karp also runs the larger size. At n=6
 # restarts often land on visited tours, so the early-out count is exercised.
 SIZES = (6, 9, 13)
+BUDGET_CASE = "hc-baseline-budget-euclidean-n13"
 
 
 def _instance(kind: str, n: int) -> Instance:
@@ -96,6 +97,17 @@ def _hc(instance_fn, variant, seed, restarts):
     return lambda: _solver_entry(run_hc(instance_fn(), config))
 
 
+def _hc_budget(instance_fn, seed, restarts, max_steps):
+    """A baseline run whose step budget ends some climbs; records ``aborted`` too."""
+    config = HcConfig(restarts=restarts, max_steps_per_run=max_steps, seed=seed)
+
+    def entry():
+        result = run_hc(instance_fn(), config)
+        return {**_solver_entry(result), "aborted": result.aborted}
+
+    return entry
+
+
 def _cases() -> dict:
     cases = {}
     for k, kind in enumerate(METRIC_KINDS):
@@ -153,6 +165,16 @@ def _cases() -> dict:
     euclidean100 = lambda: _instance("euclidean", 100)  # noqa: E731
     for variant in ("baseline", "modified"):
         cases[f"hc-{variant}-r0-euclidean-n100"] = _hc(euclidean100, variant, 100, 0)
+    # The smallest climbs: at n = 2 the one neighbour is taken unscreened,
+    # and at n = 3 every swap exchanges two cycle neighbours.
+    for n in (2, 3):
+        for variant in ("baseline", "modified"):
+            cases[f"hc-{variant}-euclidean-n{n}"] = _hc(
+                lambda n=n: _instance("euclidean", n), variant, n, 4
+            )
+    # Seven steps end five of the ten climbs (BUDGET_CASE's test checks
+    # the mix), so a run carries aborted and finished climbs side by side.
+    cases[BUDGET_CASE] = _hc_budget(euclidean13, 13, 9, 7)
     # Held-Karp at the sizes the grid above does not reach: the smallest
     # instances, where the DP has one or two layers, and n = 15.
     for n in (2, 3, 15):
@@ -178,6 +200,10 @@ def test_record_covers_every_case(record):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_record(record, name):
     assert CASES[name]() == record[name]
+
+
+def test_budget_case_mixes_aborted_and_finished_climbs(record):
+    assert 0 < record[BUDGET_CASE]["aborted"] < record[BUDGET_CASE]["runs"]
 
 
 if __name__ == "__main__":
