@@ -39,7 +39,7 @@ from .core import (
     check_count,
     check_integer,
     make_rng,
-    random_tour,
+    random_rows,
     row_lengths,
     tour_length,
 )
@@ -192,7 +192,7 @@ class VisitedSet:
         trade = words ^ own.reshape(-1, 1)
         hashes = (trade ^ trade.T).ravel()[_pairs(order.size).flat] ^ np.bitwise_xor.reduce(own)
         query = np.flatnonzero(self._filter.take(hashes & np.uint64(self._filter.size - 1)))
-        rows = _neighbor_rows(order.astype(self._dtype), query)
+        rows = _neighbor_rows(order.astype(self._dtype)[None], np.zeros(query.size, np.intp), query)
         stored = np.array([row.tobytes() in self._seen for row in rows], dtype=bool)
         return query[stored], hashes
 
@@ -217,6 +217,9 @@ class HcConfig:
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# run_hc's baseline climbs its starts in blocks of about this many distances
+# in a (k, n + 2, n) screen, so a pass's temporaries stay near 512 KiB each.
+_DESCENT_ENTRIES = 1 << 16
 
 
 class _Pairs(NamedTuple):
@@ -226,32 +229,53 @@ class _Pairs(NamedTuple):
     j: np.ndarray  # second swapped position, i < j
     flat: np.ndarray  # i * n + j, into an n-by-n array
     adjacent: np.ndarray  # indices of the pairs that are neighbors on the cycle
+    around: np.ndarray  # positions n-1, 0, 1, ..., n-1, 0: each position between its two neighbors
 
 
 @functools.cache
 def _pairs(n: int) -> _Pairs:
     i, j = np.triu_indices(n, k=1)
     adjacent = np.flatnonzero((j - i == 1) | (j - i == n - 1))
-    return _Pairs(i, j, i * n + j, adjacent)
+    around = np.arange(-1, n + 1) % n
+    return _Pairs(i, j, i * n + j, adjacent, around)
 
 
-def _neighbor_rows(order: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """The transposition neighbors of ``order`` at the pair indices ``picked``, as rows."""
-    n = order.size
+def _neighbor_rows(orders: np.ndarray, owner: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Row ``orders[owner[c]]`` with the pair at index ``picked[c]`` swapped, for each c."""
+    n = orders.shape[1]
     pairs = _pairs(n)
-    i, j = pairs.i[picked], pairs.j[picked]
-    rows = np.empty((i.size, n), dtype=order.dtype)
-    rows[:] = order
+    rows = orders.take(owner, axis=0)
     starts = np.arange(0, rows.size, n)  # flat index of each row's first position
-    rows.ravel()[starts + i] = order[j]
-    rows.ravel()[starts + j] = order[i]
+    at_i, at_j = starts + pairs.i[picked], starts + pairs.j[picked]
+    flat = rows.ravel()
+    flat[at_i], flat[at_j] = flat[at_j], flat[at_i]
     return rows
 
 
+@functools.lru_cache(maxsize=256)
+def _adjacent_at(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the cycle-neighbor pairs (i, j) in k rows of changes, and of d(t_i, t_j).
+
+    The second indexes k (n + 2, n) blocks whose row p + 1 holds the
+    distances from the city at position p, as ``_screen`` builds them.
+    """
+    pairs = _pairs(n)
+    rows = np.arange(k)[:, None]
+    i, j = pairs.i[pairs.adjacent], pairs.j[pairs.adjacent]
+    return (
+        (rows * pairs.flat.size + pairs.adjacent).ravel(),
+        (rows * ((n + 2) * n) + (i + 1) * n + j).ravel(),
+    )
+
+
 def _screen(
-    table: np.ndarray, order: np.ndarray, length: float, dmax: float
+    table: np.ndarray, orders: np.ndarray, length: float, dmax: float
 ) -> tuple[np.ndarray, float]:
-    """Length change of every transposition of ``order``, in pair order, and its band.
+    """Length change of every transposition of each row of ``orders``, in pair order, and a band.
+
+    ``orders`` is a (k, n) block of tours, n >= 3, and ``length`` the
+    longest of their ``row_lengths`` lengths; the changes come back as a
+    (k, n(n-1)/2) array.
 
     Swapping positions i < j replaces the edges at positions i-1, i, j-1 and
     j. With ins[p, q] the cost of the city at position q between the two
@@ -260,10 +284,10 @@ def _screen(
     neighbors (j = i + 1, or the pair (0, n-1)) as removed twice although it
     stays, so it is added back twice for them.
 
-    Every neighbor whose ``row_lengths`` length is the exact minimum has a
-    change within the returned band of the smallest change. The band adds
-    two error bounds, for u the unit roundoff, L = ``length`` the tour's
-    ``row_lengths`` length and dmax the table's longest edge:
+    Every neighbor whose ``row_lengths`` length is the exact minimum of its
+    row has a change within the returned band of the row's smallest change.
+    The band adds two error bounds, for u the unit roundoff, L = ``length``
+    and dmax the table's longest edge:
 
     - A length is a sum of n non-negative edges, so it is within
       gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the edges' true sum (Higham
@@ -278,19 +302,21 @@ def _screen(
     band itself. It is summed term by term, so it stays finite when L is
     near float64's limit. ``Instance`` keeps n dmax finite, and the changes
     stay within 4 dmax, or 2 dmax at three points; at two points the one
-    change can overflow, so ``_step`` does not screen there.
+    change can overflow, so the climbs do not screen there.
     """
-    n = order.size
-    _, _, flat, adjacent = _pairs(n)
-    between = table.take(order, axis=0).take(order, axis=1)  # between[p, q] = d(t_p, t_q)
-    ins = np.empty_like(between)  # ins[p, q] = d(t_{p-1}, t_q) + d(t_{p+1}, t_q)
-    np.add(between[:-2], between[2:], out=ins[1:-1])
-    np.add(between[-1], between[1], out=ins[0])
-    np.add(between[-2], between[0], out=ins[-1])
-    here = ins.diagonal()  # the two edges at each position
-    gain = ins - here.reshape(-1, 1)
-    deltas = (gain + gain.T).ravel()[flat]
-    deltas[adjacent] += 2.0 * between.ravel()[flat[adjacent]]
+    k, n = orders.shape
+    pairs = _pairs(n)
+    # between[r, p + 1, q] = d(t_p, t_q) in row r, for p = -1 .. n, wrapping around
+    if k == 1:  # two contiguous takes cost less than one flat take of an index block
+        between = table.take(orders.take(pairs.around, axis=1), axis=0).take(orders[0], axis=2)
+    else:
+        between = table.take(orders.take(pairs.around, axis=1)[:, :, None] * n + orders[:, None, :])
+    ins = between[:, :-2] + between[:, 2:]  # ins[r, p, q] = d(t_{p-1}, t_q) + d(t_{p+1}, t_q)
+    here = ins.reshape(k, n * n)[:, :: n + 1, None]  # the two edges at each position
+    gain = ins - here
+    deltas = (gain + gain.transpose(0, 2, 1)).reshape(k, n * n).take(pairs.flat, axis=1)
+    into_deltas, into_between = _adjacent_at(n, k)
+    deltas.ravel()[into_deltas] += 2.0 * between.ravel()[into_between]
     u = _UNIT_ROUNDOFF
     gamma = (n - 1) * u / (1 - (n - 1) * u)
     band = 4 * gamma * length + (16 * gamma + 4 * 48 * u) * dmax
@@ -315,13 +341,74 @@ def _step(
     if n == 2:  # the one neighbor, allowed; the screen could overflow
         picked = np.zeros(1, dtype=np.intp)
     else:
-        deltas, band = _screen(instance.distance_table(), order, length, dmax)
+        deltas, band = _screen(instance.distance_table(), order.reshape(1, n), length, dmax)
+        deltas = deltas[0]
         deltas[stored] = np.inf
-        picked = np.flatnonzero(deltas <= deltas.min() + band)
-    rows = _neighbor_rows(order, picked)
+        picked = (deltas <= deltas.min() + band).nonzero()[0]
+    rows = _neighbor_rows(order[None], np.zeros(picked.size, np.intp), picked)
     lengths = row_lengths(instance, rows)
     m = int(np.argmin(lengths))  # first minimum = lexicographically first pair
     return rows[m], float(lengths[m]), evaluated, None if hashes is None else hashes[picked[m]]
+
+
+def _descend(
+    instance: Instance,
+    tours: np.ndarray,
+    lengths: np.ndarray,
+    max_steps: int,
+    on_visit: Callable[[Tour, float], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plain steepest descent from every row of ``tours`` at once, in place.
+
+    ``tours`` is a (k, n) int64 block of start rows and ``lengths`` their
+    ``row_lengths`` lengths; both end holding each climb's last, and so
+    best, tour. Each pass screens every live row, builds all the surviving
+    candidates in one scatter, measures them in one ``row_lengths`` call
+    and takes each row's first exact minimum in pair order, as
+    ``steepest_step`` does. A row that does not improve drops out. Every
+    live row has taken the same number of steps, so a climb's evaluations
+    are n(n-1)/2 per step plus one for the step that ended it.
+
+    Returns each row's steps and whether it aborted: at ``max_steps`` steps
+    the rows that would step again stop there. ``on_visit``, if given, is
+    called with each tour a row steps to and its length.
+    """
+    k, n = tours.shape
+    table = instance.distance_table()
+    dmax = float(table.max())
+    steps = np.zeros(k, dtype=np.intp)
+    aborted = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    current, current_lengths = tours, lengths  # the live rows
+    for step in itertools.count():
+        if n == 2:  # the one neighbor; the screen could overflow
+            keep = np.ones((live.size, 1), dtype=bool)
+        else:
+            deltas, band = _screen(table, current, max(current_lengths.tolist()), dmax)
+            keep = deltas <= np.minimum.reduce(deltas, axis=1, keepdims=True) + band
+        owner, picked = np.divmod(keep.ravel().nonzero()[0], keep.shape[1])
+        candidates = _neighbor_rows(current, owner, picked)
+        measured = row_lengths(instance, candidates)
+        if owner.size == live.size:  # one candidate per row, as is usual off ties
+            chosen = slice(None)
+        else:  # each row's first minimum in pair order: the head of its run, stably sorted
+            chosen = np.lexsort((measured, owner))[owner.searchsorted(np.arange(live.size))]
+        following, best = candidates[chosen], measured[chosen]
+        better = best < current_lengths
+        if step == max_steps:  # the rows that would step again abort instead
+            aborted[live] = better
+            better[:] = False
+        if np.count_nonzero(better) < better.size:
+            done = ~better
+            stop = live[done]
+            tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
+            if not np.count_nonzero(better):
+                return steps, aborted
+            live, following, best = live[better], following[better], best[better]
+        current, current_lengths = following, best
+        if on_visit is not None:
+            for row, length in zip(current, best.tolist()):
+                on_visit(Tour(row), length)
 
 
 def steepest_step(
@@ -350,11 +437,13 @@ def hill_climb(
     """One steepest-descent climb from ``start``.
 
     Returns (best tour seen, its length, steps taken, neighbor evaluations,
-    early_out). With ``visited`` None this is the baseline: the escape
-    allowance starts spent, so the climb stops at the first local minimum.
-    Otherwise every visited permutation is added to ``visited``, which the
-    caller may share across restarts, no permutation is revisited, and
-    early_out is True (with no work done) when ``start`` was already in it.
+    early_out). With ``visited`` None this is the baseline, the batched
+    descent of ``run_hc`` on one row: the climb stops at the first local
+    minimum. Otherwise every visited permutation is added to ``visited``,
+    which the caller may share across restarts, one non-improving step is
+    allowed at a local minimum and re-armed once the walk gets strictly
+    below it, no permutation is revisited, and early_out is True (with no
+    work done) when ``start`` was already in it.
     ``on_visit``, if given, is called with each tour the climb visits and its
     length, ``start`` included.
     Raises ConfigurationError unless ``max_steps`` is an integer of at least
@@ -369,12 +458,20 @@ def hill_climb(
         visited.add(start)
     if on_visit is not None:
         on_visit(start, current_length)
+    if visited is None:
+        tours, lengths = current.reshape(1, -1).copy(), np.array([current_length])
+        steps, aborted = _descend(instance, tours, lengths, max_steps, on_visit)
+        best, best_length, steps = Tour(tours[0]), float(lengths[0]), int(steps[0])
+        evaluations = (steps + 1) * _pairs(current.size).flat.size
+        if aborted[0]:
+            raise RunAbortedError(best, best_length, steps, evaluations)
+        return best, best_length, steps, evaluations, False
     best, best_length = current, current_length
     dmax = float(instance.distance_table().max())
     steps = 0
     evaluations = 0
-    allowance_spent = visited is None
-    trigger_length = -np.inf  # set when the allowance is spent; the baseline never re-arms
+    allowance_spent = False
+    trigger_length = -np.inf  # set when the allowance is spent
     while True:
         found = _step(instance, current, current_length, dmax, visited)
         if found is None:
@@ -392,8 +489,7 @@ def hill_climb(
             raise RunAbortedError(Tour(best), best_length, steps, evaluations)
         current, current_length = neighbor, neighbor_length
         steps += 1
-        if visited is not None:
-            visited._store(current, neighbor_hash)
+        visited._store(current, neighbor_hash)
         if on_visit is not None:
             on_visit(Tour(current), current_length)
         if current_length < best_length:
@@ -427,40 +523,55 @@ def hill_climb_modified(
 def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     """Run 1 + restarts climbs from random starts and keep the best result.
 
-    The modified variant threads one shared VisitedSet through all climbs.
+    All starts are drawn first, with the draws of one ``random_tour`` per
+    climb in turn; climbs take no draws. The baseline climbs them all at
+    once in one batched steepest descent. The modified variant climbs them
+    one after another, threading one shared VisitedSet through all climbs.
     A climb that exhausts its step budget contributes its best-so-far tour
     and counts in ``aborted``; RunAbortedError propagates only if every
-    climb aborts.
+    climb aborts. Ties between climbs go to the earliest.
 
     fitness_evaluations counts neighbor evaluations only (start tours and
     early-outs are not neighbor evaluations).
     """
     rng = make_rng(config.seed)
     started = time.perf_counter()
-    visited = VisitedSet(config.visited_cap) if config.variant == "modified" else None
-    best_tour: Tour | None = None
-    best_length = np.inf
-    total_steps = 0
-    total_evaluations = 0
-    early_outs = 0
-    aborted = 0
     runs = config.restarts + 1
-    for _ in range(runs):
-        start = random_tour(instance.n, rng)
-        try:
-            tour, length, steps, evaluations, early = hill_climb(
-                instance, start, visited, config.max_steps_per_run
+    starts = random_rows(instance.n, runs, rng)
+    if config.variant == "baseline":
+        lengths = row_lengths(instance, starts)
+        steps, aborted = np.zeros(runs, dtype=np.intp), np.zeros(runs, dtype=bool)
+        block = max(1, _DESCENT_ENTRIES // ((instance.n + 2) * instance.n))
+        for first in range(0, runs, block):
+            part = slice(first, first + block)
+            steps[part], aborted[part] = _descend(
+                instance, starts[part], lengths[part], config.max_steps_per_run
             )
-        except RunAbortedError as err:
-            aborted += 1
-            tour, length = err.best_tour, err.best_length
-            steps, evaluations = err.steps, err.evaluations
-            early = False
-        total_steps += steps
-        total_evaluations += evaluations
-        early_outs += int(early)
-        if length < best_length:
-            best_tour, best_length = tour, length
+        first = int(np.argmin(lengths))
+        best_tour, best_length = Tour(starts[first]), float(lengths[first])
+        total_steps = int(steps.sum())
+        total_evaluations = (total_steps + runs) * _pairs(instance.n).flat.size
+        early_outs = 0
+        aborted = int(np.count_nonzero(aborted))
+    else:
+        visited = VisitedSet(config.visited_cap)
+        best_tour, best_length = None, np.inf
+        total_steps = total_evaluations = early_outs = aborted = 0
+        for start in starts:
+            try:
+                tour, length, steps, evaluations, early = hill_climb(
+                    instance, Tour(start), visited, config.max_steps_per_run
+                )
+            except RunAbortedError as err:
+                aborted += 1
+                tour, length = err.best_tour, err.best_length
+                steps, evaluations = err.steps, err.evaluations
+                early = False
+            total_steps += steps
+            total_evaluations += evaluations
+            early_outs += int(early)
+            if length < best_length:
+                best_tour, best_length = tour, length
     if aborted == runs:
         raise RunAbortedError(best_tour, float(best_length), total_steps, total_evaluations)
     return RunResult(

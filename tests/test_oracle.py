@@ -144,9 +144,11 @@ class TestBruteForce:
         assert peak < 4 * edges
 
     def test_memory_stays_near_the_tours_and_lengths(self):
-        # Growing the int8 tours peaks at about 4.2 times their size, and
-        # row_lengths adds the float64 lengths and one block of temporaries.
-        # One float64 per edge of every tour would be 8 times the tours.
+        # The int8 tours and their float64 lengths, plus one row_lengths
+        # block of temporaries: about 1.1 times their sum at n = 10. Growing
+        # all (n-1)! orders before dropping the reflections took twice the
+        # tours again. One float64 per edge of every tour would be 8 times
+        # the tours.
         n = BRUTE_FORCE_MAX
         inst = random_instance(np.random.default_rng(10), n)
         count = math.factorial(n - 1) // 2
@@ -156,7 +158,7 @@ class TestBruteForce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * count * n + 8 * count
+        assert peak < 2 * count * n + 8 * count
 
     def test_tie_break_is_lexicographic(self):
         # A duplicated point makes swapping cities 1 and 2 an exact tie.

@@ -17,7 +17,9 @@ from tourbench.core import (
     Metric,
     Point,
     Tour,
+    make_rng,
     random_rows,
+    random_tour,
     row_lengths,
     tour_length,
 )
@@ -29,8 +31,10 @@ from tourbench.ga import (
     run_ga,
 )
 from tourbench.hillclimb import (
+    DEFAULT_MAX_STEPS,
     HC_VARIANTS,
     HcConfig,
+    RunAbortedError,
     VisitedSet,
     hill_climb,
     run_hc,
@@ -305,3 +309,66 @@ def test_hill_climb_matches_reference_climb(metric, data):
     if modified:
         assert len(visited) == len(expected_visited)
         assert all(Tour(key) in visited for key in expected_visited)
+
+
+def sequential_baseline(instance, config):
+    """run_hc's baseline written out as one climb after another over steepest_step.
+
+    Returns the best tour as a list, its length as float.hex, the steps and
+    evaluations over all climbs, and how many climbs ran out of steps.
+    """
+    rng = make_rng(config.seed)
+    starts = [random_tour(instance.n, rng) for _ in range(config.restarts + 1)]
+    best = None
+    total_steps = total_evaluations = aborted = 0
+    for tour in starts:
+        length = tour_length(instance, tour)
+        steps = 0
+        while True:
+            neighbor, neighbor_length, evaluated = steepest_step(instance, tour)
+            total_evaluations += evaluated
+            if neighbor_length >= length:
+                break
+            if steps == config.max_steps_per_run:
+                aborted += 1
+                break
+            tour, length = neighbor, neighbor_length
+            steps += 1
+        total_steps += steps
+        if best is None or length < best[1]:
+            best = (tour, length)
+    return best[0].tolist(), float.hex(best[1]), total_steps, total_evaluations, aborted
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_batched_baseline_matches_climbs_one_at_a_time(metric, data):
+    # From 2 points, where the one neighbour goes unscreened, to the
+    # exact-small benchmark's 14; integer grid points tie exactly and often.
+    # Small step budgets end some or all of the climbs.
+    n = data.draw(st.integers(2, 14))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    config = HcConfig(
+        restarts=data.draw(st.integers(0, 12)),
+        max_steps_per_run=data.draw(st.sampled_from([1, 2, 5, DEFAULT_MAX_STEPS])),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+    )
+    tour, length, steps, evaluations, aborted = sequential_baseline(instance, config)
+    if aborted == config.restarts + 1:
+        with pytest.raises(RunAbortedError) as err:
+            run_hc(instance, config)
+        found = err.value
+        assert (found.best_tour.tolist(), float.hex(found.best_length)) == (tour, length)
+        assert (found.steps, found.evaluations) == (steps, evaluations)
+        return
+    result = run_hc(instance, config)
+    assert (result.best_tour.tolist(), float.hex(result.best_length)) == (tour, length)
+    assert (result.iterations, result.fitness_evaluations, result.aborted) == (
+        steps, evaluations, aborted
+    )
