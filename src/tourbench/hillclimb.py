@@ -16,9 +16,19 @@ measures with ``row_lengths`` only the neighbors whose screened change lies
 within a rigorous rounding band of the smallest. The step returns the first
 exact minimum in pair order, the one a full scan would return.
 
-A climb walks on int64 order rows, and each step hands the visited set
-the Zobrist hash of the row it chose. A ``Tour`` is built only for what the
-climb hands out: its best, RunAbortedError and the ``on_visit`` hook.
+The baseline climbs a block of start rows in lockstep. Each pass screens
+every live row, builds all their surviving candidates in one scatter,
+measures them in one ``row_lengths`` call and takes each row's first exact
+minimum; a row that does not improve drops out. ``run_hc`` climbs all of a
+run's starts this way, and ``hill_climb`` without a visited set runs the
+same descent on one row. The modified climb steps one row at a time over
+the same screen, since each step changes the visited set the next one
+reads.
+
+Climbs walk on int64 order rows, and each modified step hands the visited
+set the Zobrist hash of the row it chose. A ``Tour`` is built only for
+what a climb hands out: its best, RunAbortedError and the ``on_visit``
+hook.
 """
 
 from __future__ import annotations
@@ -419,8 +429,8 @@ def steepest_step(
     Ties go to the first pair in lexicographic (i, j) order. Neighbors in
     ``forbidden`` are skipped; None means every neighbor was forbidden.
     Every allowed neighbor counts as evaluated; see the module docstring for
-    the screen that decides which of them are measured in full. This is one
-    step of ``hill_climb``, which takes it on rows and builds no Tour.
+    the screen that decides which of them are measured in full. The climbs
+    take this step on rows and build no Tour.
     """
     length = tour_length(instance, tour)  # rejects a tour of another size
     found = _step(instance, tour.order, length, float(instance.distance_table().max()), forbidden)
@@ -540,19 +550,19 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     starts = random_rows(instance.n, runs, rng)
     if config.variant == "baseline":
         lengths = row_lengths(instance, starts)
-        steps, aborted = np.zeros(runs, dtype=np.intp), np.zeros(runs, dtype=bool)
+        steps, ran_out = np.zeros(runs, dtype=np.intp), np.zeros(runs, dtype=bool)
         block = max(1, _DESCENT_ENTRIES // ((instance.n + 2) * instance.n))
         for first in range(0, runs, block):
             part = slice(first, first + block)
-            steps[part], aborted[part] = _descend(
+            steps[part], ran_out[part] = _descend(
                 instance, starts[part], lengths[part], config.max_steps_per_run
             )
-        first = int(np.argmin(lengths))
-        best_tour, best_length = Tour(starts[first]), float(lengths[first])
+        best = int(np.argmin(lengths))  # the first of the shortest
+        best_tour, best_length = Tour(starts[best]), float(lengths[best])
         total_steps = int(steps.sum())
         total_evaluations = (total_steps + runs) * _pairs(instance.n).flat.size
         early_outs = 0
-        aborted = int(np.count_nonzero(aborted))
+        aborted = int(np.count_nonzero(ran_out))
     else:
         visited = VisitedSet(config.visited_cap)
         best_tour, best_length = None, np.inf
