@@ -532,6 +532,21 @@ class TestRunHc:
         result = run_hc(square_instance(), config)
         assert (result.runs, result.aborted, result.early_outs) == (31, 6, 19)
 
+    def test_climbs_in_blocks_match_one_block(self, monkeypatch):
+        # Many restarts on a large instance climb in blocks of rows; blocks of
+        # three (the last one short) must give the run of one block of eight.
+        inst = random_instance(np.random.default_rng(41), 12)
+        config = HcConfig(restarts=7, max_steps_per_run=6, seed=9)
+        whole = run_hc(inst, config)
+        monkeypatch.setattr(hillclimb, "_DESCENT_ENTRIES", 3 * (12 + 2) * 12)
+        split = run_hc(inst, config)
+        assert 0 < whole.aborted < whole.runs
+        assert split.best_tour == whole.best_tour
+        assert float.hex(split.best_length) == float.hex(whole.best_length)
+        assert (split.iterations, split.fitness_evaluations, split.aborted) == (
+            whole.iterations, whole.fitness_evaluations, whole.aborted
+        )
+
     def test_all_aborted_raises(self, att48):
         config = HcConfig(restarts=2, max_steps_per_run=1, seed=3)
         with pytest.raises(RunAbortedError) as err:
