@@ -16,13 +16,13 @@ measures with ``row_lengths`` only the neighbors whose screened change lies
 within a rigorous rounding band of the smallest. The step returns the first
 exact minimum in pair order, the one a full scan would return.
 
-The baseline climbs a block of start rows in lockstep. Each pass screens
-every live row, builds all their surviving candidates in one scatter,
-measures them in one ``row_lengths`` call and takes each row's first exact
-minimum; a row that does not improve drops out. ``run_hc`` climbs all of a
-run's starts this way, and ``hill_climb`` without a visited set runs the
-same descent on one row. The modified climb steps one row at a time over
-the same screen, since each step changes the visited set the next one
+The one steepest step takes a (k, n) block of rows: it screens every row,
+builds all their surviving candidates in one scatter, measures them in one
+``row_lengths`` call and takes each row's first exact minimum. ``run_hc``
+draws and climbs its starts a block at a time, and the baseline climbs a
+block in lockstep, a row that does not improve dropping out. The modified
+climb and ``steepest_step`` take the step on one row, skipping its stored
+neighbors, since each modified step changes the visited set the next one
 reads.
 
 Climbs walk on int64 order rows, and each modified step hands the visited
@@ -96,7 +96,7 @@ _FILTER_RATIO = 64
 # A doubling rehashes the stored tours this many Zobrist words (1 MiB) at a
 # time, so its transient memory does not grow with the set.
 _REHASH_WORDS = 1 << 17
-_NONE_STORED = (np.empty(0, dtype=np.intp), None)  # no stored neighbor, no hashes
+_NO_PAIRS = np.empty(0, dtype=np.intp)  # no stored neighbor
 
 
 def _zobrist_table(n: int) -> np.ndarray:
@@ -194,7 +194,7 @@ class VisitedSet:
         Both are in pair order; the hashes are None before a tour of that size is stored.
         """
         if self._words is None or order.size != self._words.shape[0]:
-            return _NONE_STORED
+            return _NO_PAIRS, None
         # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
         # for words[i, t_j] and words[j, t_i].
         words = self._words.take(order, axis=1)  # words[p, q] = words[p, t_q]
@@ -227,8 +227,9 @@ class HcConfig:
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# run_hc's baseline climbs its starts in blocks of about this many distances
-# in a (k, n + 2, n) screen, so a pass's temporaries stay near 512 KiB each.
+# run_hc draws and climbs its starts in blocks of about this many distances
+# in a (k, n + 2, n) screen, so a baseline pass's temporaries stay near
+# 512 KiB each.
 _DESCENT_ENTRIES = 1 << 16
 
 
@@ -262,20 +263,28 @@ def _neighbor_rows(orders: np.ndarray, owner: np.ndarray, picked: np.ndarray) ->
     return rows
 
 
-@functools.lru_cache(maxsize=256)
+_adjacent_held: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by n, for the most rows asked
+
+
 def _adjacent_at(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the cycle-neighbor pairs (i, j) in k rows of changes, and of d(t_i, t_j).
 
     The second indexes k (n + 2, n) blocks whose row p + 1 holds the
-    distances from the city at position p, as ``_screen`` builds them.
+    distances from the city at position p, as ``_screen`` builds them. The
+    indices for k rows begin those for more rows, so one pair of arrays per
+    n is kept, rebuilt only for more rows than it holds, and sliced.
     """
     pairs = _pairs(n)
-    rows = np.arange(k)[:, None]
-    i, j = pairs.i[pairs.adjacent], pairs.j[pairs.adjacent]
-    return (
-        (rows * pairs.flat.size + pairs.adjacent).ravel(),
-        (rows * ((n + 2) * n) + (i + 1) * n + j).ravel(),
-    )
+    size = k * pairs.adjacent.size
+    held = _adjacent_held.get(n)
+    if held is None or held[0].size < size:
+        rows = np.arange(k)[:, None]
+        i, j = pairs.i[pairs.adjacent], pairs.j[pairs.adjacent]
+        held = _adjacent_held[n] = (
+            (rows * pairs.flat.size + pairs.adjacent).ravel(),
+            (rows * ((n + 2) * n) + (i + 1) * n + j).ravel(),
+        )
+    return held[0][:size], held[1][:size]
 
 
 def _screen(
@@ -334,31 +343,36 @@ def _screen(
 
 
 def _step(
-    instance: Instance, order: np.ndarray, length: float, dmax: float, visited: VisitedSet | None
-) -> tuple[np.ndarray, float, int, np.uint64 | None] | None:
-    """``steepest_step`` on the row ``order`` of ``row_lengths`` length ``length``.
+    instance: Instance, orders: np.ndarray, lengths: np.ndarray, dmax: float, stored: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's chosen pair index, neighbor row and length for a steepest step of ``orders``.
 
-    ``dmax`` is the table's longest edge. Returns the chosen row, its length,
-    the evaluated count and the row's Zobrist hash in ``visited`` (None
-    without a stored tour), or None when every neighbor is stored.
+    ``orders`` is a (k, n) block with ``row_lengths`` lengths ``lengths``,
+    and ``dmax`` the table's longest edge. ``stored`` holds pair indices row
+    0 may not take, leaving it one at least; only one-row blocks pass any.
     """
-    n = order.size
-    pairs = _pairs(n)
-    stored, hashes = _NONE_STORED if visited is None else visited._forbidden(order)
-    evaluated = pairs.flat.size - stored.size
-    if evaluated == 0:
-        return None
-    if n == 2:  # the one neighbor, allowed; the screen could overflow
-        picked = np.zeros(1, dtype=np.intp)
+    k, n = orders.shape
+    if n == 2:  # the one neighbor; the screen could overflow
+        keep = np.ones((k, 1), dtype=bool)
     else:
-        deltas, band = _screen(instance.distance_table(), order.reshape(1, n), length, dmax)
-        deltas = deltas[0]
-        deltas[stored] = np.inf
-        picked = (deltas <= deltas.min() + band).nonzero()[0]
-    rows = _neighbor_rows(order[None], np.zeros(picked.size, np.intp), picked)
-    lengths = row_lengths(instance, rows)
-    m = int(np.argmin(lengths))  # first minimum = lexicographically first pair
-    return rows[m], float(lengths[m]), evaluated, None if hashes is None else hashes[picked[m]]
+        deltas, band = _screen(instance.distance_table(), orders, max(lengths.tolist()), dmax)
+        if stored.size:
+            deltas[0][stored] = np.inf
+        # a lone row's minimum is the whole array's, which numpy finds faster
+        smallest = deltas.min() if k == 1 else np.minimum.reduce(deltas, axis=1, keepdims=True)
+        keep = deltas <= smallest + band
+    survivors = keep.ravel().nonzero()[0]
+    if k == 1:  # every survivor is row 0's; no divmod needed
+        owner, picked = np.zeros(survivors.size, dtype=np.intp), survivors
+    else:
+        owner, picked = np.divmod(survivors, keep.shape[1])
+    candidates = _neighbor_rows(orders, owner, picked)
+    measured = row_lengths(instance, candidates)
+    if owner.size == k:  # one candidate per row, as is usual off ties
+        return picked, candidates, measured
+    # each row's first minimum in pair order: the head of its run, stably sorted
+    chosen = np.lexsort((measured, owner))[owner.searchsorted(np.arange(k))]
+    return picked[chosen], candidates[chosen], measured[chosen]
 
 
 def _descend(
@@ -372,38 +386,22 @@ def _descend(
 
     ``tours`` is a (k, n) int64 block of start rows and ``lengths`` their
     ``row_lengths`` lengths; both end holding each climb's last, and so
-    best, tour. Each pass screens every live row, builds all the surviving
-    candidates in one scatter, measures them in one ``row_lengths`` call
-    and takes each row's first exact minimum in pair order, as
-    ``steepest_step`` does. A row that does not improve drops out. Every
-    live row has taken the same number of steps, so a climb's evaluations
-    are n(n-1)/2 per step plus one for the step that ended it.
+    best, tour. Each pass takes ``_step`` on every live row, and a row that
+    does not improve drops out. Every live row has taken the same number of
+    steps, so a climb's evaluations are n(n-1)/2 per step plus one for the
+    step that ended it.
 
     Returns each row's steps and whether it aborted: at ``max_steps`` steps
     the rows that would step again stop there. ``on_visit``, if given, is
     called with each tour a row steps to and its length.
     """
-    k, n = tours.shape
-    table = instance.distance_table()
-    dmax = float(table.max())
-    steps = np.zeros(k, dtype=np.intp)
-    aborted = np.zeros(k, dtype=bool)
+    k = tours.shape[0]
+    dmax = float(instance.distance_table().max())
+    steps, aborted = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
     for step in itertools.count():
-        if n == 2:  # the one neighbor; the screen could overflow
-            keep = np.ones((live.size, 1), dtype=bool)
-        else:
-            deltas, band = _screen(table, current, max(current_lengths.tolist()), dmax)
-            keep = deltas <= np.minimum.reduce(deltas, axis=1, keepdims=True) + band
-        owner, picked = np.divmod(keep.ravel().nonzero()[0], keep.shape[1])
-        candidates = _neighbor_rows(current, owner, picked)
-        measured = row_lengths(instance, candidates)
-        if owner.size == live.size:  # one candidate per row, as is usual off ties
-            chosen = slice(None)
-        else:  # each row's first minimum in pair order: the head of its run, stably sorted
-            chosen = np.lexsort((measured, owner))[owner.searchsorted(np.arange(live.size))]
-        following, best = candidates[chosen], measured[chosen]
+        _, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
         better = best < current_lengths
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = better
@@ -430,11 +428,16 @@ def steepest_step(
     ``forbidden`` are skipped; None means every neighbor was forbidden.
     Every allowed neighbor counts as evaluated; see the module docstring for
     the screen that decides which of them are measured in full. The climbs
-    take this step on rows and build no Tour.
+    take this same step on blocks of rows and build no Tour.
     """
     length = tour_length(instance, tour)  # rejects a tour of another size
-    found = _step(instance, tour.order, length, float(instance.distance_table().max()), forbidden)
-    return None if found is None else (Tour(found[0]), found[1], found[2])
+    stored = _NO_PAIRS if forbidden is None else forbidden._forbidden(tour.order)[0]
+    evaluated = _pairs(tour.order.size).flat.size - stored.size
+    if evaluated == 0:
+        return None
+    dmax = float(instance.distance_table().max())
+    _, rows, lengths = _step(instance, tour.order[None], np.array([length]), dmax, stored)
+    return Tour(rows[0]), float(lengths[0]), evaluated
 
 
 def hill_climb(
@@ -478,32 +481,30 @@ def hill_climb(
         return best, best_length, steps, evaluations, False
     best, best_length = current, current_length
     dmax = float(instance.distance_table().max())
-    steps = 0
-    evaluations = 0
-    allowance_spent = False
-    trigger_length = -np.inf  # set when the allowance is spent
+    neighborhood = _pairs(current.size).flat.size
+    rows, lengths = current[None], np.array([current_length])  # the climb's row as a block
+    steps = evaluations = 0
+    allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
     while True:
-        found = _step(instance, current, current_length, dmax, visited)
-        if found is None:
+        stored, hashes = visited._forbidden(rows[0])  # hashes exist: the start is stored
+        if stored.size == neighborhood:
             break  # every neighbor already visited
-        neighbor, neighbor_length, evaluated, neighbor_hash = found
-        evaluations += evaluated
-        if neighbor_length < current_length:
-            pass
-        elif not allowance_spent:
-            allowance_spent = True
-            trigger_length = current_length
-        else:
-            break
+        picked, neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
+        neighbor_length = float(neighbor_lengths[0])
+        evaluations += neighborhood - stored.size
+        if not neighbor_length < current_length:
+            if allowance_spent:
+                break
+            allowance_spent, trigger_length = True, current_length
         if steps >= max_steps:
             raise RunAbortedError(Tour(best), best_length, steps, evaluations)
-        current, current_length = neighbor, neighbor_length
+        rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
         steps += 1
-        visited._store(current, neighbor_hash)
+        visited._store(rows[0], hashes[picked[0]])
         if on_visit is not None:
-            on_visit(Tour(current), current_length)
+            on_visit(Tour(rows[0]), current_length)
         if current_length < best_length:
-            best, best_length = current, current_length
+            best, best_length = rows[0], current_length
         if allowance_spent and current_length < trigger_length:
             allowance_spent = False
     return Tour(best), best_length, steps, evaluations, False
@@ -533,10 +534,11 @@ def hill_climb_modified(
 def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     """Run 1 + restarts climbs from random starts and keep the best result.
 
-    All starts are drawn first, with the draws of one ``random_tour`` per
-    climb in turn; climbs take no draws. The baseline climbs them all at
-    once in one batched steepest descent. The modified variant climbs them
-    one after another, threading one shared VisitedSet through all climbs.
+    Each climb's start takes one ``random_tour``'s draws, in climb order.
+    Starts are drawn a block at a time as they climb, so memory does not
+    grow with restarts. The baseline climbs each block in one batched
+    steepest descent. The modified variant climbs a block's starts one
+    after another, threading one shared VisitedSet through all climbs.
     A climb that exhausts its step budget contributes its best-so-far tour
     and counts in ``aborted``; RunAbortedError propagates only if every
     climb aborts. Ties between climbs go to the earliest.
@@ -547,41 +549,37 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     rng = make_rng(config.seed)
     started = time.perf_counter()
     runs = config.restarts + 1
-    starts = random_rows(instance.n, runs, rng)
-    if config.variant == "baseline":
-        lengths = row_lengths(instance, starts)
-        steps, ran_out = np.zeros(runs, dtype=np.intp), np.zeros(runs, dtype=bool)
-        block = max(1, _DESCENT_ENTRIES // ((instance.n + 2) * instance.n))
-        for first in range(0, runs, block):
-            part = slice(first, first + block)
-            steps[part], ran_out[part] = _descend(
-                instance, starts[part], lengths[part], config.max_steps_per_run
-            )
-        best = int(np.argmin(lengths))  # the first of the shortest
-        best_tour, best_length = Tour(starts[best]), float(lengths[best])
-        total_steps = int(steps.sum())
-        total_evaluations = (total_steps + runs) * _pairs(instance.n).flat.size
-        early_outs = 0
-        aborted = int(np.count_nonzero(ran_out))
-    else:
-        visited = VisitedSet(config.visited_cap)
-        best_tour, best_length = None, np.inf
-        total_steps = total_evaluations = early_outs = aborted = 0
-        for start in starts:
-            try:
-                tour, length, steps, evaluations, early = hill_climb(
-                    instance, Tour(start), visited, config.max_steps_per_run
-                )
-            except RunAbortedError as err:
-                aborted += 1
-                tour, length = err.best_tour, err.best_length
-                steps, evaluations = err.steps, err.evaluations
-                early = False
-            total_steps += steps
-            total_evaluations += evaluations
-            early_outs += int(early)
-            if length < best_length:
-                best_tour, best_length = tour, length
+    best_tour, best_length = None, np.inf
+    total_steps = total_evaluations = early_outs = aborted = 0
+    block = max(1, _DESCENT_ENTRIES // ((instance.n + 2) * instance.n))
+    visited = None if config.variant == "baseline" else VisitedSet(config.visited_cap)
+    for first in range(0, runs, block):
+        starts = random_rows(instance.n, min(block, runs - first), rng)
+        if visited is None:
+            lengths = row_lengths(instance, starts)
+            steps, ran_out = _descend(instance, starts, lengths, config.max_steps_per_run)
+            total_steps += int(steps.sum())
+            total_evaluations += int((steps + 1).sum()) * _pairs(instance.n).flat.size
+            aborted += int(np.count_nonzero(ran_out))
+            best = int(np.argmin(lengths))  # the first of the shortest
+            if lengths[best] < best_length:
+                best_tour, best_length = Tour(starts[best]), float(lengths[best])
+        else:
+            for start in starts:
+                try:
+                    tour, length, steps, evaluations, early = hill_climb(
+                        instance, Tour(start), visited, config.max_steps_per_run
+                    )
+                except RunAbortedError as err:
+                    aborted += 1
+                    tour, length = err.best_tour, err.best_length
+                    steps, evaluations = err.steps, err.evaluations
+                    early = False
+                total_steps += steps
+                total_evaluations += evaluations
+                early_outs += int(early)
+                if length < best_length:
+                    best_tour, best_length = tour, length
     if aborted == runs:
         raise RunAbortedError(best_tour, float(best_length), total_steps, total_evaluations)
     return RunResult(

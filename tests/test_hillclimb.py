@@ -533,19 +533,41 @@ class TestRunHc:
         assert (result.runs, result.aborted, result.early_outs) == (31, 6, 19)
 
     def test_climbs_in_blocks_match_one_block(self, monkeypatch):
-        # Many restarts on a large instance climb in blocks of rows; blocks of
-        # three (the last one short) must give the run of one block of eight.
+        # Many restarts on a large instance draw and climb in blocks of rows;
+        # blocks of three (the last one short) must give the run of one block
+        # of eight, for both variants.
         inst = random_instance(np.random.default_rng(41), 12)
-        config = HcConfig(restarts=7, max_steps_per_run=6, seed=9)
-        whole = run_hc(inst, config)
+        configs = [
+            HcConfig(restarts=7, variant=variant, max_steps_per_run=6, seed=9)
+            for variant in HC_VARIANTS
+        ]
+        wholes = [run_hc(inst, config) for config in configs]
         monkeypatch.setattr(hillclimb, "_DESCENT_ENTRIES", 3 * (12 + 2) * 12)
-        split = run_hc(inst, config)
-        assert 0 < whole.aborted < whole.runs
-        assert split.best_tour == whole.best_tour
-        assert float.hex(split.best_length) == float.hex(whole.best_length)
-        assert (split.iterations, split.fitness_evaluations, split.aborted) == (
-            whole.iterations, whole.fitness_evaluations, whole.aborted
-        )
+        for config, whole in zip(configs, wholes):
+            split = run_hc(inst, config)
+            assert 0 < whole.aborted < whole.runs
+            assert split.best_tour == whole.best_tour
+            assert float.hex(split.best_length) == float.hex(whole.best_length)
+            assert (split.iterations, split.fitness_evaluations, split.aborted) == (
+                whole.iterations, whole.fitness_evaluations, whole.aborted
+            )
+            assert split.early_outs == whole.early_outs
+
+    def test_memory_does_not_grow_with_restarts(self):
+        # Starts are drawn a block at a time as they climb, and the screen's
+        # indices are kept per size, so 20 times the restarts hold no more.
+        # Drawing every start first, or keeping indices per block height,
+        # takes megabytes more at 40,000 starts of 8 points.
+        inst = random_instance(np.random.default_rng(8), 8)
+        peaks = []
+        for restarts in (1_999, 39_999):
+            tracemalloc.start()
+            try:
+                run_hc(inst, HcConfig(restarts=restarts, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, peaks
 
     def test_all_aborted_raises(self, att48):
         config = HcConfig(restarts=2, max_steps_per_run=1, seed=3)

@@ -33,9 +33,11 @@ from tourbench.ga import (
 from tourbench.hillclimb import (
     DEFAULT_MAX_STEPS,
     HC_VARIANTS,
+    _NO_PAIRS,
     HcConfig,
     RunAbortedError,
     VisitedSet,
+    _step,
     hill_climb,
     run_hc,
     steepest_step,
@@ -252,6 +254,31 @@ def test_steepest_step_matches_full_scan(metric, data):
         if visited is not None:
             visited.add(tour)
             forbidden.add(tuple(tour))
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_block_step_matches_full_scan_on_every_row(metric, data):
+    # The one steepest step on a block of rows, from 2 points, where the one
+    # neighbour goes unscreened, to 14; integer grid points tie exactly and
+    # often, so rows of one block may keep different numbers of candidates.
+    n = data.draw(st.integers(2, 14))
+    k = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    orders = random_rows(n, k, rng)
+    dmax = float(instance.distance_table().max())
+    picked, rows, lengths = _step(instance, orders, row_lengths(instance, orders), dmax, _NO_PAIRS)
+    assert rows.shape == (k, n) and picked.shape == lengths.shape == (k,)
+    for order, pair, row, length in zip(orders, picked, rows, lengths):
+        expected = reference_step(instance, Tour(order))
+        assert (row.tolist(), float.hex(float(length)), n * (n - 1) // 2) == expected
+        assert [nb.tolist() for nb in neighbors(Tour(order))].index(expected[0]) == pair
 
 
 def reference_climb(instance, start, visited):
