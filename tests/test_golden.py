@@ -17,7 +17,7 @@ import pytest
 
 from tourbench.core import Instance, Metric, Point
 from tourbench.ga import GaConfig, run_ga
-from tourbench.hillclimb import HcConfig, run_hc
+from tourbench.hillclimb import DEFAULT_MAX_STEPS, HcConfig, RunAbortedError, run_hc
 from tourbench.oracle import brute_force, held_karp
 from tourbench.tsplib import bundled_instance
 
@@ -97,12 +97,25 @@ def _hc(instance_fn, variant, seed, restarts):
     return lambda: _solver_entry(run_hc(instance_fn(), config))
 
 
-def _hc_budget(instance_fn, seed, restarts, max_steps):
-    """A baseline run whose step budget ends some climbs; records ``aborted`` too."""
-    config = HcConfig(restarts=restarts, max_steps_per_run=max_steps, seed=seed)
+def _hc_budget(instance_fn, seed, restarts, max_steps, variant="baseline", **kw):
+    """A run whose step budget ends some climbs; records ``aborted`` too.
+
+    If the budget ends every climb, the entry records the RunAbortedError's
+    best tour, its length and the steps and evaluations of all climbs.
+    """
+    config = HcConfig(restarts=restarts, variant=variant, max_steps_per_run=max_steps, seed=seed, **kw)
 
     def entry():
-        result = run_hc(instance_fn(), config)
+        try:
+            result = run_hc(instance_fn(), config)
+        except RunAbortedError as err:
+            return {
+                "aborted_all": True,
+                "length": float.hex(err.best_length),
+                "evaluations": err.evaluations,
+                "iterations": err.steps,
+                "tour": err.best_tour.tolist(),
+            }
         return {**_solver_entry(result), "aborted": result.aborted}
 
     return entry
@@ -175,6 +188,19 @@ def _cases() -> dict:
     # Seven steps end five of the ten climbs (BUDGET_CASE's test checks
     # the mix), so a run carries aborted and finished climbs side by side.
     cases[BUDGET_CASE] = _hc_budget(euclidean13, 13, 9, 7)
+    # Modified runs whose visited cap fills during a climb, on uniform and
+    # tie-heavy points: a cap of one holds only the first start, and short
+    # budgets end climbs partway through or at an escape (every climb, for
+    # some cases). The shared set makes later climbs meet stored tours.
+    for n in range(7, 12):
+        for tag, inst in (("euclidean", lambda n=n: _instance("euclidean", n)),
+                          ("grid-manhattan", lambda n=n: _grid_manhattan(n))):
+            for cap in (1, 5, 20):
+                for max_steps in (1, 3, DEFAULT_MAX_STEPS):
+                    budget = "" if max_steps == DEFAULT_MAX_STEPS else f"-budget{max_steps}"
+                    cases[f"hc-modified-cap{cap}{budget}-{tag}-n{n}"] = _hc_budget(
+                        inst, 10 * n + cap, 30, max_steps, "modified", visited_cap=cap
+                    )
     # Held-Karp at the sizes the grid above does not reach: the smallest
     # instances, where the DP has one or two layers, and n = 15.
     for n in (2, 3, 15):
