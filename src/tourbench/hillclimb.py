@@ -19,16 +19,19 @@ exact minimum in pair order, the one a full scan would return.
 The one steepest step takes a (k, n) block of rows: it screens every row,
 builds all their surviving candidates in one scatter, measures them in one
 ``row_lengths`` call and takes each row's first exact minimum. ``run_hc``
-draws and climbs its starts a block at a time, and the baseline climbs a
-block in lockstep, a row that does not improve dropping out. The modified
-climb and ``steepest_step`` take the step on one row, skipping its stored
-neighbors, since each modified step changes the visited set the next one
-reads.
+draws and climbs its starts a block at a time, and both variants descend a
+block in lockstep, a row that does not improve dropping out. A modified
+climb takes the descent's steps until one reaches a tour the set holds.
+Each step goes to the first shortest neighbor and is strictly shorter, so
+for u < s - 1 the path's tour t_s, shorter than t_{u+1}, the shortest
+neighbor of t_u, is no neighbor of t_u. Each modified climb in turn thus
+keeps the longest prefix of its descent that avoids the set, counts the
+prefix's stored neighbors exactly with one ``_forbidden`` over it, against
+the set as it was before the climb, plus each predecessor the set stored,
+and then takes one masked step at a time from the prefix's end.
 
-Climbs walk on int64 order rows, and each modified step hands the visited
-set the Zobrist hash of the row it chose. A ``Tour`` is built only for
-what a climb hands out: its best, RunAbortedError and the ``on_visit``
-hook.
+Climbs walk on int64 order rows. A ``Tour`` is built only for what a climb
+hands out: its best, RunAbortedError and the ``on_visit`` hook.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,11 +99,12 @@ _FILTER_RATIO = 64
 # A doubling rehashes the stored tours this many Zobrist words (1 MiB) at a
 # time, so its transient memory does not grow with the set.
 _REHASH_WORDS = 1 << 17
+_HASH_WORDS = 1 << 13  # _forbidden hashes about this many words (64 KiB) of rows at a time
 _NO_PAIRS = np.empty(0, dtype=np.intp)  # no stored neighbor
 
 
 def _zobrist_table(n: int) -> np.ndarray:
-    """One random 64-bit word per (position, city); a tour hashes to the XOR of its n words.
+    """One random 64-bit word per (city, position); a tour hashes to the XOR of its n words.
 
     The words are fixed per n. Only speed depends on them: the hashes only
     pre-screen lookups in the exact set of stored tours.
@@ -142,14 +146,14 @@ class VisitedSet:
         check_count("cap", cap, 1)
         self.cap = cap
         self._seen: set[bytes] = set()
-        self._words: np.ndarray | None = None  # (n, n) Zobrist words, made by the first add
+        self._words: np.ndarray | None = None  # (city, position) Zobrist words, made by the first add
         self._dtype: np.dtype | None = None  # of the stored city indices
         self._filter = np.zeros(_FIRST_BITS, dtype=bool)
 
     def _hashes(self, rows: np.ndarray) -> np.ndarray:
         """Zobrist hash of each tour along the last axis of ``rows``."""
         n = self._words.shape[0]
-        return np.bitwise_xor.reduce(self._words[np.arange(n), rows], axis=-1)
+        return np.bitwise_xor.reduce(self._words[rows, np.arange(n)], axis=-1)
 
     def add(self, tour: Tour) -> bool:
         order = tour.order
@@ -188,23 +192,33 @@ class VisitedSet:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _forbidden(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pair indices of the stored neighbors of ``order``, and every neighbor's hash.
+    def _forbidden(self, orders: np.ndarray) -> np.ndarray:
+        """The stored neighbors of each row of the (k, n) block ``orders``.
 
-        Both are in pair order; the hashes are None before a tour of that size is stored.
+        They come as flat indices into (k, n(n-1)/2), in row and pair order,
+        so a one-row block gives pair indices. Rows are hashed
+        ``_HASH_WORDS`` words at a time, so no temporary grows with k.
         """
-        if self._words is None or order.size != self._words.shape[0]:
-            return _NO_PAIRS, None
-        # Swapping positions i and j trades words[i, t_i] and words[j, t_j]
-        # for words[i, t_j] and words[j, t_i].
-        words = self._words.take(order, axis=1)  # words[p, q] = words[p, t_q]
-        own = words.diagonal()
-        trade = words ^ own.reshape(-1, 1)
-        hashes = (trade ^ trade.T).ravel()[_pairs(order.size).flat] ^ np.bitwise_xor.reduce(own)
-        query = np.flatnonzero(self._filter.take(hashes & np.uint64(self._filter.size - 1)))
-        rows = _neighbor_rows(order.astype(self._dtype)[None], np.zeros(query.size, np.intp), query)
-        stored = np.array([row.tobytes() in self._seen for row in rows], dtype=bool)
-        return query[stored], hashes
+        k, n = orders.shape
+        if self._words is None or n != self._words.shape[0]:
+            return _NO_PAIRS
+        flat = _pairs(n).flat
+        mask = np.uint64(self._filter.size - 1)
+        chunk = max(1, _HASH_WORDS // (n * n))
+        query = [_NO_PAIRS]
+        for first in range(0, k, chunk):
+            # Swapping positions i and j trades words[t_i, i] and words[t_j, j]
+            # for words[t_j, i] and words[t_i, j]; words[r, q, p] = words[t_q, p] in row r.
+            block = orders[first : first + chunk]
+            words = self._words.take(block, axis=0)
+            own = words.diagonal(axis1=1, axis2=2)
+            trade = words ^ own[:, None, :]  # symmetric once added to its transpose
+            swapped = (trade ^ trade.transpose(0, 2, 1)).reshape(block.shape[0], n * n)
+            hashes = swapped.take(flat, axis=1) ^ np.bitwise_xor.reduce(own, axis=1)[:, None]
+            query.append(np.flatnonzero(self._filter.take(hashes & mask)) + first * flat.size)
+        query = np.concatenate(query)
+        rows = _neighbor_rows(orders.astype(self._dtype), *np.divmod(query, flat.size))
+        return query[[row.tobytes() in self._seen for row in rows]]
 
 
 @dataclass(frozen=True)
@@ -228,9 +242,10 @@ class HcConfig:
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # run_hc draws and climbs its starts in blocks of about this many distances
-# in a (k, n + 2, n) screen, so a baseline pass's temporaries stay near
-# 512 KiB each.
-_DESCENT_ENTRIES = 1 << 16
+# in a (k, n + 2, n) screen, so a pass's temporaries stay within 128 KiB
+# each: timed per row, the screen costs two to three times as much in
+# blocks past about 256 KiB (13 rows at n = 48, 12 at n = 100).
+_DESCENT_ENTRIES = 1 << 14
 
 
 class _Pairs(NamedTuple):
@@ -380,7 +395,7 @@ def _descend(
     tours: np.ndarray,
     lengths: np.ndarray,
     max_steps: int,
-    on_visit: Callable[[Tour, float], None] | None = None,
+    record: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain steepest descent from every row of ``tours`` at once, in place.
 
@@ -392,8 +407,9 @@ def _descend(
     step that ended it.
 
     Returns each row's steps and whether it aborted: at ``max_steps`` steps
-    the rows that would step again stop there. ``on_visit``, if given, is
-    called with each tour a row steps to and its length.
+    the rows that would step again stop there. ``record``, if given, is
+    called after each pass with the stepping rows' indices into ``tours``,
+    their chosen pair indices, and the rows and lengths they stepped to.
     """
     k = tours.shape[0]
     dmax = float(instance.distance_table().max())
@@ -401,7 +417,7 @@ def _descend(
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
     for step in itertools.count():
-        _, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
+        picked, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
         better = best < current_lengths
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = better
@@ -412,11 +428,84 @@ def _descend(
             tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
             if not np.count_nonzero(better):
                 return steps, aborted
-            live, following, best = live[better], following[better], best[better]
+            live, picked, following, best = (a[better] for a in (live, picked, following, best))
         current, current_lengths = following, best
+        if record is not None:
+            record(live, picked, current, best)
+
+
+def _memoised(
+    instance: Instance,
+    visited: VisitedSet,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    max_steps: int,
+    on_visit: Callable[[Tour, float], None] | None = None,
+) -> Iterator[tuple[np.ndarray, float, int, int, bool, bool]]:
+    """Modified climbs from each row of the block ``starts`` in turn, all recording into ``visited``.
+
+    ``lengths`` are the rows' ``row_lengths`` lengths. The block descends
+    in one ``_descend``, and each climb keeps the prefix of its path that
+    the module docstring explains before it steps on alone. Yields, for
+    each climb, the best row, its length, the steps, the evaluations,
+    whether the start was already stored (an early-out, with no work done)
+    and whether the step after ``max_steps`` would have moved the climb (an
+    abort, which keeps the best row before it).
+    """
+    k, n = starts.shape
+    neighborhood = _pairs(n).flat.size
+    dmax = float(instance.distance_table().max())
+    passes = [(np.arange(k), np.zeros(k, dtype=np.intp), starts, lengths)]
+    ends, _ = _descend(instance, starts.copy(), lengths.copy(), max_steps, lambda *p: passes.append(p))
+    owner, picked, rows, lengths = (np.concatenate(part) for part in zip(*passes))
+    order = np.argsort(owner, kind="stable")  # each row's start, then its steps in turn
+    paths = (np.split(part[order], np.cumsum(ends + 1)[:-1]) for part in (rows, lengths, picked))
+    for rows, lengths, picked in zip(*paths):  # a path's rows, their lengths and the pair to each
+        start = Tour(rows[0])
+        if start in visited:
+            yield rows[0], float(lengths[0]), 0, 0, True, False
+            continue
+        stored = visited._forbidden(rows[:-1])
+        targets = np.arange(rows.shape[0] - 1) * neighborhood + picked[1:]
+        cut = set(stored.tolist()).intersection(targets.tolist())  # steps to a stored tour
+        steps = min(cut) // neighborhood if cut else rows.shape[0] - 1
+        path = rows[1 : steps + 1]
+        kept = [visited.add(start)]
+        kept += [visited._store(row, key_hash) for row, key_hash in zip(path, visited._hashes(path))]
+        # each prefix row's predecessor counts if stored: all of kept but the last two
+        evaluations = steps * neighborhood - int(np.count_nonzero(stored < steps * neighborhood))
+        evaluations -= sum(kept[:-2])
         if on_visit is not None:
-            for row, length in zip(current, best.tolist()):
+            for row, length in zip(rows[: steps + 1], lengths.tolist()):
                 on_visit(Tour(row), length)
+        rows, lengths = rows[steps : steps + 1], lengths[steps : steps + 1]  # the climb's row as a block
+        best, best_length, current_length = rows[0], float(lengths[0]), float(lengths[0])
+        allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
+        aborted = False
+        while True:
+            stored = visited._forbidden(rows)
+            if stored.size == neighborhood:
+                break  # every neighbor already visited
+            _, neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
+            neighbor_length = float(neighbor_lengths[0])
+            evaluations += neighborhood - stored.size
+            if not neighbor_length < current_length:
+                if allowance_spent:
+                    break
+                allowance_spent, trigger_length = True, current_length
+            if steps >= max_steps:
+                aborted = True
+                break
+            rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
+            steps += 1
+            visited._store(rows[0], visited._hashes(rows[0]))
+            if on_visit is not None:
+                on_visit(Tour(rows[0]), current_length)
+            if current_length < best_length:
+                best, best_length = rows[0], current_length
+            if allowance_spent and current_length < trigger_length:
+                allowance_spent = False
+        yield best, best_length, steps, evaluations, False, aborted
 
 
 def steepest_step(
@@ -431,7 +520,7 @@ def steepest_step(
     take this same step on blocks of rows and build no Tour.
     """
     length = tour_length(instance, tour)  # rejects a tour of another size
-    stored = _NO_PAIRS if forbidden is None else forbidden._forbidden(tour.order)[0]
+    stored = _NO_PAIRS if forbidden is None else forbidden._forbidden(tour.order[None])
     evaluated = _pairs(tour.order.size).flat.size - stored.size
     if evaluated == 0:
         return None
@@ -456,58 +545,31 @@ def hill_climb(
     which the caller may share across restarts, one non-improving step is
     allowed at a local minimum and re-armed once the walk gets strictly
     below it, no permutation is revisited, and early_out is True (with no
-    work done) when ``start`` was already in it.
+    work done) when ``start`` was already in it; this is ``run_hc``'s
+    modified climb on one row, which takes up its descent's path at once.
     ``on_visit``, if given, is called with each tour the climb visits and its
-    length, ``start`` included.
+    length, ``start`` included: after each step, but for the modified climb
+    only once the descent's path is taken up, for the tours along it.
     Raises ConfigurationError unless ``max_steps`` is an integer of at least
     1, and RunAbortedError if the next step would exceed it.
     """
     check_count("max_steps", max_steps, 1)
-    current = start.order
-    current_length = tour_length(instance, start)
+    tours, lengths = start.order.reshape(1, -1).copy(), np.array([tour_length(instance, start)])
     if visited is not None:
-        if start in visited:
-            return start, current_length, 0, 0, True
-        visited.add(start)
-    if on_visit is not None:
-        on_visit(start, current_length)
-    if visited is None:
-        tours, lengths = current.reshape(1, -1).copy(), np.array([current_length])
-        steps, aborted = _descend(instance, tours, lengths, max_steps, on_visit)
-        best, best_length, steps = Tour(tours[0]), float(lengths[0]), int(steps[0])
-        evaluations = (steps + 1) * _pairs(current.size).flat.size
-        if aborted[0]:
-            raise RunAbortedError(best, best_length, steps, evaluations)
-        return best, best_length, steps, evaluations, False
-    best, best_length = current, current_length
-    dmax = float(instance.distance_table().max())
-    neighborhood = _pairs(current.size).flat.size
-    rows, lengths = current[None], np.array([current_length])  # the climb's row as a block
-    steps = evaluations = 0
-    allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
-    while True:
-        stored, hashes = visited._forbidden(rows[0])  # hashes exist: the start is stored
-        if stored.size == neighborhood:
-            break  # every neighbor already visited
-        picked, neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
-        neighbor_length = float(neighbor_lengths[0])
-        evaluations += neighborhood - stored.size
-        if not neighbor_length < current_length:
-            if allowance_spent:
-                break
-            allowance_spent, trigger_length = True, current_length
-        if steps >= max_steps:
-            raise RunAbortedError(Tour(best), best_length, steps, evaluations)
-        rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
-        steps += 1
-        visited._store(rows[0], hashes[picked[0]])
+        ((best, length, steps, evaluations, early, aborted),) = _memoised(
+            instance, visited, tours, lengths, max_steps, on_visit
+        )
+    else:
+        record = None
         if on_visit is not None:
-            on_visit(Tour(rows[0]), current_length)
-        if current_length < best_length:
-            best, best_length = rows[0], current_length
-        if allowance_spent and current_length < trigger_length:
-            allowance_spent = False
-    return Tour(best), best_length, steps, evaluations, False
+            on_visit(start, float(lengths[0]))
+            record = lambda _, __, rows, lengths: on_visit(Tour(rows[0]), float(lengths[0]))  # noqa: E731
+        (steps,), (aborted,) = _descend(instance, tours, lengths, max_steps, record)
+        best, length, steps, early = tours[0], float(lengths[0]), int(steps), False
+        evaluations = (steps + 1) * _pairs(start.order.size).flat.size
+    if aborted:
+        raise RunAbortedError(Tour(best), length, steps, evaluations)
+    return Tour(best), length, steps, evaluations, early
 
 
 def hill_climb_baseline(
@@ -536,9 +598,10 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
 
     Each climb's start takes one ``random_tour``'s draws, in climb order.
     Starts are drawn a block at a time as they climb, so memory does not
-    grow with restarts. The baseline climbs each block in one batched
-    steepest descent. The modified variant climbs a block's starts one
-    after another, threading one shared VisitedSet through all climbs.
+    grow with restarts. Both variants descend each block in one batched
+    steepest descent. The modified variant then finishes the block's
+    climbs one after another, threading one shared VisitedSet through all
+    climbs.
     A climb that exhausts its step budget contributes its best-so-far tour
     and counts in ``aborted``; RunAbortedError propagates only if every
     climb aborts. Ties between climbs go to the earliest.
@@ -555,8 +618,8 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     visited = None if config.variant == "baseline" else VisitedSet(config.visited_cap)
     for first in range(0, runs, block):
         starts = random_rows(instance.n, min(block, runs - first), rng)
+        lengths = row_lengths(instance, starts)
         if visited is None:
-            lengths = row_lengths(instance, starts)
             steps, ran_out = _descend(instance, starts, lengths, config.max_steps_per_run)
             total_steps += int(steps.sum())
             total_evaluations += int((steps + 1).sum()) * _pairs(instance.n).flat.size
@@ -565,21 +628,14 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
             if lengths[best] < best_length:
                 best_tour, best_length = Tour(starts[best]), float(lengths[best])
         else:
-            for start in starts:
-                try:
-                    tour, length, steps, evaluations, early = hill_climb(
-                        instance, Tour(start), visited, config.max_steps_per_run
-                    )
-                except RunAbortedError as err:
-                    aborted += 1
-                    tour, length = err.best_tour, err.best_length
-                    steps, evaluations = err.steps, err.evaluations
-                    early = False
+            climbs = _memoised(instance, visited, starts, lengths, config.max_steps_per_run)
+            for row, length, steps, evaluations, early, ran_out in climbs:
                 total_steps += steps
                 total_evaluations += evaluations
-                early_outs += int(early)
+                early_outs += early
+                aborted += ran_out
                 if length < best_length:
-                    best_tour, best_length = tour, length
+                    best_tour, best_length = Tour(row), length
     if aborted == runs:
         raise RunAbortedError(best_tour, float(best_length), total_steps, total_evaluations)
     return RunResult(

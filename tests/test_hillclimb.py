@@ -12,6 +12,7 @@ from tourbench.core import (
     Metric,
     Tour,
     make_rng,
+    random_rows,
     random_tour,
     tour_length,
 )
@@ -40,7 +41,7 @@ TRAP_OPT_LENGTH = 245.28088799785934
 def _allowed(vs, order):
     """Whether ``vs`` does not store each transposition neighbour of ``order``, in pair order."""
     allowed = np.ones(order.size * (order.size - 1) // 2, dtype=bool)
-    allowed[vs._forbidden(order)[0]] = False
+    allowed[vs._forbidden(order[None])] = False
     return allowed.tolist()
 
 
@@ -216,6 +217,19 @@ class TestVisitedSet:
             for _ in range(unrelated):
                 vs.add(random_tour(9, rng))
             assert _allowed(vs, t.order) == [nb not in vs for nb in nbrs]
+
+    def test_block_of_rows_masks_each_row_at_its_offset(self):
+        # _forbidden hashes three rows of 48 cities at a time, so seven rows
+        # cross two chunk edges; the rows in between have no stored neighbor.
+        rng = np.random.default_rng(19)
+        rows = random_rows(48, 7, rng)
+        vs = VisitedSet()
+        for row in rows[::2]:
+            for nb in list(neighbors(Tour(row)))[::97]:
+                vs.add(nb)
+        per_row = [vs._forbidden(row[None]) + r * 48 * 47 // 2 for r, row in enumerate(rows)]
+        assert [p.size for p in per_row] == [12, 0, 12, 0, 12, 0, 12]
+        assert vs._forbidden(rows).tolist() == np.concatenate(per_row).tolist()
 
 
 class TestVisitedSetCollisions:
@@ -455,27 +469,24 @@ class TestHillClimbModified:
 
 
 def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
-    # The climb stores each tour under the hash its step computed, not a
-    # fresh one: after three climbs that pass two filter doublings, every
-    # stored key's own hash must hit a set filter entry, and the mask must
-    # equal set membership along the last climb.
-    sets, paths = [], []
-
-    def kept(cap):
-        sets.append(VisitedSet(cap))
-        return sets[-1]
-
-    def traced(instance, start, visited, max_steps):
-        paths.append([])
-        return hill_climb(instance, start, visited, max_steps, lambda t, _: paths[-1].append(t))
-
-    monkeypatch.setattr(hillclimb, "VisitedSet", kept)
-    monkeypatch.setattr(hillclimb, "hill_climb", traced)
+    # A climb stores each tour under the hash that its path's one _forbidden
+    # or its step computed, not a fresh one: after run_hc's three climbs pass
+    # two filter doublings, every stored key's own hash must hit a set
+    # filter entry, the set must hold the tours that public hill_climb calls
+    # from the same starts visit, and the mask must equal set membership
+    # along the last climb.
+    sets = []
+    monkeypatch.setattr(hillclimb, "VisitedSet", lambda cap: sets.append(VisitedSet(cap)) or sets[-1])
     run_hc(att48, HcConfig(variant="modified", restarts=2, seed=11))
     (vs,) = sets
-    assert len(paths) == 3 and vs._filter.size >= hillclimb._FIRST_BITS << 2
+    assert vs._filter.size >= hillclimb._FIRST_BITS << 2
     keys = np.frombuffer(b"".join(vs._seen), vs._dtype).reshape(len(vs), att48.n)
     assert vs._filter[vs._hashes(keys) & np.uint64(vs._filter.size - 1)].all()
+    rng, climbed, paths = make_rng(11), VisitedSet(), []
+    for _ in range(3):
+        paths.append([])
+        hill_climb(att48, random_tour(att48.n, rng), climbed, on_visit=lambda t, _: paths[-1].append(t))
+    assert climbed._seen == vs._seen and len(paths[-1]) > 1
     for t in paths[-1]:
         assert _allowed(vs, t.order) == [nb not in vs for nb in neighbors(t)]
 

@@ -32,11 +32,13 @@ from tourbench.ga import (
 )
 from tourbench.hillclimb import (
     DEFAULT_MAX_STEPS,
+    DEFAULT_VISITED_CAP,
     HC_VARIANTS,
     _NO_PAIRS,
     HcConfig,
     RunAbortedError,
     VisitedSet,
+    _descend,
     _step,
     hill_climb,
     run_hc,
@@ -281,13 +283,24 @@ def test_block_step_matches_full_scan_on_every_row(metric, data):
         assert [nb.tolist() for nb in neighbors(Tour(order))].index(expected[0]) == pair
 
 
-def reference_climb(instance, start, visited):
-    """hill_climb written out plainly over reference_step, with a set of tuples or None."""
+def reference_climb(instance, start, visited, cap=DEFAULT_VISITED_CAP, max_steps=DEFAULT_MAX_STEPS):
+    """hill_climb written out plainly over reference_step, with a set of tuples or None.
+
+    The set takes no tour once it holds ``cap``. Returns the best tour as a
+    list, its length as float.hex, the steps, the evaluations, whether the
+    climb was an early-out and whether it aborted: the step after
+    ``max_steps`` would have moved it.
+    """
+
+    def store(tour):
+        if len(visited) < cap:
+            visited.add(tuple(tour))
+
     length = tour_length(instance, start)
     if visited is not None:
         if tuple(start) in visited:
-            return start.tolist(), float.hex(length), 0, 0, True
-        visited.add(tuple(start))
+            return start.tolist(), float.hex(length), 0, 0, True, False
+        store(start)
     tour, best = start.tolist(), (start.tolist(), length)
     steps = evaluations = 0
     spent, trigger = visited is None, -np.inf
@@ -301,15 +314,17 @@ def reference_climb(instance, start, visited):
             if spent:
                 break
             spent, trigger = True, length
+        if steps == max_steps:
+            return best[0], float.hex(best[1]), steps, evaluations, False, True
         tour, length = neighbor, neighbor_length
         steps += 1
         if visited is not None:
-            visited.add(tuple(tour))
+            store(tour)
         if length < best[1]:
             best = (tour, length)
         if spent and length < trigger:
             spent = False
-    return best[0], float.hex(best[1]), steps, evaluations, False
+    return best[0], float.hex(best[1]), steps, evaluations, False, False
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
@@ -332,7 +347,7 @@ def test_hill_climb_matches_reference_climb(metric, data):
     for start in (first, data.draw(st.sampled_from([first, Tour(rng.permutation(n))]))):
         best, length, steps, evaluations, early = hill_climb(instance, start, visited)
         expected = reference_climb(instance, start, expected_visited)
-        assert (best.tolist(), float.hex(length), steps, evaluations, early) == expected
+        assert (best.tolist(), float.hex(length), steps, evaluations, early, False) == expected
     if modified:
         assert len(visited) == len(expected_visited)
         assert all(Tour(key) in visited for key in expected_visited)
@@ -399,3 +414,75 @@ def test_batched_baseline_matches_climbs_one_at_a_time(metric, data):
     assert (result.iterations, result.fitness_evaluations, result.aborted) == (
         steps, evaluations, aborted
     )
+
+
+@pytest.mark.parametrize("metric", METRICS[:2], ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_modified_run_matches_reference_climbs(metric, data):
+    # run_hc's modified climbs descend as one block and then take up the
+    # shared set; one reference climb after another over a capped set of
+    # tuples must give the same run. Small caps drop tours partway through
+    # a descent, short budgets end climbs, and at small n later climbs meet
+    # tours that earlier ones stored. Integer grid points tie exactly.
+    n = data.draw(st.integers(3, 11))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    config = HcConfig(
+        restarts=data.draw(st.integers(0, 40)),
+        variant="modified",
+        max_steps_per_run=data.draw(st.sampled_from([1, 3, DEFAULT_MAX_STEPS])),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+        visited_cap=data.draw(st.sampled_from([1, 5, 20, DEFAULT_VISITED_CAP])),
+    )
+    rng, visited = make_rng(config.seed), set()
+    best, steps, evaluations, early_outs, aborted = None, 0, 0, 0, 0
+    for _ in range(config.restarts + 1):
+        start = random_tour(n, rng)
+        climb = reference_climb(
+            instance, start, visited, config.visited_cap, config.max_steps_per_run
+        )
+        steps, evaluations = steps + climb[2], evaluations + climb[3]
+        early_outs, aborted = early_outs + climb[4], aborted + climb[5]
+        if best is None or float.fromhex(climb[1]) < float.fromhex(best[1]):
+            best = climb[:2]
+    if aborted == config.restarts + 1:
+        with pytest.raises(RunAbortedError) as err:
+            run_hc(instance, config)
+        found = err.value
+        assert (found.best_tour.tolist(), float.hex(found.best_length)) == best
+        assert (found.steps, found.evaluations) == (steps, evaluations)
+        return
+    result = run_hc(instance, config)
+    assert (result.best_tour.tolist(), float.hex(result.best_length)) == best
+    assert (result.iterations, result.fitness_evaluations) == (steps, evaluations)
+    assert (result.early_outs, result.aborted) == (early_outs, aborted)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
+    # On a steepest descent t_{s} is shorter than t_{u+1}, the shortest
+    # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour:
+    # the modified climb counts on this to take up a descent's path.
+    n = data.draw(st.integers(3, 14))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords])
+    starts = random_rows(n, data.draw(st.integers(1, 6)), rng)
+    paths = [[row] for row in starts]
+    def record(live, picked, rows, lengths):
+        for r, row in zip(live.tolist(), rows):
+            paths[r].append(row)
+    _descend(instance, starts.copy(), row_lengths(instance, starts), DEFAULT_MAX_STEPS, record)
+    for path in paths:
+        differ = (np.array(path)[:, None, :] != np.array(path)[None, :, :]).sum(axis=2)
+        s, u = np.tril_indices(len(path), k=-1)
+        assert (differ[s, u] == 2).tolist() == (s - u == 1).tolist()
