@@ -20,15 +20,13 @@ The one steepest step takes a (k, n) block of rows: it screens every row,
 builds all their surviving candidates in one scatter, measures them in one
 ``row_lengths`` call and takes each row's first exact minimum. ``run_hc``
 draws and climbs its starts a block at a time, and both variants descend a
-block in lockstep, a row that does not improve dropping out. A modified
-climb takes the descent's steps until one reaches a tour the set holds.
-Each step goes to the first shortest neighbor and is strictly shorter, so
-for u < s - 1 the path's tour t_s, shorter than t_{u+1}, the shortest
-neighbor of t_u, is no neighbor of t_u. Each modified climb in turn thus
-keeps the longest prefix of its descent that avoids the set, counts the
-prefix's stored neighbors exactly with one ``_forbidden`` over it, against
-the set as it was before the climb, plus each predecessor the set stored,
-and then takes one masked step at a time from the prefix's end.
+block in lockstep, a row that does not improve dropping out. Each step goes
+to the first shortest neighbor and is strictly shorter, so for u < s - 1 a
+path's t_s, shorter than t_{u+1}, the shortest neighbor of t_u, is no
+neighbor of t_u. Each modified climb in turn thus takes the longest prefix
+of its descent that avoids the set, counts its stored neighbors exactly
+with one ``_forbidden`` against the set as it was before the climb, plus
+each predecessor the set stored, and then steps on one masked step at a time.
 
 Climbs walk on int64 order rows. A ``Tour`` is built only for what a climb
 hands out: its best, RunAbortedError and the ``on_visit`` hook.
@@ -120,17 +118,18 @@ class VisitedSet:
 
     A bool filter (Bloom 1970, "Space/time trade-offs in hash coding with
     allowable errors", with one hash) is set at the low bits of each stored
-    tour's 64-bit Zobrist hash (Zobrist 1970): the XOR of one random word per
-    (position, city). A swap trades four of those words, so ``_forbidden``
-    hashes all n(n-1)/2 neighbors of a tour in one array expression without
-    building them, and builds and looks up in the set only the neighbors
-    whose filter entry is set. A hash collision thus costs a lookup but
-    never forbids an unvisited tour. The filter starts at ``_FIRST_BITS``
-    entries and doubles while stored tours times ``_FILTER_RATIO`` exceed
-    its size; it is never sized by ``cap``, and each doubling rehashes the
-    set's own bytes, ``_REHASH_WORDS`` hash words at a time. An entry costs
-    n bytes (2n above 256 cities) plus at most about 245 B for the bytes
-    object, its set slot and its share of the filter.
+    tour's 64-bit Zobrist hash (Zobrist 1970): the XOR of one random word
+    per (city, position). A swap trades four of those words, so
+    ``_forbidden`` hashes all n(n-1)/2 neighbors of each tour of a block in
+    array expressions without building them, and builds and looks up in the
+    set only the neighbors whose filter entry is set. A hash collision thus
+    costs a lookup but never forbids an unvisited tour. The filter starts at
+    ``_FIRST_BITS`` entries and doubles while stored tours times
+    ``_FILTER_RATIO`` exceed its size; it is never sized by ``cap``, and
+    each doubling rehashes the set's own bytes, ``_REHASH_WORDS`` hash words
+    at a time. An entry costs n bytes (2n above 256 cities) plus at most
+    about 245 B for the bytes object, its set slot and its share of the
+    filter.
 
     The first ``add`` fixes the tour size; adding a tour of another size
     raises ValueError, and such a tour is never ``in`` the set.
@@ -146,7 +145,7 @@ class VisitedSet:
         check_count("cap", cap, 1)
         self.cap = cap
         self._seen: set[bytes] = set()
-        self._words: np.ndarray | None = None  # (city, position) Zobrist words, made by the first add
+        self._words: np.ndarray | None = None  # (city, position) words, made by the first add
         self._dtype: np.dtype | None = None  # of the stored city indices
         self._filter = np.zeros(_FIRST_BITS, dtype=bool)
 
@@ -196,8 +195,7 @@ class VisitedSet:
         """The stored neighbors of each row of the (k, n) block ``orders``.
 
         They come as flat indices into (k, n(n-1)/2), in row and pair order,
-        so a one-row block gives pair indices. Rows are hashed
-        ``_HASH_WORDS`` words at a time, so no temporary grows with k.
+        so a one-row block gives pair indices; rows hash in small chunks.
         """
         k, n = orders.shape
         if self._words is None or n != self._words.shape[0]:
@@ -242,9 +240,8 @@ class HcConfig:
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # run_hc draws and climbs its starts in blocks of about this many distances
-# in a (k, n + 2, n) screen, so a pass's temporaries stay within 128 KiB
-# each: timed per row, the screen costs two to three times as much in
-# blocks past about 256 KiB (13 rows at n = 48, 12 at n = 100).
+# in a (k, n + 2, n) screen, so a pass's temporaries stay within 128 KiB; per
+# row, the screen costs 2-3x as much past 256 KiB (13 rows at n = 48).
 _DESCENT_ENTRIES = 1 << 14
 
 
@@ -442,7 +439,7 @@ def _memoised(
     max_steps: int,
     on_visit: Callable[[Tour, float], None] | None = None,
 ) -> Iterator[tuple[np.ndarray, float, int, int, bool, bool]]:
-    """Modified climbs from each row of the block ``starts`` in turn, all recording into ``visited``.
+    """Modified climbs from each row of the block ``starts`` in turn, sharing ``visited``.
 
     ``lengths`` are the rows' ``row_lengths`` lengths. The block descends
     in one ``_descend``, and each climb keeps the prefix of its path that
@@ -456,10 +453,12 @@ def _memoised(
     neighborhood = _pairs(n).flat.size
     dmax = float(instance.distance_table().max())
     passes = [(np.arange(k), np.zeros(k, dtype=np.intp), starts, lengths)]
-    ends, _ = _descend(instance, starts.copy(), lengths.copy(), max_steps, lambda *p: passes.append(p))
+    taken, _ = _descend(
+        instance, starts.copy(), lengths.copy(), max_steps, lambda *p: passes.append(p)
+    )
     owner, picked, rows, lengths = (np.concatenate(part) for part in zip(*passes))
     order = np.argsort(owner, kind="stable")  # each row's start, then its steps in turn
-    paths = (np.split(part[order], np.cumsum(ends + 1)[:-1]) for part in (rows, lengths, picked))
+    paths = (np.split(part[order], np.cumsum(taken + 1)[:-1]) for part in (rows, lengths, picked))
     for rows, lengths, picked in zip(*paths):  # a path's rows, their lengths and the pair to each
         start = Tour(rows[0])
         if start in visited:
@@ -471,14 +470,14 @@ def _memoised(
         steps = min(cut) // neighborhood if cut else rows.shape[0] - 1
         path = rows[1 : steps + 1]
         kept = [visited.add(start)]
-        kept += [visited._store(row, key_hash) for row, key_hash in zip(path, visited._hashes(path))]
+        kept += [visited._store(row, h) for row, h in zip(path, visited._hashes(path))]
         # each prefix row's predecessor counts if stored: all of kept but the last two
         evaluations = steps * neighborhood - int(np.count_nonzero(stored < steps * neighborhood))
         evaluations -= sum(kept[:-2])
         if on_visit is not None:
             for row, length in zip(rows[: steps + 1], lengths.tolist()):
                 on_visit(Tour(row), length)
-        rows, lengths = rows[steps : steps + 1], lengths[steps : steps + 1]  # the climb's row as a block
+        rows, lengths = rows[steps : steps + 1], lengths[steps : steps + 1]  # one-row blocks
         best, best_length, current_length = rows[0], float(lengths[0]), float(lengths[0])
         allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
         aborted = False
@@ -560,11 +559,14 @@ def hill_climb(
             instance, visited, tours, lengths, max_steps, on_visit
         )
     else:
-        record = None
+        def record(live, picked, rows, lengths):
+            on_visit(Tour(rows[0]), float(lengths[0]))
+
         if on_visit is not None:
             on_visit(start, float(lengths[0]))
-            record = lambda _, __, rows, lengths: on_visit(Tour(rows[0]), float(lengths[0]))  # noqa: E731
-        (steps,), (aborted,) = _descend(instance, tours, lengths, max_steps, record)
+        (steps,), (aborted,) = _descend(
+            instance, tours, lengths, max_steps, None if on_visit is None else record
+        )
         best, length, steps, early = tours[0], float(lengths[0]), int(steps), False
         evaluations = (steps + 1) * _pairs(start.order.size).flat.size
     if aborted:

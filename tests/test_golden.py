@@ -103,7 +103,9 @@ def _hc_budget(instance_fn, seed, restarts, max_steps, variant="baseline", **kw)
     If the budget ends every climb, the entry records the RunAbortedError's
     best tour, its length and the steps and evaluations of all climbs.
     """
-    config = HcConfig(restarts=restarts, variant=variant, max_steps_per_run=max_steps, seed=seed, **kw)
+    config = HcConfig(
+        restarts=restarts, variant=variant, max_steps_per_run=max_steps, seed=seed, **kw
+    )
 
     def entry():
         try:

@@ -476,7 +476,9 @@ def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
     # from the same starts visit, and the mask must equal set membership
     # along the last climb.
     sets = []
-    monkeypatch.setattr(hillclimb, "VisitedSet", lambda cap: sets.append(VisitedSet(cap)) or sets[-1])
+    monkeypatch.setattr(
+        hillclimb, "VisitedSet", lambda cap: sets.append(VisitedSet(cap)) or sets[-1]
+    )
     run_hc(att48, HcConfig(variant="modified", restarts=2, seed=11))
     (vs,) = sets
     assert vs._filter.size >= hillclimb._FIRST_BITS << 2
@@ -485,7 +487,8 @@ def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
     rng, climbed, paths = make_rng(11), VisitedSet(), []
     for _ in range(3):
         paths.append([])
-        hill_climb(att48, random_tour(att48.n, rng), climbed, on_visit=lambda t, _: paths[-1].append(t))
+        start = random_tour(att48.n, rng)
+        hill_climb(att48, start, climbed, on_visit=lambda t, _: paths[-1].append(t))
     assert climbed._seen == vs._seen and len(paths[-1]) > 1
     for t in paths[-1]:
         assert _allowed(vs, t.order) == [nb not in vs for nb in neighbors(t)]
