@@ -449,36 +449,37 @@ def _memoised(
     and whether the step after ``max_steps`` would have moved the climb (an
     abort, which keeps the best row before it).
     """
-    k, n = starts.shape
-    neighborhood = _pairs(n).flat.size
+    neighborhood = _pairs(starts.shape[1]).flat.size
     dmax = float(instance.distance_table().max())
-    passes = [(np.arange(k), np.zeros(k, dtype=np.intp), starts, lengths)]
-    taken, _ = _descend(
-        instance, starts.copy(), lengths.copy(), max_steps, lambda *p: passes.append(p)
-    )
-    owner, picked, rows, lengths = (np.concatenate(part) for part in zip(*passes))
-    order = np.argsort(owner, kind="stable")  # each row's start, then its steps in turn
-    paths = (np.split(part[order], np.cumsum(taken + 1)[:-1]) for part in (rows, lengths, picked))
-    for rows, lengths, picked in zip(*paths):  # a path's rows, their lengths and the pair to each
+    paths = [[(row, length, 0)] for row, length in zip(starts, lengths.tolist())]
+
+    def record(live, picked, following, best):
+        for r, *step in zip(live.tolist(), following, best.tolist(), picked.tolist()):
+            paths[r].append(step)
+
+    _descend(instance, starts.copy(), lengths.copy(), max_steps, record)
+    for path in paths:  # each row of a climb's descent, its length and the pair index to it
+        rows, lengths, picked = zip(*path)
+        rows = np.array(rows)
         start = Tour(rows[0])
         if start in visited:
-            yield rows[0], float(lengths[0]), 0, 0, True, False
+            yield rows[0], lengths[0], 0, 0, True, False
             continue
         stored = visited._forbidden(rows[:-1])
-        targets = np.arange(rows.shape[0] - 1) * neighborhood + picked[1:]
-        cut = set(stored.tolist()).intersection(targets.tolist())  # steps to a stored tour
-        steps = min(cut) // neighborhood if cut else rows.shape[0] - 1
-        path = rows[1 : steps + 1]
+        targets = (s * neighborhood + pair for s, pair in enumerate(picked[1:]))
+        cut = set(stored.tolist()).intersection(targets)  # steps to a stored tour
+        steps = min(cut) // neighborhood if cut else len(rows) - 1
+        prefix = rows[1 : steps + 1]
         kept = [visited.add(start)]
-        kept += [visited._store(row, h) for row, h in zip(path, visited._hashes(path))]
+        kept += [visited._store(row, h) for row, h in zip(prefix, visited._hashes(prefix))]
         # each prefix row's predecessor counts if stored: all of kept but the last two
-        evaluations = steps * neighborhood - int(np.count_nonzero(stored < steps * neighborhood))
+        evaluations = steps * neighborhood - int(stored.searchsorted(steps * neighborhood))
         evaluations -= sum(kept[:-2])
         if on_visit is not None:
-            for row, length in zip(rows[: steps + 1], lengths.tolist()):
+            for row, length in zip(rows[: steps + 1], lengths):
                 on_visit(Tour(row), length)
-        rows, lengths = rows[steps : steps + 1], lengths[steps : steps + 1]  # one-row blocks
-        best, best_length, current_length = rows[0], float(lengths[0]), float(lengths[0])
+        current_length = best_length = lengths[steps]  # the climb goes on as a one-row block
+        best, rows, lengths = rows[steps], rows[steps : steps + 1], np.array([best_length])
         allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
         aborted = False
         while True:

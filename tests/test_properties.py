@@ -466,7 +466,7 @@ def test_modified_run_matches_reference_climbs(metric, data):
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
-    # On a steepest descent t_{s} is shorter than t_{u+1}, the shortest
+    # On a steepest descent t_s is shorter than t_{u+1}, the shortest
     # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour:
     # the modified climb counts on this to take up a descent's path.
     n = data.draw(st.integers(3, 14))
@@ -478,9 +478,11 @@ def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
     instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords])
     starts = random_rows(n, data.draw(st.integers(1, 6)), rng)
     paths = [[row] for row in starts]
+
     def record(live, picked, rows, lengths):
         for r, row in zip(live.tolist(), rows):
             paths[r].append(row)
+
     _descend(instance, starts.copy(), row_lengths(instance, starts), DEFAULT_MAX_STEPS, record)
     for path in paths:
         differ = (np.array(path)[:, None, :] != np.array(path)[None, :, :]).sum(axis=2)
