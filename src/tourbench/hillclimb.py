@@ -392,7 +392,7 @@ def _descend(
     tours: np.ndarray,
     lengths: np.ndarray,
     max_steps: int,
-    record: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    record: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain steepest descent from every row of ``tours`` at once, in place.
 
@@ -405,8 +405,8 @@ def _descend(
 
     Returns each row's steps and whether it aborted: at ``max_steps`` steps
     the rows that would step again stop there. ``record``, if given, is
-    called after each pass with the stepping rows' indices into ``tours``,
-    their chosen pair indices, and the rows and lengths they stepped to.
+    called after each pass with the stepping rows' indices into ``tours``
+    and the rows and lengths they stepped to.
     """
     k = tours.shape[0]
     dmax = float(instance.distance_table().max())
@@ -414,7 +414,7 @@ def _descend(
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
     for step in itertools.count():
-        picked, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
+        _, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
         better = best < current_lengths
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = better
@@ -425,10 +425,10 @@ def _descend(
             tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
             if not np.count_nonzero(better):
                 return steps, aborted
-            live, picked, following, best = (a[better] for a in (live, picked, following, best))
+            live, following, best = live[better], following[better], best[better]
         current, current_lengths = following, best
         if record is not None:
-            record(live, picked, current, best)
+            record(live, current, best)
 
 
 def _memoised(
@@ -451,37 +451,36 @@ def _memoised(
     """
     neighborhood = _pairs(starts.shape[1]).flat.size
     dmax = float(instance.distance_table().max())
-    paths = [[(row, length, 0)] for row, length in zip(starts, lengths.tolist())]
+    paths = [[(row, length)] for row, length in zip(starts, lengths.tolist())]
 
-    def record(live, picked, following, best):
-        for r, *step in zip(live.tolist(), following, best.tolist(), picked.tolist()):
+    def record(live, following, best):
+        for r, *step in zip(live.tolist(), following, best.tolist()):
             paths[r].append(step)
 
     _descend(instance, starts.copy(), lengths.copy(), max_steps, record)
-    for path in paths:  # each row of a climb's descent, its length and the pair index to it
-        rows, lengths, picked = zip(*path)
+    for path in paths:  # each row of a climb's descent and its length
+        rows, lengths = zip(*path)
         rows = np.array(rows)
         start = Tour(rows[0])
         if start in visited:
             yield rows[0], lengths[0], 0, 0, True, False
             continue
-        stored = visited._forbidden(rows[:-1])
-        targets = (s * neighborhood + pair for s, pair in enumerate(picked[1:]))
-        cut = set(stored.tolist()).intersection(targets)  # steps to a stored tour
-        steps = min(cut) // neighborhood if cut else len(rows) - 1
+        # the prefix ends before the first tour the set held before the climb
+        keys, seen = [] if visited._dtype is None else rows[1:].astype(visited._dtype), visited._seen
+        steps = next((s for s, key in enumerate(keys) if key.tobytes() in seen), len(rows) - 1)
+        stored = visited._forbidden(rows[:steps])  # the prefix's rows stepped from
         prefix = rows[1 : steps + 1]
         kept = [visited.add(start)]
         kept += [visited._store(row, h) for row, h in zip(prefix, visited._hashes(prefix))]
         # each prefix row's predecessor counts if stored: all of kept but the last two
-        evaluations = steps * neighborhood - int(stored.searchsorted(steps * neighborhood))
+        evaluations = steps * neighborhood - stored.size
         evaluations -= sum(kept[:-2])
         if on_visit is not None:
             for row, length in zip(rows[: steps + 1], lengths):
                 on_visit(Tour(row), length)
         current_length = best_length = lengths[steps]  # the climb goes on as a one-row block
         best, rows, lengths = rows[steps], rows[steps : steps + 1], np.array([best_length])
-        allowance_spent, trigger_length = False, -np.inf  # the trigger is set when it is spent
-        aborted = False
+        allowance_spent, trigger_length, aborted = False, -np.inf, False  # trigger set when spent
         while True:
             stored = visited._forbidden(rows)
             if stored.size == neighborhood:
@@ -555,24 +554,23 @@ def hill_climb(
     """
     check_count("max_steps", max_steps, 1)
     tours, lengths = start.order.reshape(1, -1).copy(), np.array([tour_length(instance, start)])
+    if visited is not None and start in visited:
+        return start, float(lengths[0]), 0, 0, True
     if visited is not None:
-        ((best, length, steps, evaluations, early, aborted),) = _memoised(
+        ((best, length, steps, evaluations, _, aborted),) = _memoised(
             instance, visited, tours, lengths, max_steps, on_visit
         )
     else:
-        def record(live, picked, rows, lengths):
-            on_visit(Tour(rows[0]), float(lengths[0]))
-
+        record = None
         if on_visit is not None:
             on_visit(start, float(lengths[0]))
-        (steps,), (aborted,) = _descend(
-            instance, tours, lengths, max_steps, None if on_visit is None else record
-        )
-        best, length, steps, early = tours[0], float(lengths[0]), int(steps), False
+            record = lambda _, rows, ls: on_visit(Tour(rows[0]), float(ls[0]))  # noqa: E731
+        (steps,), (aborted,) = _descend(instance, tours, lengths, max_steps, record)
+        best, length, steps = tours[0], float(lengths[0]), int(steps)
         evaluations = (steps + 1) * _pairs(start.order.size).flat.size
     if aborted:
         raise RunAbortedError(Tour(best), length, steps, evaluations)
-    return Tour(best), length, steps, evaluations, early
+    return Tour(best), length, steps, evaluations, False
 
 
 def hill_climb_baseline(

@@ -479,7 +479,7 @@ def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
     starts = random_rows(n, data.draw(st.integers(1, 6)), rng)
     paths = [[row] for row in starts]
 
-    def record(live, picked, rows, lengths):
+    def record(live, rows, lengths):
         for r, row in zip(live.tolist(), rows):
             paths[r].append(row)
 
