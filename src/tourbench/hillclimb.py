@@ -356,8 +356,8 @@ def _screen(
 
 def _step(
     instance: Instance, orders: np.ndarray, lengths: np.ndarray, dmax: float, stored: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's chosen pair index, neighbor row and length for a steepest step of ``orders``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's chosen neighbor row and its length for a steepest step of ``orders``.
 
     ``orders`` is a (k, n) block with ``row_lengths`` lengths ``lengths``,
     and ``dmax`` the table's longest edge. ``stored`` holds pair indices row
@@ -381,10 +381,10 @@ def _step(
     candidates = _neighbor_rows(orders, owner, picked)
     measured = row_lengths(instance, candidates)
     if owner.size == k:  # one candidate per row, as is usual off ties
-        return picked, candidates, measured
+        return candidates, measured
     # each row's first minimum in pair order: the head of its run, stably sorted
     chosen = np.lexsort((measured, owner))[owner.searchsorted(np.arange(k))]
-    return picked[chosen], candidates[chosen], measured[chosen]
+    return candidates[chosen], measured[chosen]
 
 
 def _descend(
@@ -414,7 +414,7 @@ def _descend(
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
     for step in itertools.count():
-        _, following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
+        following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
         better = best < current_lengths
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = better
@@ -485,7 +485,7 @@ def _memoised(
             stored = visited._forbidden(rows)
             if stored.size == neighborhood:
                 break  # every neighbor already visited
-            _, neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
+            neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
             neighbor_length = float(neighbor_lengths[0])
             evaluations += neighborhood - stored.size
             if not neighbor_length < current_length:
@@ -524,7 +524,7 @@ def steepest_step(
     if evaluated == 0:
         return None
     dmax = float(instance.distance_table().max())
-    _, rows, lengths = _step(instance, tour.order[None], np.array([length]), dmax, stored)
+    rows, lengths = _step(instance, tour.order[None], np.array([length]), dmax, stored)
     return Tour(rows[0]), float(lengths[0]), evaluated
 
 
