@@ -469,12 +469,12 @@ class TestHillClimbModified:
 
 
 def test_shared_set_marks_every_stored_tour(att48, monkeypatch):
-    # A climb stores each tour under the hash that its path's one _forbidden
-    # or its step computed, not a fresh one: after run_hc's three climbs pass
-    # two filter doublings, every stored key's own hash must hit a set
-    # filter entry, the set must hold the tours that public hill_climb calls
-    # from the same starts visit, and the mask must equal set membership
-    # along the last climb.
+    # A climb stores its prefix under hashes of a whole block of rows and
+    # each later tour under its own: after run_hc's three climbs pass two
+    # filter doublings, every stored key's own hash must hit a set filter
+    # entry, the set must hold the tours that public hill_climb calls from
+    # the same starts visit, and the mask must equal set membership along
+    # the last climb.
     sets = []
     monkeypatch.setattr(
         hillclimb, "VisitedSet", lambda cap: sets.append(VisitedSet(cap)) or sets[-1]
