@@ -18,7 +18,7 @@ import pytest
 from tourbench.core import Instance, Metric, Point
 from tourbench.ga import GaConfig, run_ga
 from tourbench.hillclimb import DEFAULT_MAX_STEPS, HcConfig, RunAbortedError, run_hc
-from tourbench.oracle import brute_force, held_karp
+from tourbench.oracle import HELD_KARP_MAX, brute_force, held_karp
 from tourbench.tsplib import bundled_instance
 
 RECORD = Path(__file__).parent / "golden" / "record.json"
@@ -51,13 +51,13 @@ def _grid_manhattan(n: int) -> Instance:
     return Instance(f"grid-manhattan-{n}", points, Metric("manhattan"))
 
 
-def _grid_chebyshev() -> Instance:
-    # Twelve points on a 3-by-3 grid (so some coincide) under unit-weight
+def _grid_chebyshev(n: int) -> Instance:
+    # Points on a 3-by-3 grid (so some coincide) under unit-weight
     # Chebyshev distance: every edge is 0, 1 or 2, many Held-Karp
     # predecessors tie exactly and the smallest-index rule picks the parent.
-    coords = np.random.default_rng([3, 3, 12]).integers(0, 3, size=(12, 2))
+    coords = np.random.default_rng([3, 3, n]).integers(0, 3, size=(n, 2))
     points = [Point(float(x), float(y)) for x, y in coords]
-    return Instance("grid-wchebyshev-12", points, Metric("wchebyshev", 1.0, 1.0))
+    return Instance(f"grid-wchebyshev-{n}", points, Metric("wchebyshev", 1.0, 1.0))
 
 
 def _solver_entry(result) -> dict:
@@ -204,12 +204,16 @@ def _cases() -> dict:
                         inst, 10 * n + cap, 30, max_steps, "modified", visited_cap=cap
                     )
     # Held-Karp at the sizes the grid above does not reach: the smallest
-    # instances, where the DP has one or two layers, and n = 15.
-    for n in (2, 3, 15):
+    # instances, where the DP has one or two layers, n = 15 and the largest
+    # size it accepts, HELD_KARP_MAX.
+    for n in (2, 3, 15, HELD_KARP_MAX):
         cases[f"held_karp-euclidean-n{n}"] = lambda n=n: _exact_entry(
             held_karp(_instance("euclidean", n))
         )
-    cases["held_karp-grid-wchebyshev-n12"] = lambda: _exact_entry(held_karp(_grid_chebyshev()))
+    for n in (12, 16):
+        cases[f"held_karp-grid-wchebyshev-n{n}"] = lambda n=n: _exact_entry(
+            held_karp(_grid_chebyshev(n))
+        )
     return cases
 
 
