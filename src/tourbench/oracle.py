@@ -76,22 +76,20 @@ def brute_force(instance: Instance) -> ExactResult:
     return ExactResult(Tour(tours[best]), float(lengths[best]), len(tours))
 
 
-def _extend_layer(cost: np.ndarray, parent: np.ndarray, masks: np.ndarray, table: np.ndarray) -> int:
+def _extend_layer(cost: np.ndarray, masks: np.ndarray, table: np.ndarray) -> int:
     """Extend the paths over every subset in ``masks`` by one city, in place.
 
-    The running minimum over k fills ``best`` and ``pick``, one (m, n) array
-    step per k. Then every free (M, j) is written in one scatter, through
-    two flat int64 indices per free entry: its place in ``best`` and
-    ``pick``, and its target's place in ``cost`` and ``parent``.
+    ``best`` takes the minimum over k of the candidates, two (m, n) array
+    passes per k: the addition and the elementwise minimum. Then every free
+    (M, j) is written in one scatter, through two flat int64 indices per
+    free entry: its place in ``best`` and its target's place in ``cost``.
 
     Returns the number of finite ``cost`` entries read: the layer's nodes.
     """
     n = table.shape[0]
     rows = masks >> 1
     best = np.full((masks.size, n), np.inf)
-    pick = np.zeros(best.shape, dtype=np.int8)
     cand = np.empty_like(best)
-    better = np.empty(best.shape, dtype=bool)
     nodes = 0
     for k in range(n):
         col = cost[rows, k]
@@ -100,22 +98,16 @@ def _extend_layer(cost: np.ndarray, parent: np.ndarray, masks: np.ndarray, table
             continue
         nodes += finite
         np.add(col[:, None], table[k], out=cand)
-        np.less(cand, best, out=better)
-        np.copyto(best, cand, where=better)
-        np.copyto(pick, k, where=better)
-    del cand, better  # freed before the scatter allocates its own temporaries
+        np.minimum(best, cand, out=best)
+    del cand  # freed before the scatter allocates its own temporaries
     # Every free (M, j) in one scatter: the target (M | 1 << j, j) sits at
-    # flat index ((M >> 1) + (1 << (j - 1))) * n + j of cost and parent.
-    # Column 0 is never free, since every M holds city 0.
+    # flat index ((M >> 1) + (1 << (j - 1))) * n + j of cost. Column 0 is
+    # never free, since every M holds city 0. Each target has one writer and
+    # holds inf until it is written, so an inf best changes nothing.
     free = np.flatnonzero((masks[:, None] & (1 << np.arange(n))) == 0)
     step = np.arange(n, dtype=np.int64)
     step[1:] += n << np.arange(n - 1)
-    targets = np.add.outer(rows * n, step).take(free)
-    vals = best.take(free)
-    improved = vals < cost.take(targets)
-    targets = targets[improved]
-    cost.put(targets, vals[improved])
-    parent.put(targets, pick.take(free)[improved])
+    cost.put(np.add.outer(rows * n, step).take(free), best.take(free))
     return nodes
 
 
@@ -127,24 +119,27 @@ def held_karp(instance: Instance) -> ExactResult:
     that starts at 0, visits exactly M and ends at j. A path over s + 1
     cities extends one over s, so the subsets are filled one size at a
     time, s = 1 .. n-1. In the pass for size s, every subset M of that size
-    is one row; a running minimum over the last city k = 0 .. n-1 of
-    ``cost(M, k) + table[k, j]`` is kept for each j together with its k, and
-    the result for each j outside M goes to ``cost(M | 1 << j, j)``, all of
-    them in one scatter. That is n - 1 array passes of n steps and one write
-    each: O(n^2) Python-level iterations, not one per subset.
+    is one row; the minimum over the last city k = 0 .. n-1 of
+    ``cost(M, k) + table[k, j]`` is taken for each j, and the result for
+    each j outside M goes to ``cost(M | 1 << j, j)``, all of them in one
+    scatter. That is n - 1 array passes of n steps and one write each:
+    O(n^2) Python-level iterations, not one per subset.
 
     The result does not depend on the order of the subsets within a pass,
-    and it is exact:
-
-    - each entry (T, j) has one writer, the subset T without j;
-    - each candidate is the single float addition above;
-    - the minimum is replaced only on a strict ``<``, so among equal
-      candidates the smallest k becomes the parent.
+    and it is exact: each entry (T, j) has one writer, the subset T without
+    j, and each candidate is the single float addition above, so the
+    minimum is one of them bit for bit. No parent is stored. The tour is
+    walked back from the last city: the parent of (M, j) is the first k in
+    ascending order whose ``cost(M without j, k) + table[k, j]`` equals
+    ``cost(M, j)``. That is the same addition that produced the entry, so
+    equality is exact, and the first k that attains the minimum is the one
+    a running minimum that replaces only on a strict ``<`` would keep: among
+    equal candidates the smallest k is the parent.
 
     nodes_expanded counts the finite entries that were extended. Memory is
-    a float64 ``cost`` and an int8 ``parent`` table of 2^(n-1) rows (one per
-    subset that holds 0) by n, plus O(C(n-1, s-1) * n) for the pass of size s:
-    at n = 16 the traced peak is about 7.7 MiB, against 4.5 MiB of tables.
+    a float64 ``cost`` table of 2^(n-1) rows (one per subset that holds 0)
+    by n, plus O(C(n-1, s-1) * n) for the pass of size s: at n = 16 the
+    traced peak is about 7.0 MiB, against 3.75 MiB of table.
 
     The reconstructed tour is oriented so its second city is smaller than its
     last, then re-evaluated with tour_length, so the result is bit-identical
@@ -156,7 +151,6 @@ def held_karp(instance: Instance) -> ExactResult:
     full = 1 << n
     # Every subset holds city 0, so row M >> 1 stores odd mask M.
     cost = np.full((full >> 1, n), np.inf)
-    parent = np.full(cost.shape, -1, dtype=np.int8)
     cost[0, 0] = 0.0
     odd = np.arange(1, full, 2, dtype=np.int64)
     size = np.ones_like(odd)
@@ -164,17 +158,17 @@ def held_karp(instance: Instance) -> ExactResult:
         size += (odd >> c) & 1
     expanded = 0
     for s in range(1, n):
-        expanded += _extend_layer(cost, parent, odd[size == s], table)
+        expanded += _extend_layer(cost, odd[size == s], table)
 
     closing = cost[-1, 1:] + table[1:, 0]
-    last = 1 + int(np.argmin(closing))
+    mask, cur = full - 1, 1 + int(np.argmin(closing))
     path = []
-    mask, cur = full - 1, last
     while cur != 0:
         path.append(cur)
-        prev = int(parent[mask >> 1, cur])
-        mask ^= 1 << cur
-        cur = prev
+        prev = mask ^ (1 << cur)
+        # argmax of the equality is its first True: the smallest tying k.
+        cur = int(np.argmax(cost[prev >> 1] + table[:, cur] == cost[mask >> 1, cur]))
+        mask = prev
     order = [0] + path[::-1]
     if order[1] > order[-1]:
         order = [0] + order[:0:-1]

@@ -131,6 +131,10 @@ class TestInstance:
         inst = Instance("x", (Point(0, 0), Point(1, 0)))
         assert inst.metric.kind == "euclidean"
 
+    def test_repr_names_the_instance_its_size_and_metric(self):
+        inst = square_instance(Metric("manhattan"))
+        assert repr(inst) == "Instance('square', n=4, metric=manhattan)"
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Instance("empty", ())
@@ -232,6 +236,15 @@ class TestTour:
     ])
     def test_never_equals_an_order_construction_rejects(self, order, other):
         assert not Tour(order) == other
+
+    def test_leaves_other_types_to_python(self):
+        # Not a tour or an order: __eq__ defers, and Python falls back to identity.
+        assert Tour([0, 1]).__eq__(1) is NotImplemented
+        assert Tour([0, 1]) != 1
+        assert Tour([0, 1]) != "01"
+
+    def test_repr_shows_the_order(self):
+        assert repr(Tour([2, 0, 1])) == "Tour([2, 0, 1])"
 
     def test_pickle_round_trip(self):
         t = Tour([3, 1, 0, 2])

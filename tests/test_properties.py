@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reversal_invariant_child
-from reference import neighbors, reference_step, reverse
+from reference import held_karp_by_subset, neighbors, reference_step, reverse
 from tourbench.core import (
     _BLOCK,
     Instance,
@@ -217,6 +217,24 @@ def test_solvers_report_their_tour_and_never_beat_the_optimum(metric, data):
     for result in results:
         assert result.best_length == tour_length(instance, result.best_tour)
         assert result.best_length >= floor
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_held_karp_matches_the_parent_pointer_reference(metric, data):
+    # Integer grid points, duplicates included, make many candidates tie
+    # exactly: walking the tour back by equality must pick the smallest
+    # tying k, as the reference's stored parents do.
+    n = data.draw(st.integers(2, 9))
+    side = data.draw(st.integers(1, 4))
+    cell = st.integers(0, side - 1)
+    coords = data.draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
+    res, ref = held_karp(instance), held_karp_by_subset(instance)
+    assert float.hex(res.optimal_length) == float.hex(ref.optimal_length)
+    assert res.optimal_tour == ref.optimal_tour
+    assert res.nodes_expanded == ref.nodes_expanded
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
