@@ -128,18 +128,17 @@ def held_karp(instance: Instance) -> ExactResult:
     The result does not depend on the order of the subsets within a pass,
     and it is exact: each entry (T, j) has one writer, the subset T without
     j, and each candidate is the single float addition above, so the
-    minimum is one of them bit for bit. No parent is stored. The tour is
-    walked back from the last city: the parent of (M, j) is the first k in
-    ascending order whose ``cost(M without j, k) + table[k, j]`` equals
-    ``cost(M, j)``. That is the same addition that produced the entry, so
-    equality is exact, and the first k that attains the minimum is the one
-    a running minimum that replaces only on a strict ``<`` would keep: among
-    equal candidates the smallest k is the parent.
+    minimum is one of them bit for bit. No parent is stored: the tour is
+    walked back from its last city, and the predecessor of (M, j) is the
+    first k, in ascending order, whose ``cost(M without j, k) + table[k, j]``
+    equals ``cost(M, j)``. That sum is the addition that produced the entry,
+    so the equality is exact, and among equal candidates the smallest k is
+    the predecessor.
 
     nodes_expanded counts the finite entries that were extended. Memory is
     a float64 ``cost`` table of 2^(n-1) rows (one per subset that holds 0)
     by n, plus O(C(n-1, s-1) * n) for the pass of size s: at n = 16 the
-    traced peak is about 7.0 MiB, against 3.75 MiB of table.
+    traced peak is about 7.0 MiB, against 4.0 MiB of table.
 
     The reconstructed tour is oriented so its second city is smaller than its
     last, then re-evaluated with tour_length, so the result is bit-identical

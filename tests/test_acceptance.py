@@ -6,8 +6,8 @@ baseline it measures against reconstructs a third-party library's internals,
 so its means are tracked but never asserted.
 
 The heavy fixtures run the full att48 experiment grid once per session on
-two worker processes: about 36 s for the module on a shared 2-core host,
-against about 60 s serially.
+two worker processes. README's Tests section states the module's measured
+time.
 """
 
 import dataclasses
