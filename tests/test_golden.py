@@ -203,6 +203,23 @@ def _cases() -> dict:
                     cases[f"hc-modified-cap{cap}{budget}-{tag}-n{n}"] = _hc_budget(
                         inst, 10 * n + cap, 30, max_steps, "modified", visited_cap=cap
                     )
+    # Modified runs whose climbs part from the path that only bans the step
+    # straight back after their first escape: at n = 8 forty restarts crowd
+    # the set; on the 3-by-3 Chebyshev grid a cap of 11 drops the fourth
+    # climb's local minimum, so the step after its escape may go back there;
+    # and a budget of four steps ends some climbs where they would escape.
+    cases["hc-modified-r40-euclidean-n8"] = _hc(lambda: _instance("euclidean", 8), "modified", 8, 40)
+    cases["hc-modified-cap11-grid-wchebyshev-n9"] = _hc_budget(
+        lambda: _grid_chebyshev(9), 9, 10, DEFAULT_MAX_STEPS, "modified", visited_cap=11
+    )
+    cases["hc-modified-budget4-euclidean-n9"] = _hc_budget(
+        lambda: _instance("euclidean", 9), 9, 30, 4, "modified"
+    )
+    # A two-step budget on a tie-heavy grid, where some climb's step past
+    # the budget would go to a tour the set holds.
+    cases["hc-modified-budget2-grid-manhattan-n7"] = _hc_budget(
+        lambda: _grid_manhattan(7), 107, 40, 2, "modified"
+    )
     # Held-Karp at the sizes the grid above does not reach: the smallest
     # instances, where the DP has one or two layers, n = 15 and the largest
     # size it accepts, HELD_KARP_MAX.
