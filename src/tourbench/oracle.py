@@ -76,28 +76,26 @@ def brute_force(instance: Instance) -> ExactResult:
     return ExactResult(Tour(tours[best]), float(lengths[best]), len(tours))
 
 
-def _extend_layer(cost: np.ndarray, masks: np.ndarray, table: np.ndarray) -> int:
-    """Extend the paths over every subset in ``masks`` by one city, in place.
+def _extend_layer(cost: np.ndarray, masks: np.ndarray, table: np.ndarray, s: int) -> int:
+    """Extend the paths over every subset in ``masks``, all of size s, by one city, in place.
 
-    ``best`` takes the minimum over k of the candidates, two (m, n) array
-    passes per k: the addition and the elementwise minimum. Then every free
-    (M, j) is written in one scatter, through two flat int64 indices per
-    free entry: its place in ``best`` and its target's place in ``cost``.
+    ``best`` takes the minimum over the last city k of the candidates, two
+    (m, n) array passes per k: the addition and the elementwise minimum.
+    Only cities that can end a path over the subsets are tried: k = 0 at
+    s = 1, where the one subset is {0}, and k = 1 .. n-1 otherwise, since
+    no path over two or more cities ends at 0. Then every free (M, j) is
+    written in one scatter, through two flat int64 indices per free entry:
+    its place in ``best`` and its target's place in ``cost``.
 
-    Returns the number of finite ``cost`` entries read: the layer's nodes.
+    Returns the number of finite ``cost`` entries read, the layer's nodes:
+    each subset holds one at s = 1 and s - 1 otherwise, one per k in M.
     """
     n = table.shape[0]
     rows = masks >> 1
     best = np.full((masks.size, n), np.inf)
     cand = np.empty_like(best)
-    nodes = 0
-    for k in range(n):
-        col = cost[rows, k]
-        finite = int(np.count_nonzero(col < np.inf))
-        if not finite:  # k is in none of the subsets
-            continue
-        nodes += finite
-        np.add(col[:, None], table[k], out=cand)
+    for k in (0,) if s == 1 else range(1, n):
+        np.add(cost[rows, k][:, None], table[k], out=cand)
         np.minimum(best, cand, out=best)
     del cand  # freed before the scatter allocates its own temporaries
     # Every free (M, j) in one scatter: the target (M | 1 << j, j) sits at
@@ -108,7 +106,7 @@ def _extend_layer(cost: np.ndarray, masks: np.ndarray, table: np.ndarray) -> int
     step = np.arange(n, dtype=np.int64)
     step[1:] += n << np.arange(n - 1)
     cost.put(np.add.outer(rows * n, step).take(free), best.take(free))
-    return nodes
+    return masks.size * max(1, s - 1)
 
 
 def held_karp(instance: Instance) -> ExactResult:
@@ -157,7 +155,7 @@ def held_karp(instance: Instance) -> ExactResult:
         size += (odd >> c) & 1
     expanded = 0
     for s in range(1, n):
-        expanded += _extend_layer(cost, odd[size == s], table)
+        expanded += _extend_layer(cost, odd[size == s], table, s)
 
     closing = cost[-1, 1:] + table[1:, 0]
     mask, cur = full - 1, 1 + int(np.argmin(closing))
