@@ -16,17 +16,28 @@ measures with ``row_lengths`` only the neighbors whose screened change lies
 within a rigorous rounding band of the smallest. The step returns the first
 exact minimum in pair order, the one a full scan would return.
 
-The one steepest step takes a (k, n) block of rows: it screens every row,
-builds all their surviving candidates in one scatter, measures them in one
-``row_lengths`` call and takes each row's first exact minimum. ``run_hc``
-draws and climbs its starts a block at a time, and both variants descend a
-block in lockstep, a row that does not improve dropping out. Each step goes
-to the first shortest neighbor and is strictly shorter, so for u < s - 1 a
-path's t_s, shorter than t_{u+1}, the shortest neighbor of t_u, is no
-neighbor of t_u. Each modified climb in turn thus takes the longest prefix
-of its descent that avoids the set, counts its stored neighbors exactly
-with one ``_forbidden`` against the set as it was before the climb, plus
-each predecessor the set stored, and then steps on one masked step at a time.
+The one steepest step takes a (k, n) block of rows, each with its own
+pairs it may not take: it screens every row, builds all their surviving
+candidates in one scatter, measures them in one ``row_lengths`` call and
+takes each row's first exact minimum. ``run_hc`` draws and climbs its
+starts a block at a time, and both variants climb a block in lockstep. A
+baseline row drops out at the first step that does not improve. A modified
+row climbs by the modified rule but sees no visited set: it escapes once at
+a local minimum, re-arms strictly below the length that spent its
+allowance, never steps straight back to the tour it just left, and stops
+at a step that does not improve with its allowance spent.
+
+Each modified climb in turn then takes up, against the shared set, the
+prefix of its path x_0 .. x_L that the climb over the set also takes. From
+x_u that climb takes the path's step if x_{u-1} is stored and the step's
+tour is not: the set then masks x_{u-1}, as the path did, and otherwise
+only neighbors the path did not step to, so the first shortest neighbor
+left is the path's. The climb counts the stored neighbors
+of each row it takes exactly: those stored before it, with one
+``_forbidden`` over the path, plus x_{u-1} and the earlier path rows next to
+x_u, which ``_path_neighbors`` finds by a length and a parity test. Only
+from the first step where the two part does it step on alone, one masked
+step at a time.
 
 Climbs walk on int64 order rows. A ``Tour`` is built only for what a climb
 hands out: its best, RunAbortedError and the ``on_visit`` hook.
@@ -154,28 +165,30 @@ class VisitedSet:
         n = self._words.shape[0]
         return np.bitwise_xor.reduce(self._words[rows, np.arange(n)], axis=-1)
 
-    def add(self, tour: Tour) -> bool:
-        order = tour.order
+    def _keys(self, rows: np.ndarray) -> list[bytes]:
+        """The stored form of each tour row of ``rows``; the first call fixes the tour size."""
+        n = rows.shape[1]
         if self._words is None:
-            self._words = _zobrist_table(order.size)
-            self._dtype = np.min_scalar_type(order.size - 1)
-        elif order.size != self._words.shape[0]:
-            raise ValueError(
-                f"this set holds tours over {self._words.shape[0]} points, got {order.size}"
-            )
-        return self._store(order, self._hashes(order))
+            self._words = _zobrist_table(n)
+            self._dtype = np.min_scalar_type(n - 1)
+        elif n != self._words.shape[0]:
+            raise ValueError(f"this set holds tours over {self._words.shape[0]} points, got {n}")
+        return [row.tobytes() for row in rows.astype(self._dtype)]
 
-    def _store(self, order: np.ndarray, key_hash: np.uint64) -> bool:
-        """``add`` for a tour row of this set's size whose Zobrist hash is ``key_hash``."""
+    def add(self, tour: Tour) -> bool:
+        (key,) = self._keys(tour.order[None])
+        return self._store(key, self._hashes(tour.order))
+
+    def _store(self, key: bytes, key_hash: np.uint64) -> bool:
+        """``add`` for a tour whose ``_keys`` form is ``key`` and Zobrist hash ``key_hash``."""
         if len(self._seen) >= self.cap:
             return False
-        key = order.astype(self._dtype).tobytes()
         if key not in self._seen:
             self._seen.add(key)
             if len(self._seen) * _FILTER_RATIO > self._filter.size:
                 self._filter = np.zeros(2 * self._filter.size, dtype=bool)
                 mask = np.uint64(self._filter.size - 1)
-                n = order.size
+                n = self._words.shape[0]
                 keys = iter(self._seen)
                 while chunk := b"".join(itertools.islice(keys, max(1, _REHASH_WORDS // n))):
                     rows = np.frombuffer(chunk, self._dtype).reshape(-1, n)
@@ -198,12 +211,12 @@ class VisitedSet:
         so a one-row block gives pair indices; rows hash in small chunks.
         """
         k, n = orders.shape
-        if self._words is None or n != self._words.shape[0]:
+        if not self._seen or n != self._words.shape[0]:
             return _NO_PAIRS
         flat = _pairs(n).flat
         mask = np.uint64(self._filter.size - 1)
         chunk = max(1, _HASH_WORDS // (n * n))
-        query = [_NO_PAIRS]
+        query = []
         for first in range(0, k, chunk):
             # Swapping positions i and j trades words[t_i, i] and words[t_j, j]
             # for words[t_j, i] and words[t_i, j]; words[r, q, p] = words[t_q, p] in row r.
@@ -213,7 +226,11 @@ class VisitedSet:
             trade = words ^ own[:, None, :]  # symmetric once added to its transpose
             swapped = (trade ^ trade.transpose(0, 2, 1)).reshape(block.shape[0], n * n)
             hashes = swapped.take(flat, axis=1) ^ np.bitwise_xor.reduce(own, axis=1)[:, None]
-            query.append(np.flatnonzero(self._filter.take(hashes & mask)) + first * flat.size)
+            hits = np.flatnonzero(self._filter.take(hashes & mask))
+            if hits.size:
+                query.append(hits + first * flat.size)
+        if not query:  # no neighbor reaches the set
+            return _NO_PAIRS
         query = np.concatenate(query)
         rows = _neighbor_rows(orders.astype(self._dtype), *np.divmod(query, flat.size))
         return query[[row.tobytes() in self._seen for row in rows]]
@@ -356,12 +373,14 @@ def _screen(
 
 def _step(
     instance: Instance, orders: np.ndarray, lengths: np.ndarray, dmax: float, stored: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's chosen neighbor row and its length for a steepest step of ``orders``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's chosen neighbor row, its length and its pair index, for a steepest step.
 
     ``orders`` is a (k, n) block with ``row_lengths`` lengths ``lengths``,
-    and ``dmax`` the table's longest edge. ``stored`` holds pair indices row
-    0 may not take, leaving it one at least; only one-row blocks pass any.
+    and ``dmax`` the table's longest edge. ``stored`` holds flat indices
+    into (k, n(n-1)/2) of the pairs each row may not take, leaving every
+    row one at least, as ``VisitedSet._forbidden`` returns them; at n = 2
+    none may be passed.
     """
     k, n = orders.shape
     if n == 2:  # the one neighbor; the screen could overflow
@@ -369,7 +388,7 @@ def _step(
     else:
         deltas, band = _screen(instance.distance_table(), orders, max(lengths.tolist()), dmax)
         if stored.size:
-            deltas[0][stored] = np.inf
+            deltas.ravel()[stored] = np.inf
         # a lone row's minimum is the whole array's, which numpy finds faster
         smallest = deltas.min() if k == 1 else np.minimum.reduce(deltas, axis=1, keepdims=True)
         keep = deltas <= smallest + band
@@ -381,10 +400,10 @@ def _step(
     candidates = _neighbor_rows(orders, owner, picked)
     measured = row_lengths(instance, candidates)
     if owner.size == k:  # one candidate per row, as is usual off ties
-        return candidates, measured
+        return candidates, measured, picked
     # each row's first minimum in pair order: the head of its run, stably sorted
     chosen = np.lexsort((measured, owner))[owner.searchsorted(np.arange(k))]
-    return candidates[chosen], measured[chosen]
+    return candidates[chosen], measured[chosen], picked[chosen]
 
 
 def _descend(
@@ -393,42 +412,141 @@ def _descend(
     lengths: np.ndarray,
     max_steps: int,
     record: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain steepest descent from every row of ``tours`` at once, in place.
+    escape: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steepest descent from every row of ``tours`` at once, in place.
 
     ``tours`` is a (k, n) int64 block of start rows and ``lengths`` their
-    ``row_lengths`` lengths; both end holding each climb's last, and so
-    best, tour. Each pass takes ``_step`` on every live row, and a row that
-    does not improve drops out. Every live row has taken the same number of
-    steps, so a climb's evaluations are n(n-1)/2 per step plus one for the
-    step that ended it.
+    ``row_lengths`` lengths; both end holding each climb's last tour. Each
+    pass takes ``_step`` on every live row. Without ``escape`` a row that
+    does not improve drops out, so its last tour is its best, and a climb's
+    evaluations are n(n-1)/2 per step plus one for the step that ended it.
 
-    Returns each row's steps and whether it aborted: at ``max_steps`` steps
-    the rows that would step again stop there. ``record``, if given, is
-    called after each pass with the stepping rows' indices into ``tours``
-    and the rows and lengths they stepped to.
+    With ``escape`` each row climbs as a modified climb that sees no visited
+    set but the tour it just left: a row that does not improve escapes once,
+    its allowance is restored once it gets strictly below the length that
+    spent it, and it stops at a step that does not improve with the
+    allowance spent. From the second pass on each row's step masks the pair
+    it took last, whose swap leads straight back; at n = 2 that is the one
+    neighbor, so the row has no pick and stops. While every live row
+    improves and none has spent its allowance, a pass keeps no escape state.
+
+    Returns each row's steps, whether it aborted (at ``max_steps`` steps the
+    rows that would step again stop there) and, with ``escape``, the pair
+    index of the step it did not take, -1 where it had none. ``record``, if
+    given, is called after each pass with the stepping rows' indices into
+    ``tours`` and the rows and lengths they stepped to.
     """
-    k = tours.shape[0]
+    k, n = tours.shape
     dmax = float(instance.distance_table().max())
     steps, aborted = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+    last = np.full(k, -1, dtype=np.intp)
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
+    # with escape, for the live rows: the pair each took last, whose swap
+    # leads back, whether each spent its allowance and the length that spent it
+    back, spent, trigger, spending = None, np.zeros(k, dtype=bool), np.zeros(k), False
+    offsets = np.arange(k) * _pairs(n).flat.size if escape else None
     for step in itertools.count():
-        following, best = _step(instance, current, current_lengths, dmax, _NO_PAIRS)
-        better = best < current_lengths
+        ban = _NO_PAIRS if back is None or n == 2 else offsets[: live.size] + back
+        following, best, picked = _step(instance, current, current_lengths, dmax, ban)
+        if back is not None and n == 2:  # the one neighbor is the way back
+            picked[:], best[:] = -1, np.inf
+        better = moving = best < current_lengths
+        watch = escape and (spending or np.count_nonzero(better) < better.size)
+        if watch:
+            moving = better | ~spent  # a row that does not improve escapes once
         if step == max_steps:  # the rows that would step again abort instead
-            aborted[live] = better
-            better[:] = False
-        if np.count_nonzero(better) < better.size:
-            done = ~better
+            aborted[live] = moving
+            moving = np.zeros_like(moving)
+        if np.count_nonzero(moving) < moving.size:
+            done = ~moving
             stop = live[done]
             tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
-            if not np.count_nonzero(better):
-                return steps, aborted
-            live, following, best = live[better], following[better], best[better]
+            if escape:
+                last[stop] = picked[done]
+            if not np.count_nonzero(moving):
+                return steps, aborted, last
+            live, following, best = live[moving], following[moving], best[moving]
+            if watch:  # with escape, only a watched pass stops rows before max_steps
+                picked, better, spent = picked[moving], better[moving], spent[moving]
+                current_lengths, trigger = current_lengths[moving], trigger[moving]
+        if watch:
+            trigger = np.where(better, trigger, current_lengths)
+            spent = (spent | ~better) & ~(best < trigger)
+            spending = bool(np.count_nonzero(spent))
+        if escape:
+            back = picked
         current, current_lengths = following, best
         if record is not None:
             record(live, current, best)
+
+
+def _path_neighbors(rows: np.ndarray, lengths: list[float]) -> list[int]:
+    """For each row u of a modified climb's path, how many rows v < u - 1 of it are its neighbors.
+
+    ``rows`` are the path's tours and ``lengths`` their lengths, and no tour
+    is on it twice. Each step takes the first shortest neighbor but the row
+    it came from, so a neighbor of x_v other than x_{v-1} is no shorter
+    than x_{v+1}; and a transposition changes a permutation's parity, so
+    x_u and x_v are neighbors only if u - v is odd. Only the rows that pass
+    both tests are compared, and on a strict descent none does.
+    """
+    counts = [0] * len(lengths)
+    lowest = np.inf  # of x_1 .. x_{u-2}
+    for u in range(3, len(lengths)):
+        lowest = min(lowest, lengths[u - 2])
+        if lengths[u] >= lowest:
+            earlier = [v for v in range(u - 3, -1, -2) if lengths[v + 1] <= lengths[u]]
+            differ = np.count_nonzero(rows[earlier] != rows[u], axis=1)
+            counts[u] = int(np.count_nonzero(differ == 2))
+    return counts
+
+
+def _take_up(
+    visited: VisitedSet, rows: np.ndarray, lengths: list[float], keys: list[bytes], pick: int
+) -> tuple[int, int, bool]:
+    """Store the prefix of a modified climb's path that the climb over ``visited`` takes.
+
+    ``rows`` is the path x_0 .. x_L that ``_descend`` with ``escape`` took
+    from a start the set does not hold, ``lengths`` their lengths, ``keys``
+    their ``_keys`` and ``pick`` the pair of the step that ended it (-1 if
+    none). Returns the steps taken up, their evaluations and whether the
+    climb took the whole path and ended as the path did.
+
+    The climb at x_u takes the path's step if x_{u-1} is stored and the
+    step's tour is not: the neighbors it may take are then among those the
+    path's step could take and include the path's pick, which is thus the
+    climb's too. The step's evaluations are n(n-1)/2 less the stored
+    neighbors of x_u: those stored before the climb, found with one
+    ``_forbidden`` over the rows that may be taken up, x_{u-1} and the
+    earlier path rows that ``_path_neighbors`` finds next to x_u. A path row
+    stored before the climb ends the rows that may be taken up, since no
+    step goes there.
+    """
+    seen = visited._seen
+    neighborhood = _pairs(rows.shape[1]).flat.size
+    end = next((u for u in range(1, len(keys)) if keys[u] in seen), len(keys))
+    stored = visited._forbidden(rows[:end])
+    held = np.bincount(stored // neighborhood, minlength=end).tolist()
+    own = _path_neighbors(rows[:end], lengths[:end])
+    hashes = visited._hashes(rows[:end])
+    kept, evaluations = True, 0  # whether the set took x_{u-1}; x_0 has none
+    for u in range(len(keys)):
+        arrived = visited._store(keys[u], hashes[u])
+        if not kept:
+            return u, evaluations, False
+        kept = arrived
+        if u + 1 < len(keys):
+            following = keys[u + 1]
+        elif pick >= 0:  # the step that ended the path
+            (following,) = visited._keys(_neighbor_rows(rows[u:], np.zeros(1, np.intp), [pick]))
+        else:  # at n = 2 the way back, stored, is the one neighbor
+            following = None
+        if following in seen:
+            return u, evaluations, False
+        evaluations += neighborhood - held[u] - own[u] - (u > 0)
+    return len(keys) - 1, evaluations, True
 
 
 def _memoised(
@@ -441,13 +559,16 @@ def _memoised(
 ) -> Iterator[tuple[np.ndarray, float, int, int, bool, bool]]:
     """Modified climbs from each row of the block ``starts`` in turn, sharing ``visited``.
 
-    ``lengths`` are the rows' ``row_lengths`` lengths. The block descends
-    in one ``_descend``, and each climb keeps the prefix of its path that
-    the module docstring explains before it steps on alone. Yields, for
-    each climb, the best row, its length, the steps, the evaluations,
-    whether the start was already stored (an early-out, with no work done)
-    and whether the step after ``max_steps`` would have moved the climb (an
-    abort, which keeps the best row before it).
+    ``lengths`` are the rows' ``row_lengths`` lengths. The whole block
+    climbs in one ``_descend`` with ``escape``, which sees no visited set
+    but bans each row's step straight back. Each climb in turn then takes up
+    the prefix of its path that ``_take_up`` verifies against the set, and
+    steps on one masked step at a time only from the first step where the
+    climb over the set parts from the path. Yields, for each climb, the best
+    row, its length, the steps, the evaluations, whether the start was
+    already stored (an early-out, with no work done) and whether the step
+    after ``max_steps`` would have moved the climb (an abort, which keeps
+    the best row before it).
     """
     neighborhood = _pairs(starts.shape[1]).flat.size
     dmax = float(instance.distance_table().max())
@@ -457,35 +578,37 @@ def _memoised(
         for r, *step in zip(live.tolist(), following, best.tolist()):
             paths[r].append(step)
 
-    _descend(instance, starts.copy(), lengths.copy(), max_steps, record)
-    for path in paths:  # each row of a climb's descent and its length
+    _, ran_out, last = _descend(instance, starts.copy(), lengths.copy(), max_steps, record, True)
+    for path, aborted, pick in zip(paths, ran_out.tolist(), last.tolist()):
         rows, lengths = zip(*path)
         rows = np.array(rows)
-        start = Tour(rows[0])
-        if start in visited:
+        keys = visited._keys(rows)
+        if keys[0] in visited._seen:
             yield rows[0], lengths[0], 0, 0, True, False
             continue
-        # the prefix ends before the first tour the set held before the climb
-        keys, seen = [] if visited._dtype is None else rows[1:].astype(visited._dtype), visited._seen
-        steps = next((s for s, key in enumerate(keys) if key.tobytes() in seen), len(rows) - 1)
-        stored = visited._forbidden(rows[:steps])  # the prefix's rows stepped from
-        prefix = rows[1 : steps + 1]
-        kept = [visited.add(start)]
-        kept += [visited._store(row, h) for row, h in zip(prefix, visited._hashes(prefix))]
-        # each prefix row's predecessor counts if stored: all of kept but the last two
-        evaluations = steps * neighborhood - stored.size
-        evaluations -= sum(kept[:-2])
+        steps, evaluations, finished = _take_up(visited, rows, lengths, keys, pick)
         if on_visit is not None:
             for row, length in zip(rows[: steps + 1], lengths):
                 on_visit(Tour(row), length)
-        current_length = best_length = lengths[steps]  # the climb goes on as a one-row block
-        best, rows, lengths = rows[steps], rows[steps : steps + 1], np.array([best_length])
-        allowance_spent, trigger_length, aborted = False, -np.inf, False  # trigger set when spent
+        best_at = min(range(steps + 1), key=lengths.__getitem__)  # the first of the shortest
+        best, best_length = rows[best_at], lengths[best_at]
+        if finished:
+            yield best, best_length, steps, evaluations, False, aborted
+            continue
+        # The path's escape state at x_steps, and on from there one masked step at a time.
+        allowance_spent, trigger_length = False, -np.inf
+        for before, after in zip(lengths[:steps], lengths[1 : steps + 1]):
+            if not after < before:
+                allowance_spent, trigger_length = True, before
+            if allowance_spent and after < trigger_length:
+                allowance_spent = False
+        current_length = lengths[steps]
+        rows, lengths, aborted = rows[steps : steps + 1], np.array([current_length]), False
         while True:
             stored = visited._forbidden(rows)
             if stored.size == neighborhood:
                 break  # every neighbor already visited
-            neighbor, neighbor_lengths = _step(instance, rows, lengths, dmax, stored)
+            neighbor, neighbor_lengths, _ = _step(instance, rows, lengths, dmax, stored)
             neighbor_length = float(neighbor_lengths[0])
             evaluations += neighborhood - stored.size
             if not neighbor_length < current_length:
@@ -497,7 +620,8 @@ def _memoised(
                 break
             rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
             steps += 1
-            visited._store(rows[0], visited._hashes(rows[0]))
+            (key,) = visited._keys(rows)
+            visited._store(key, visited._hashes(rows[0]))
             if on_visit is not None:
                 on_visit(Tour(rows[0]), current_length)
             if current_length < best_length:
@@ -524,7 +648,7 @@ def steepest_step(
     if evaluated == 0:
         return None
     dmax = float(instance.distance_table().max())
-    rows, lengths = _step(instance, tour.order[None], np.array([length]), dmax, stored)
+    rows, lengths, _ = _step(instance, tour.order[None], np.array([length]), dmax, stored)
     return Tour(rows[0]), float(lengths[0]), evaluated
 
 
@@ -545,10 +669,10 @@ def hill_climb(
     allowed at a local minimum and re-armed once the walk gets strictly
     below it, no permutation is revisited, and early_out is True (with no
     work done) when ``start`` was already in it; this is ``run_hc``'s
-    modified climb on one row, which takes up its descent's path at once.
+    modified climb on one row, which takes up its lockstep path at once.
     ``on_visit``, if given, is called with each tour the climb visits and its
     length, ``start`` included: after each step, but for the modified climb
-    only once the descent's path is taken up, for the tours along it.
+    only once its lockstep path is taken up, for the tours along it.
     Raises ConfigurationError unless ``max_steps`` is an integer of at least
     1, and RunAbortedError if the next step would exceed it.
     """
@@ -565,7 +689,7 @@ def hill_climb(
         if on_visit is not None:
             on_visit(start, float(lengths[0]))
             record = lambda _, rows, ls: on_visit(Tour(rows[0]), float(ls[0]))  # noqa: E731
-        (steps,), (aborted,) = _descend(instance, tours, lengths, max_steps, record)
+        (steps,), (aborted,), _ = _descend(instance, tours, lengths, max_steps, record)
         best, length, steps = tours[0], float(lengths[0]), int(steps)
         evaluations = (steps + 1) * _pairs(start.order.size).flat.size
     if aborted:
@@ -599,10 +723,10 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
 
     Each climb's start takes one ``random_tour``'s draws, in climb order.
     Starts are drawn a block at a time as they climb, so memory does not
-    grow with restarts. Both variants descend each block in one batched
-    steepest descent. The modified variant then finishes the block's
-    climbs one after another, threading one shared VisitedSet through all
-    climbs.
+    grow with restarts. Both variants climb each block in one batched
+    lockstep climb, the modified variant by its rule with no visited set.
+    The modified variant then takes up the block's climbs one after
+    another, threading one shared VisitedSet through all climbs.
     A climb that exhausts its step budget contributes its best-so-far tour
     and counts in ``aborted``; RunAbortedError propagates only if every
     climb aborts. Ties between climbs go to the earliest.
@@ -621,7 +745,7 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
         starts = random_rows(instance.n, min(block, runs - first), rng)
         lengths = row_lengths(instance, starts)
         if visited is None:
-            steps, ran_out = _descend(instance, starts, lengths, config.max_steps_per_run)
+            steps, ran_out, _ = _descend(instance, starts, lengths, config.max_steps_per_run)
             total_steps += int(steps.sum())
             total_evaluations += int((steps + 1).sum()) * _pairs(instance.n).flat.size
             aborted += int(np.count_nonzero(ran_out))

@@ -39,6 +39,7 @@ from tourbench.hillclimb import (
     RunAbortedError,
     VisitedSet,
     _descend,
+    _path_neighbors,
     _step,
     hill_climb,
     run_hc,
@@ -283,6 +284,8 @@ def test_block_step_matches_full_scan_on_every_row(metric, data):
     # The one steepest step on a block of rows, from 2 points, where the one
     # neighbour goes unscreened, to 14; integer grid points tie exactly and
     # often, so rows of one block may keep different numbers of candidates.
+    # Above two points some rows may not take some pairs, each row its own,
+    # as flat indices into (k, n(n-1)/2); every row keeps one pair at least.
     n = data.draw(st.integers(2, 14))
     k = data.draw(st.integers(1, 8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -292,12 +295,22 @@ def test_block_step_matches_full_scan_on_every_row(metric, data):
         coords = rng.uniform(-50.0, 50.0, size=(n, 2))
     instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords], metric)
     orders = random_rows(n, k, rng)
+    pairs = n * (n - 1) // 2
+    share = 0.0 if n == 2 else data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    banned = [
+        np.flatnonzero(rng.random(pairs) < share)[: pairs - 1] if rng.random() < 0.7 else _NO_PAIRS
+        for _ in range(k)
+    ]
+    stored = np.concatenate([r * pairs + b for r, b in enumerate(banned)]).astype(np.intp)
     dmax = float(instance.distance_table().max())
-    rows, lengths = _step(instance, orders, row_lengths(instance, orders), dmax, _NO_PAIRS)
-    assert rows.shape == (k, n) and lengths.shape == (k,)
-    for order, row, length in zip(orders, rows, lengths):
-        expected = reference_step(instance, Tour(order))
-        assert (row.tolist(), float.hex(float(length)), n * (n - 1) // 2) == expected
+    rows, lengths, picked = _step(instance, orders, row_lengths(instance, orders), dmax, stored)
+    assert rows.shape == (k, n) and lengths.shape == picked.shape == (k,)
+    for order, row, length, pick, ban in zip(orders, rows, lengths, picked, banned):
+        around = list(neighbors(Tour(order)))
+        forbidden = {tuple(around[b]) for b in ban.tolist()}
+        expected = reference_step(instance, Tour(order), forbidden)
+        assert (row.tolist(), float.hex(float(length)), pairs - len(forbidden)) == expected
+        assert around[pick].tolist() == row.tolist()
 
 
 def reference_climb(instance, start, visited, cap=DEFAULT_VISITED_CAP, max_steps=DEFAULT_MAX_STEPS):
@@ -480,28 +493,91 @@ def test_modified_run_matches_reference_climbs(metric, data):
     assert (result.early_outs, result.aborted) == (early_outs, aborted)
 
 
+def reference_escape_path(instance, start, max_steps):
+    """The modified climb's rule written out over reference_step, with no set but the last tour.
+
+    Each step takes the first shortest neighbour but the tour the climb just
+    left; a step that does not improve escapes once, and the allowance is
+    restored strictly below the length that spent it. Returns the tours as
+    lists, their lengths, whether the step after ``max_steps`` would have
+    moved the climb, and the neighbour the climb did not step to (None at
+    two points, where the tour it left is the only one).
+    """
+    path, lengths = [start.tolist()], [tour_length(instance, start)]
+    spent, trigger = False, -np.inf
+    while True:
+        back = {tuple(path[-2])} if len(path) > 1 else set()
+        found = reference_step(instance, Tour(path[-1]), back)
+        if found is None:
+            return path, lengths, False, None
+        neighbor, length = found[0], float.fromhex(found[1])
+        if not length < lengths[-1]:
+            if spent:
+                return path, lengths, False, neighbor
+            spent, trigger = True, lengths[-1]
+        if len(path) - 1 == max_steps:
+            return path, lengths, True, neighbor
+        path.append(neighbor)
+        lengths.append(length)
+        if spent and length < trigger:
+            spent = False
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
     # On a steepest descent t_s is shorter than t_{u+1}, the shortest
-    # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour:
-    # the modified climb counts on this to take up a descent's path.
-    n = data.draw(st.integers(3, 14))
+    # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour.
+    # With escapes, a path that only bans the step straight back can come
+    # back next to an earlier tour: x_u neighbours x_v, v < u - 1, only if
+    # u - v is odd (each step is one transposition) and x_u is no shorter
+    # than x_{v+1}, the first shortest neighbour of x_v but x_{v-1}, unless
+    # x_u is x_{v-1} again. The modified climb counts its path's neighbours
+    # on this; the paths themselves must follow the reference rule.
+    n = data.draw(st.integers(2, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
         coords = rng.integers(0, 5, size=(n, 2)).astype(float)
     else:
         coords = rng.uniform(-50.0, 50.0, size=(n, 2))
     instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords])
-    starts = random_rows(n, data.draw(st.integers(1, 6)), rng)
-    paths = [[row] for row in starts]
+    # short budgets end some paths at an escape; most paths run to their end
+    max_steps = data.draw(st.sampled_from([1, 3, DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS]))
+    starts = random_rows(n, data.draw(st.integers(1, 8)), rng)
+    for escape in (False, True):
+        paths = [[(row, length)] for row, length in zip(starts, row_lengths(instance, starts))]
 
-    def record(live, rows, lengths):
-        for r, row in zip(live.tolist(), rows):
-            paths[r].append(row)
+        def record(live, rows, lengths):
+            for r, row, length in zip(live.tolist(), rows, lengths.tolist()):
+                paths[r].append((row, length))
 
-    _descend(instance, starts.copy(), row_lengths(instance, starts), DEFAULT_MAX_STEPS, record)
-    for path in paths:
-        differ = (np.array(path)[:, None, :] != np.array(path)[None, :, :]).sum(axis=2)
-        s, u = np.tril_indices(len(path), k=-1)
+        _, aborted, last = _descend(
+            instance, starts.copy(), row_lengths(instance, starts), max_steps, record, escape
+        )
+        for path, ran_out, pick in zip(paths, aborted.tolist(), last.tolist()):
+            check_path(instance, path, max_steps, escape, ran_out, pick)
+
+
+def check_path(instance, path, max_steps, escape, ran_out, pick):
+    rows, lengths = np.array([row for row, _ in path]), np.array([ln for _, ln in path])
+    differ = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    s, u = np.tril_indices(len(path), k=-1)
+    if not escape:
         assert (differ[s, u] == 2).tolist() == (s - u == 1).tolist()
+        return
+    expected = reference_escape_path(instance, Tour(rows[0]), max_steps)
+    assert rows.tolist() == expected[0]
+    assert [float.hex(ln) for ln in lengths.tolist()] == [float.hex(ln) for ln in expected[1]]
+    assert ran_out == expected[2]
+    around = list(neighbors(Tour(rows[-1])))
+    assert (None if pick < 0 else around[pick].tolist()) == expected[3]
+    far = (differ[s, u] == 2) & (s - u > 1)
+    for later, earlier in zip(s[far].tolist(), u[far].tolist()):
+        assert (later - earlier) % 2 == 1
+        revisit = earlier > 0 and not differ[later, earlier - 1]
+        assert lengths[later] >= lengths[earlier + 1] or revisit
+    # up to its first revisit, the path's earlier neighbours are the ones counted
+    fresh = next((a for a in range(len(path)) if (differ[a, :a] == 0).any()), len(path))
+    inside = far & (s < fresh)
+    counted = np.bincount(s[inside], minlength=fresh).tolist()
+    assert _path_neighbors(rows[:fresh], lengths[:fresh].tolist()) == counted
