@@ -35,7 +35,8 @@ only neighbors the path did not step to, so the first shortest neighbor
 left is the path's. The climb counts the stored neighbors
 of each row it takes exactly: those stored before it, with one
 ``_forbidden`` over the path, plus x_{u-1} and the earlier path rows next to
-x_u, which ``_path_neighbors`` finds by a length and a parity test. Only
+x_u, which ``_path_neighbors`` finds by a length and a parity test. Where
+the path stopped, the climb stops too, since its pick is no shorter. Only
 from the first step where the two part does it step on alone, one masked
 step at a time.
 
@@ -427,13 +428,14 @@ def _descend(
     its allowance is restored once it gets strictly below the length that
     spent it, and it stops at a step that does not improve with the
     allowance spent. From the second pass on each row's step masks the pair
-    it took last, whose swap leads straight back; at n = 2 that is the one
-    neighbor, so the row has no pick and stops. While every live row
-    improves and none has spent its allowance, a pass keeps no escape state.
+    it took last, whose swap leads straight back. At n = 2 that is the one
+    neighbor, the tour reversed and so as long: a row escapes to it and then
+    stops. While every live row improves and none has spent its allowance,
+    a pass keeps no escape state.
 
     Returns each row's steps, whether it aborted (at ``max_steps`` steps the
-    rows that would step again stop there) and, with ``escape``, the pair
-    index of the step it did not take, -1 where it had none. ``record``, if
+    rows that would step again stop there) and the pair index of the step
+    each aborted row would have taken, -1 for the others. ``record``, if
     given, is called after each pass with the stepping rows' indices into
     ``tours`` and the rows and lengths they stepped to.
     """
@@ -443,28 +445,25 @@ def _descend(
     last = np.full(k, -1, dtype=np.intp)
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
-    # with escape, for the live rows: the pair each took last, whose swap
-    # leads back, whether each spent its allowance and the length that spent it
-    back, spent, trigger, spending = None, np.zeros(k, dtype=bool), np.zeros(k), False
-    offsets = np.arange(k) * _pairs(n).flat.size if escape else None
+    back, spending = None, False  # with escape: the pair each live row took last
+    if escape:  # whether each live row spent its allowance, and the length that spent it
+        spent, trigger = np.zeros(k, dtype=bool), np.zeros(k)
+        offsets = np.arange(k) * _pairs(n).flat.size
     for step in itertools.count():
         ban = _NO_PAIRS if back is None or n == 2 else offsets[: live.size] + back
         following, best, picked = _step(instance, current, current_lengths, dmax, ban)
-        if back is not None and n == 2:  # the one neighbor is the way back
-            picked[:], best[:] = -1, np.inf
         better = moving = best < current_lengths
         watch = escape and (spending or np.count_nonzero(better) < better.size)
         if watch:
             moving = better | ~spent  # a row that does not improve escapes once
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = moving
+            last[live[moving]] = picked[moving]
             moving = np.zeros_like(moving)
         if np.count_nonzero(moving) < moving.size:
             done = ~moving
             stop = live[done]
             tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
-            if escape:
-                last[stop] = picked[done]
             if not np.count_nonzero(moving):
                 return steps, aborted, last
             live, following, best = live[moving], following[moving], best[moving]
@@ -510,19 +509,21 @@ def _take_up(
 
     ``rows`` is the path x_0 .. x_L that ``_descend`` with ``escape`` took
     from a start the set does not hold, ``lengths`` their lengths, ``keys``
-    their ``_keys`` and ``pick`` the pair of the step that ended it (-1 if
-    none). Returns the steps taken up, their evaluations and whether the
-    climb took the whole path and ended as the path did.
+    their ``_keys``, and ``pick`` the pair of the step after ``max_steps``
+    if the path aborted, -1 if it stopped. Returns the steps taken up, their
+    evaluations and whether the climb took the whole path and ended as the
+    path did.
 
     The climb at x_u takes the path's step if x_{u-1} is stored and the
     step's tour is not: the neighbors it may take are then among those the
     path's step could take and include the path's pick, which is thus the
-    climb's too. The step's evaluations are n(n-1)/2 less the stored
-    neighbors of x_u: those stored before the climb, found with one
-    ``_forbidden`` over the rows that may be taken up, x_{u-1} and the
-    earlier path rows that ``_path_neighbors`` finds next to x_u. A path row
-    stored before the climb ends the rows that may be taken up, since no
-    step goes there.
+    climb's too. Where the path stopped, at a step that did not improve with
+    its allowance spent, the climb's pick is no shorter and stops it too.
+    Each step's evaluations are n(n-1)/2 less the stored neighbors of x_u:
+    those stored before the climb, found with one ``_forbidden`` over the
+    rows that may be taken up, x_{u-1} and the earlier path rows that
+    ``_path_neighbors`` finds next to x_u. A path row stored before the
+    climb ends the rows that may be taken up, since no step goes there.
     """
     seen = visited._seen
     neighborhood = _pairs(rows.shape[1]).flat.size
@@ -539,9 +540,9 @@ def _take_up(
         kept = arrived
         if u + 1 < len(keys):
             following = keys[u + 1]
-        elif pick >= 0:  # the step that ended the path
+        elif pick >= 0:  # the step after max_steps, which the climb would take too
             (following,) = visited._keys(_neighbor_rows(rows[u:], np.zeros(1, np.intp), [pick]))
-        else:  # at n = 2 the way back, stored, is the one neighbor
+        else:  # the climb's pick, no shorter than the path's, ends it as well
             following = None
         if following in seen:
             return u, evaluations, False

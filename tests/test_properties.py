@@ -499,9 +499,9 @@ def reference_escape_path(instance, start, max_steps):
     Each step takes the first shortest neighbour but the tour the climb just
     left; a step that does not improve escapes once, and the allowance is
     restored strictly below the length that spent it. Returns the tours as
-    lists, their lengths, whether the step after ``max_steps`` would have
-    moved the climb, and the neighbour the climb did not step to (None at
-    two points, where the tour it left is the only one).
+    lists, their lengths, and the neighbour the step after ``max_steps``
+    would have taken, or None if the climb stopped before it (at two points
+    it stops where the tour it left is the only neighbour).
     """
     path, lengths = [start.tolist()], [tour_length(instance, start)]
     spent, trigger = False, -np.inf
@@ -509,14 +509,14 @@ def reference_escape_path(instance, start, max_steps):
         back = {tuple(path[-2])} if len(path) > 1 else set()
         found = reference_step(instance, Tour(path[-1]), back)
         if found is None:
-            return path, lengths, False, None
+            return path, lengths, None
         neighbor, length = found[0], float.fromhex(found[1])
         if not length < lengths[-1]:
             if spent:
-                return path, lengths, False, neighbor
+                return path, lengths, None
             spent, trigger = True, lengths[-1]
         if len(path) - 1 == max_steps:
-            return path, lengths, True, neighbor
+            return path, lengths, neighbor
         path.append(neighbor)
         lengths.append(length)
         if spent and length < trigger:
@@ -555,10 +555,11 @@ def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
             instance, starts.copy(), row_lengths(instance, starts), max_steps, record, escape
         )
         for path, ran_out, pick in zip(paths, aborted.tolist(), last.tolist()):
-            check_path(instance, path, max_steps, escape, ran_out, pick)
+            check_descent_path(instance, path, max_steps, escape, ran_out, pick)
 
 
-def check_path(instance, path, max_steps, escape, ran_out, pick):
+def check_descent_path(instance, path, max_steps, escape, ran_out, pick):
+    """One row's (tour, length) path from ``_descend``, its abort flag and its pick if aborted."""
     rows, lengths = np.array([row for row, _ in path]), np.array([ln for _, ln in path])
     differ = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
     s, u = np.tril_indices(len(path), k=-1)
@@ -568,9 +569,9 @@ def check_path(instance, path, max_steps, escape, ran_out, pick):
     expected = reference_escape_path(instance, Tour(rows[0]), max_steps)
     assert rows.tolist() == expected[0]
     assert [float.hex(ln) for ln in lengths.tolist()] == [float.hex(ln) for ln in expected[1]]
-    assert ran_out == expected[2]
     around = list(neighbors(Tour(rows[-1])))
-    assert (None if pick < 0 else around[pick].tolist()) == expected[3]
+    assert (around[pick].tolist() if ran_out else None) == expected[2]
+    assert (pick >= 0) == ran_out
     far = (differ[s, u] == 2) & (s - u > 1)
     for later, earlier in zip(s[far].tolist(), u[far].tolist()):
         assert (later - earlier) % 2 == 1
