@@ -527,24 +527,48 @@ def reference_escape_path(instance, start, max_steps):
 @given(st.data())
 def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
     # On a steepest descent t_s is shorter than t_{u+1}, the shortest
-    # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour.
-    # With escapes, a path that only bans the step straight back can come
-    # back next to an earlier tour: x_u neighbours x_v, v < u - 1, only if
-    # u - v is odd (each step is one transposition) and x_u is no shorter
-    # than x_{v+1}, the first shortest neighbour of x_v but x_{v-1}, unless
-    # x_u is x_{v-1} again. The modified climb counts its path's neighbours
-    # on this; the paths themselves must follow the reference rule.
-    n = data.draw(st.integers(2, 12))
+    # neighbour of t_u, for u < s - 1, so only t_{s-1} is its neighbour:
+    # the modified climb counts on this to take up a descent's path.
+    n = data.draw(st.integers(3, 14))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
         coords = rng.integers(0, 5, size=(n, 2)).astype(float)
     else:
         coords = rng.uniform(-50.0, 50.0, size=(n, 2))
     instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords])
-    # short budgets end some paths at an escape; most paths run to their end
-    max_steps = data.draw(st.sampled_from([1, 3, DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS]))
-    starts = random_rows(n, data.draw(st.integers(1, 8)), rng)
-    for escape in (False, True):
+    starts = random_rows(n, data.draw(st.integers(1, 6)), rng)
+    paths = [[row] for row in starts]
+
+    def record(live, rows, lengths):
+        for r, row in zip(live.tolist(), rows):
+            paths[r].append(row)
+
+    _descend(instance, starts.copy(), row_lengths(instance, starts), DEFAULT_MAX_STEPS, record)
+    for path in paths:
+        differ = (np.array(path)[:, None, :] != np.array(path)[None, :, :]).sum(axis=2)
+        s, u = np.tril_indices(len(path), k=-1)
+        assert (differ[s, u] == 2).tolist() == (s - u == 1).tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_escape_path_follows_the_rule_and_counts_its_earlier_neighbours(data):
+    # With escapes, a path that only bans the step straight back can come
+    # back next to an earlier tour: x_u neighbours x_v, v < u - 1, only if
+    # u - v is odd (each step is one transposition) and x_u is no shorter
+    # than x_{v+1}, the first shortest neighbour of x_v but x_{v-1}, unless
+    # x_u is x_{v-1} again. The modified climb counts its path's neighbours
+    # on this; the paths themselves must follow the reference rule.
+    n = data.draw(st.integers(2, 14))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    else:
+        coords = rng.uniform(-50.0, 50.0, size=(n, 2))
+    instance = Instance("prop", [Point(float(x), float(y)) for x, y in coords])
+    starts = random_rows(n, data.draw(st.integers(4, 12)), rng)
+    # a short budget ends some paths at an escape; the full one runs each to its end
+    for max_steps in (data.draw(st.sampled_from([1, 3, 5])), DEFAULT_MAX_STEPS):
         paths = [[(row, length)] for row, length in zip(starts, row_lengths(instance, starts))]
 
         def record(live, rows, lengths):
@@ -552,26 +576,23 @@ def test_no_descent_tour_neighbors_an_earlier_one_but_its_predecessor(data):
                 paths[r].append((row, length))
 
         _, aborted, last = _descend(
-            instance, starts.copy(), row_lengths(instance, starts), max_steps, record, escape
+            instance, starts.copy(), row_lengths(instance, starts), max_steps, record, escape=True
         )
         for path, ran_out, pick in zip(paths, aborted.tolist(), last.tolist()):
-            check_descent_path(instance, path, max_steps, escape, ran_out, pick)
+            check_escape_path(instance, path, max_steps, ran_out, pick)
 
 
-def check_descent_path(instance, path, max_steps, escape, ran_out, pick):
-    """One row's (tour, length) path from ``_descend``, its abort flag and its pick if aborted."""
+def check_escape_path(instance, path, max_steps, ran_out, pick):
+    """One row's (tour, length) path from ``_descend`` with escapes, its abort flag and its pick."""
     rows, lengths = np.array([row for row, _ in path]), np.array([ln for _, ln in path])
-    differ = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
-    s, u = np.tril_indices(len(path), k=-1)
-    if not escape:
-        assert (differ[s, u] == 2).tolist() == (s - u == 1).tolist()
-        return
     expected = reference_escape_path(instance, Tour(rows[0]), max_steps)
     assert rows.tolist() == expected[0]
     assert [float.hex(ln) for ln in lengths.tolist()] == [float.hex(ln) for ln in expected[1]]
     around = list(neighbors(Tour(rows[-1])))
     assert (around[pick].tolist() if ran_out else None) == expected[2]
     assert (pick >= 0) == ran_out
+    differ = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    s, u = np.tril_indices(len(path), k=-1)
     far = (differ[s, u] == 2) & (s - u > 1)
     for later, earlier in zip(s[far].tolist(), u[far].tolist()):
         assert (later - earlier) % 2 == 1
