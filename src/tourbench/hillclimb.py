@@ -414,7 +414,7 @@ def _descend(
     max_steps: int,
     record: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
     escape: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Steepest descent from every row of ``tours`` at once, in place.
 
     ``tours`` is a (k, n) int64 block of start rows and ``lengths`` their
@@ -434,23 +434,23 @@ def _descend(
     a pass keeps no escape state.
 
     Returns each row's steps, whether it aborted (at ``max_steps`` steps the
-    rows that would step again stop there) and the pair index of the step
-    each aborted row would have taken, -1 for the others. ``record``, if
-    given, is called after each pass with the stepping rows' indices into
-    ``tours`` and the rows and lengths they stepped to.
+    rows that would step again stop there) and, with ``escape``, the pair
+    index of the step each aborted row would have taken, -1 for the others
+    (None without it, whose passes do no escape work). ``record``, if given,
+    is called after each pass with the stepping rows' indices into ``tours``
+    and the rows and lengths they stepped to.
     """
     k, n = tours.shape
     dmax = float(instance.distance_table().max())
     steps, aborted = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
-    last = np.full(k, -1, dtype=np.intp)
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
-    back, spending = None, False  # with escape: the pair each live row took last
-    if escape:  # whether each live row spent its allowance, and the length that spent it
+    ban, last, spending = _NO_PAIRS, None, False
+    if escape:  # each aborted row's next pick; whether each live row is spent, and at what length
+        last = np.full(k, -1, dtype=np.intp)
         spent, trigger = np.zeros(k, dtype=bool), np.zeros(k)
         offsets = np.arange(k) * _pairs(n).flat.size
     for step in itertools.count():
-        ban = _NO_PAIRS if back is None or n == 2 else offsets[: live.size] + back
         following, best, picked = _step(instance, current, current_lengths, dmax, ban)
         better = moving = best < current_lengths
         watch = escape and (spending or np.count_nonzero(better) < better.size)
@@ -458,7 +458,8 @@ def _descend(
             moving = better | ~spent  # a row that does not improve escapes once
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = moving
-            last[live[moving]] = picked[moving]
+            if escape:
+                last[live[moving]] = picked[moving]
             moving = np.zeros_like(moving)
         if np.count_nonzero(moving) < moving.size:
             done = ~moving
@@ -474,11 +475,24 @@ def _descend(
             trigger = np.where(better, trigger, current_lengths)
             spent = (spent | ~better) & ~(best < trigger)
             spending = bool(np.count_nonzero(spent))
-        if escape:
-            back = picked
+        if escape and n > 2:  # the pair each row took leads straight back
+            ban = offsets[: live.size] + picked
         current, current_lengths = following, best
         if record is not None:
             record(live, current, best)
+
+
+def _rearm(spent: bool, trigger: float, before: float, after: float) -> tuple[bool, float]:
+    """A modified climb's allowance after a step from length ``before`` to ``after``.
+
+    ``spent`` says whether the allowance was spent before the step and
+    ``trigger`` the length that spent it. A step that does not improve
+    spends it at ``before``; a step strictly below the trigger restores it.
+    ``_descend`` with ``escape`` applies the same rule to a block of rows.
+    """
+    if not after < before:
+        spent, trigger = True, before
+    return spent and not after < trigger, trigger
 
 
 def _path_neighbors(rows: np.ndarray, lengths: list[float]) -> list[int]:
@@ -599,10 +613,7 @@ def _memoised(
         # The path's escape state at x_steps, and on from there one masked step at a time.
         allowance_spent, trigger_length = False, -np.inf
         for before, after in zip(lengths[:steps], lengths[1 : steps + 1]):
-            if not after < before:
-                allowance_spent, trigger_length = True, before
-            if allowance_spent and after < trigger_length:
-                allowance_spent = False
+            allowance_spent, trigger_length = _rearm(allowance_spent, trigger_length, before, after)
         current_length = lengths[steps]
         rows, lengths, aborted = rows[steps : steps + 1], np.array([current_length]), False
         while True:
@@ -612,13 +623,14 @@ def _memoised(
             neighbor, neighbor_lengths, _ = _step(instance, rows, lengths, dmax, stored)
             neighbor_length = float(neighbor_lengths[0])
             evaluations += neighborhood - stored.size
-            if not neighbor_length < current_length:
-                if allowance_spent:
-                    break
-                allowance_spent, trigger_length = True, current_length
+            if allowance_spent and not neighbor_length < current_length:
+                break
             if steps >= max_steps:
                 aborted = True
                 break
+            allowance_spent, trigger_length = _rearm(
+                allowance_spent, trigger_length, current_length, neighbor_length
+            )
             rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
             steps += 1
             (key,) = visited._keys(rows)
@@ -627,8 +639,6 @@ def _memoised(
                 on_visit(Tour(rows[0]), current_length)
             if current_length < best_length:
                 best, best_length = rows[0], current_length
-            if allowance_spent and current_length < trigger_length:
-                allowance_spent = False
         yield best, best_length, steps, evaluations, False, aborted
 
 
