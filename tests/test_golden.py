@@ -157,6 +157,15 @@ def _cases() -> dict:
             cases[f"ga-{variant}-mutate-all-euclidean-n{n}"] = _ga(
                 lambda n=n: _instance("euclidean", n), variant, n, 10, 6, mutation_rate=1.0
             )
+    # Runs whose draws span several chunks of generations, with j == i
+    # redraws among them: 200 generations of 11 are three takes of up to
+    # 93 generations (2,200 children), and at n = 3 and rate 1 about every
+    # third swap redraws j across the two takes of 5 and 1 generations.
+    for variant in ("baseline", "reversal_invariant"):
+        cases[f"ga-{variant}-pop11-g200-att48"] = _ga(att48, variant, 11, 11, 200, mutation_rate=0.1)
+        cases[f"ga-{variant}-pop200-mutate-all-euclidean-n3"] = _ga(
+            lambda: _instance("euclidean", 3), variant, 3, 200, 6, mutation_rate=1.0
+        )
     # An odd population of baseline children takes an odd number of 32-bit
     # split draws, so a generation can start with half a random word cached.
     cases["ga-baseline-pop15-euclidean-n13"] = _ga(euclidean13, "baseline", 15, 15, 12)
