@@ -308,15 +308,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write a report's UTF-8 bytes to ``out``, or to stdout for None or '-', whatever the locale.
+
+    A text stream with no byte buffer under it, such as ``io.StringIO``,
+    takes the text itself.
+    """
+    if out is not None and out != "-":
+        Path(out).write_bytes(text.encode())
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-        if args.out is None or args.out == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.out).write_text(text)
+        _write(args.func(args), args.out)
         return EXIT_OK
     except (ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -2,9 +2,14 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tourbench
 from test_golden_reports import CASES, HEXAGON, output, read_record
 from tourbench.cli import (
     EXIT_ABORTED,
@@ -474,3 +479,21 @@ class TestOracle:
         code, _, err = run_cli(capsys, ["oracle", "--instance", "att48"])
         assert code == EXIT_CONFIG
         assert "48" in err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_report_is_utf8_whatever_the_locale(self, tmp_path, to_file):
+        # Under the C locale, with UTF-8 mode off, stdout's encoding is
+        # ASCII; the report is still written as UTF-8, to stdout and --out.
+        path = tmp_path / "cafe.tsp"
+        path.write_bytes(TSPLIB_SQUARE.replace("square", "café").encode())
+        src = str(Path(tourbench.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "o.txt"
+        argv = [sys.executable, "-m", "tourbench.cli", "oracle", "--instance", str(path)]
+        done = subprocess.run(argv + (["--out", str(out)] if to_file else []),
+                              env=env, capture_output=True, check=False)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        report = out.read_bytes() if to_file else done.stdout
+        assert report.decode().splitlines()[0] == "instance café"
