@@ -10,6 +10,7 @@ exactly two length evaluations per offspring instead of one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -54,13 +55,8 @@ _UNIT = 2.0**-53
 _LOW32 = 0xFFFFFFFF
 
 # Children whose draws run_ga decodes in one pass: whole generations, at
-# least one. After a child that rejects or redraws, the next pass spans
-# twice the run of children before it, and at least _MIN_WINDOW: a pass
-# decodes every child in its window however early one stops it, so passes
-# that spanned every child left would decode most of them again after each
-# stop (190,000 children for take(1000) at n = 3 and rate 1, against 6,800).
+# least one.
 _CHUNK_CHILDREN = 1024
-_MIN_WINDOW = 16
 
 
 def _check_rate(name: str, rate: object) -> None:
@@ -153,30 +149,36 @@ class _Draws:
     rate draw missed has the swap (0, 0), which changes nothing.
 
     The Generator holds the stream between passes: each pass reads the
-    half-word cache from ``bit_generator.state``, draws with ``random_raw``
-    the most words its children can take, and hands back the words they did
-    not take and the cache they leave, so between passes the Generator
-    stands where per-child calls would. ``take`` decodes many children per
-    pass.
-    Without rejections and mutation hits, every draw's word has a
-    closed-form position: each child takes ``full`` whole words plus the
-    32-bit halves it starts fresh, and a half starts a fresh word exactly
-    when it follows an even number of halves from an empty cache. A hit
-    takes one more word and keeps the parity, so one walk over the rate
-    words places every hit; all acceptance tests are then one array
-    expression. The first child with a Lemire rejection or ``j == i`` is
-    drawn by ``_child`` with the Generator's own calls, and the next pass
-    starts after it.
+    half-word cache from ``bit_generator.state``, draws its words with
+    ``random_raw``, and hands back the words its children did not take and
+    the cache they leave, so between passes the Generator stands where
+    per-child calls would. ``take`` decodes a chunk in one pass.
+
+    A 32-bit draw starts a fresh word exactly when an even number of halves
+    lies between it and an empty cache, so every word a child takes follows
+    from T, the number of halves taken before it: ``full`` whole words per
+    child, plus the fresh words of the halves. Between two mutation hits
+    each child takes ``halves`` halves, so the rate words of children two
+    apart lie ``2 * full + halves`` words apart (of adjacent children, half
+    that when ``halves`` is even), and one ``bytes.find`` per lane of rate
+    tests laid out by residue finds the next hit. At each hit the walk decodes i, j, their rejections and the ``j == i``
+    redraws from the pass's words, as Python ints, and moves T on by the
+    halves they take. One array expression then decodes every child's spins
+    and splits from T. A split that Lemire's draw rejects (below n / 2**32
+    a draw), or a child whose words the pass did not draw, ends the pass;
+    ``_child`` draws that child with the Generator's own calls.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
         self.rng, self.bits = rng, rng.bit_generator
         self.n, self.columns, self.rate = n, columns, rate
         self.halves = columns if n > 2 else 0  # 32-bit split draws per child
-        self.full = 2 + (rate > 0.0)  # whole words per child without a hit
-        # The span and Lemire's rejection limit of each half slot: the splits, i and j.
-        self.spans = np.array([n - 1] * self.halves + [n, n], dtype=np.uint64)
-        self.limits = (1 << 32) % self.spans
+        self.full = 2 + (rate > 0.0)  # whole words per child
+        # Lemire's rejection limits of a split (span n - 1) and of i and j (span n).
+        self.split_limit, self.swap_limit = (1 << 32) % (n - 1), (1 << 32) % n
+        # The halves a hit takes on average: i, then j until it differs from
+        # i, each drawn again while Lemire's draw rejects it.
+        self.per_hit = (1 + n / (n - 1)) / (1 - self.swap_limit / (1 << 32))
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next ``count`` children's draws, one row per child.
@@ -188,15 +190,9 @@ class _Draws:
         """
         rows = (np.empty((count, 2)), np.empty((count, self.columns), dtype=_narrow(self.n)),
                 np.zeros((count, 2), dtype=np.intp))
-        done, window = 0, count
+        done = 0
         while done < count:
-            window = min(window, count - done)
-            good = self._prefix([part[done : done + window] for part in rows])
-            done += good
-            if good < window:
-                self._child([part[done] for part in rows])
-                done += 1
-            window = max(2 * good, _MIN_WINDOW)
+            done += self._pass([part[done:] for part in rows])
         return rows
 
     def generations(self, size: int, limit: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -210,81 +206,136 @@ class _Draws:
             count = min(per_pass, limit - first)
             yield from zip(*(part.reshape(count, size, -1) for part in self.take(count * size)))
 
-    def _prefix(self, rows: list[np.ndarray]) -> int:
-        """Decode children into ``rows`` up to the first that rejects or redraws; return how many.
+    def _pass(self, rows: list[np.ndarray]) -> int:
+        """Decode children into ``rows`` from one draw of words; return how many.
 
-        The pass draws the most words its children can take, and then steps
-        the bit generator back over the words they did not take: PCG64's
-        period is 2**128, so advancing by 2**128 - k steps back k words. The
-        step empties the half-word cache, so the pass writes its cache after.
+        The pass draws the words its children take without a hit, and room
+        for the hits' swap halves: ``per_hit`` halves for each of the h
+        expected hits, for 8 * sqrt(h) more and for eight more (at n = 2 and
+        rate 1, 17 standard deviations past the mean of 1,024 children's
+        halves). A child whose split is rejected or whose words were not drawn ends the
+        pass, and ``_child`` draws it. The pass then steps the bit generator
+        back over the words it did not hand out: PCG64's period is 2**128,
+        so advancing by 2**128 - k steps back k words. The step empties the
+        half-word cache, so the pass writes its cache after.
         """
-        rate, full, halves = self.rate, self.full, self.halves
+        full, halves = self.full, self.halves
         units, splits, swaps = rows
         count = len(units)
         state = self.bits.state
         has, cached = state["has_uint32"], state["uinteger"]
-        k = np.arange(count)
-        # The most words the children can take without a rejection: the
-        # whole words, and a fresh word for every other half, i and j only
-        # at a nonzero rate.
-        need = count * full + (count * (halves + 2 * (rate > 0.0)) + 1 - has) // 2
-        words = self.bits.random_raw(need)
-        hits = []
-        if rate > 0.0:
-            # Child k's rate word, if no child before it hits; each hit moves it one on.
-            rate_at = k * full + 2 + ((k + 1) * halves + 1 - has) // 2
-            below = ((words[: rate_at[-1] + count] >> 11) * _UNIT < rate).tolist()
-            for child, at in enumerate(rate_at.tolist()):
-                if below[at + len(hits)]:
-                    hits.append(child)
-        hits = np.array(hits, dtype=np.intp)
-        # One row of half slots per child, in draw order: its splits, then,
-        # in a pass with a hit, the swap's i and j, present only when the
-        # child hits. A present half is a fresh word's low half when an even
-        # number of halves lies between it and an empty cache; otherwise it
-        # is the high half of the latest fresh word, whose position only
-        # grows along the rows.
-        width = halves + 2 if hits.size else halves
-        present = np.ones((count, width), dtype=bool)
-        if hits.size:
-            present[:, halves:] = False
-            present[hits, halves:] = True
-        fresh = present & ((np.cumsum(present) + has) % 2 == 1).reshape(count, width)
-        before = np.zeros(count * width + 1, dtype=np.intp)
-        np.cumsum(fresh, out=before[1:])
-        # A fresh half's word: the child's whole words and fresh halves before
-        # it, past the two spins, and past the rate word for i and j.
-        at = k[:, None] * full + 2 + (np.arange(width) >= halves)
-        at += before[:-1].reshape(count, width)
-        source = np.maximum.accumulate(np.where(fresh, at, -1).ravel()).reshape(count, width)
-        word = words[source]
+        hits = count * self.rate
+        spare = int(self.per_hit * (hits + 8 * math.sqrt(hits) + 8)) if hits else 0
+        words = self.bits.random_raw(count * full + (count * halves + spare + 1 - has) // 2)
+        hit, drawn, last, pairs, end = (
+            self._walk(words, count, has, cached) if hits else ([], [], [], [], count)
+        )
+        hit = np.array(hit, dtype=np.intp)
+        # T: each child's halves, and each hit's swap halves after its child.
+        taken = np.arange(end + 1) * halves
+        if hit.size:
+            extra = np.zeros(end + 1, dtype=np.intp)
+            extra[hit + 1] = drawn
+            taken += np.cumsum(extra)
+        # One row of slots per child: its split halves, then its hit's last
+        # fresh word. A fresh half is the low half of its word, and any
+        # other half the high half of the latest fresh word, whose position
+        # only grows along the rows; before the first, the half is cached.
+        whole = np.arange(end) * full
+        t = taken[:end, None] + np.arange(halves)
+        fresh = (t + has) % 2 == 0
+        at = np.full((end, halves + 1), -1, dtype=np.intp)
+        at[:, :halves] = np.where(fresh, whole[:, None] + 2 + (t + 1 - has) // 2, -1)
+        at[hit, halves] = last
+        source = np.maximum.accumulate(at.ravel()).reshape(end, halves + 1)
+        word = words[source[:, :halves]]
         value = np.where(fresh, word & _LOW32, word >> 32)
-        value[source < 0] = cached
-        # Lemire's multiply-shift on every half at once; absent halves pass.
-        product = value * self.spans[:width]
-        draw = product >> 32
-        ok = ((product & _LOW32 >= self.limits[:width]) | ~present).all(axis=1)
-        if hits.size:
-            ok &= (draw[:, -2] != draw[:, -1]) | ~present[:, -1]
-        bad = np.flatnonzero(~ok)
-        done = int(bad[0]) if bad.size else count
+        value[source[:, :halves] < 0] = cached
+        # Lemire's multiply-shift on every split at once.
+        product = value * (self.n - 1)
+        bad = np.flatnonzero((product & _LOW32 < self.split_limit).any(axis=1))
+        stop = int(bad[0]) if bad.size else end
 
-        spin = k[:done] * full
-        if width:  # at n = 2 a pass without a hit has no half slots
-            spin += before[: done * width : width]
-        units[:done] = (words[spin[:, None] + np.arange(2)] >> 11) * _UNIT
-        splits[:done] = draw[:done, :halves] + 1 if halves else 1
-        kept = hits[hits < done]
-        if kept.size:
-            swaps[kept] = draw[kept, halves:]
-        used = done * full + int(before[done * width])
-        if before[done * width]:
-            cached = int(word.flat[done * width - 1] >> 32)
-        self.bits.advance((1 << 128) - (need - used))
+        spin = whole[:stop] + (taken[:stop] + 1 - has) // 2
+        units[:stop] = (words[spin[:, None] + np.arange(2)] >> 11) * _UNIT
+        splits[:stop] = (product[:stop] >> 32) + 1 if halves else 1
+        kept = hit < stop
+        if kept.any():
+            swaps[hit[kept]] = np.array(pairs)[kept]
+        if stop and source[stop - 1, -1] >= 0:
+            cached = int(words[source[stop - 1, -1]] >> 32)
+        used = stop * full + (int(taken[stop]) + 1 - has) // 2
+        self.bits.advance((1 << 128) - (len(words) - used))
         state = self.bits.state
-        state["has_uint32"], state["uinteger"] = (has + done * halves + 2 * kept.size) % 2, cached
+        state["has_uint32"], state["uinteger"] = (has + int(taken[stop])) % 2, cached
         self.bits.state = state
-        return done
+        if stop == count:
+            return count
+        self._child([part[stop] for part in rows])
+        return stop + 1
+
+    def _walk(self, words: np.ndarray, count: int, has: int, cached: int) -> tuple:
+        """Find a pass's mutation hits among ``count`` children and decode their swaps.
+
+        Returns five lists and a child: the hit children; the halves each
+        hit takes for i, j and their redraws; the word of each hit's last
+        fresh half; each hit's (i, j); and the child the pass ends before,
+        ``count`` or the first whose words run past ``words``.
+        """
+        full, halves, n, limit = self.full, self.halves, self.n, self.swap_limit
+        # Without a hit, the rate words of children ``every`` apart lie
+        # ``stride`` words apart: with an odd number of halves a child's
+        # fresh words alternate between two counts.
+        every = 1 + halves % 2
+        stride = every * (2 * full + halves) // 2
+        tests = ((words >> 11) * _UNIT < self.rate).view(np.uint8)
+        lanes = [tests[r::stride].tobytes() for r in range(stride)]
+        hit, drawn, last, pairs = [], [], [], []
+        child = t = 0  # the next child to test, and the halves taken before it
+
+        def rate_word(k: int) -> int:
+            """Child ``child + k``'s rate word, if no child from ``child`` on hits before it."""
+            return (child + k) * full + 2 + (t + (k + 1) * halves + 1 - has) // 2
+
+        while True:
+            first = count
+            for k in range(every):
+                start, lane = divmod(rate_word(k), stride)
+                found = lanes[lane].find(1, start)
+                if 0 <= found and child + k + every * (found - start) < first:
+                    first = child + k + every * (found - start)
+            if first == count:
+                # No hit before ``count``: the pass ends at the first child whose rate word it did not draw.
+                end = child + bisect.bisect_left(range(count - child), len(words), key=rate_word)
+                return hit, drawn, last, pairs, end
+            # The hit's halves follow its splits and its rate word.
+            t += (first + 1 - child) * halves
+            before, ready = t, (t + has) % 2
+            q = first * full + 3 + (t + 1 - has) // 2  # its next fresh word
+            if ready and halves:
+                cached = int(words[q - 2]) >> 32
+            i = None
+            while True:
+                if ready:
+                    x, ready = cached, 0
+                elif q < len(words):
+                    word = int(words[q])
+                    x, cached, ready, q = word & _LOW32, word >> 32, 1, q + 1
+                else:
+                    return hit, drawn, last, pairs, first
+                t += 1
+                product = x * n
+                if product & _LOW32 < limit:
+                    continue  # Lemire's rejection
+                if i is None:
+                    i = product >> 32
+                elif product >> 32 != i:
+                    break
+            hit.append(first)
+            drawn.append(t - before)
+            last.append(q - 1)
+            pairs.append((i, product >> 32))
+            child = first + 1
 
     def _child(self, row: list[np.ndarray]) -> None:
         """Draw one child into ``row`` with per-child Generator calls, redraws included."""

@@ -31,6 +31,7 @@ from tourbench.ga import (
     run_ga,
     select_parent,
 )
+from tourbench.tsplib import bundled_instance
 
 
 class TestGaConfig:
@@ -510,10 +511,9 @@ class TestGenerationDraws:
     @pytest.mark.parametrize("n", [3, 48])
     @pytest.mark.parametrize("primed", [False, True])
     def test_child_makes_the_generator_calls(self, passed, n, primed):
-        # _child takes over from the start or from a pass of up to
-        # ``passed`` children, which hands the stream back where the
-        # reference's calls leave it; at n = 3 and rate 1 the pass often
-        # stops early at a j == i redraw, which _child then draws.
+        # _child takes over from the start or after a pass of ``passed``
+        # children, which hands the stream back where the reference's calls
+        # leave it; at n = 3 and rate 1 about every third swap redraws j.
         for seed in range(20):
             ours, theirs = make_rng(seed), make_rng(seed)
             if primed:
@@ -521,27 +521,78 @@ class TestGenerationDraws:
             draws = _Draws(ours, n, 2, 1.0)
             rows = (np.empty((passed + 1, 2)), np.empty((passed + 1, 2), dtype=np.intp),
                     np.zeros((passed + 1, 2), dtype=np.intp))
-            done = draws._prefix([part[:passed] for part in rows]) if passed else 0
+            done = draws._pass([part[:passed] for part in rows]) if passed else 0
+            assert done == passed
             draws._child([part[done] for part in rows])
             decoded = _decoded(*(part[: done + 1] for part in rows))
             assert decoded == _reference_draws(theirs, done + 1, n, 2, 1.0)
             _assert_same_position(draws, theirs)
 
-    def test_window_grows_after_a_rare_child(self, monkeypatch):
-        # At n = 3 and rate 1, j == i stops about one child in three, so a
-        # pass that spanned every child left would decode most of them again
-        # after each stop: about 190,000 children for these 1,000.
-        decoded = 0
-        prefix = _Draws._prefix
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Counts of ``_Draws``' passes, the children they span, and ``_child`` calls."""
+        counts = collections.Counter()
+        one_pass, child = _Draws._pass, _Draws._child
 
-        def counting(draws, rows):
-            nonlocal decoded
-            decoded += len(rows[0])
-            return prefix(draws, rows)
+        def counting_pass(draws, rows):
+            counts["passes"] += 1
+            counts["children"] += len(rows[0])
+            return one_pass(draws, rows)
 
-        monkeypatch.setattr(_Draws, "_prefix", counting)
-        _Draws(make_rng(1), 3, 2, 1.0).take(1_000)
-        assert decoded <= 10 * 1_000
+        def counting_child(draws, row):
+            counts["child"] += 1
+            return child(draws, row)
+
+        monkeypatch.setattr(_Draws, "_pass", counting_pass)
+        monkeypatch.setattr(_Draws, "_child", counting_child)
+        return counts
+
+    @pytest.mark.parametrize("n, rate, count", [(3, 1.0, 1_000), (48, 0.1, 1_023)])
+    def test_one_pass_per_take(self, passes, n, rate, count):
+        # At n = 3 and rate 1 about every third swap redraws j, and no
+        # redraw ends the pass; at n = 48 every child is decoded once.
+        _Draws(make_rng(1), n, 2, rate).take(count)
+        assert passes == {"passes": 1, "children": count}
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_two_point_redraw_chains(self, passes, primed):
+        # At n = 2 half the j draws equal i, so a hit takes three halves on
+        # average and some take ten or more; the pass's spare words cover them.
+        self._assert_matches(21, 2_000, 2, 2, 1.0, primed, generations=1)
+        assert passes == {"passes": 1, "children": 2_000}
+
+    @pytest.mark.parametrize("n", [2, 3, 48])
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_pass_that_runs_out_of_words(self, passes, n, rate, primed):
+        # With no spare words for the hits' halves, a pass runs out partway
+        # (at a hit's swap halves, or at a rate word past its draw); _child
+        # draws the child it stopped before, and the next pass goes on.
+        ours, theirs = make_rng(n), make_rng(n)
+        if primed:
+            ours.integers(5), theirs.integers(5)
+        draws = _Draws(ours, n, 2, rate)
+        draws.per_hit = 0.0
+        for count in (1, 300):
+            decoded = _decoded(*draws.take(count))
+            assert decoded == _reference_draws(theirs, count, n, 2, rate)
+            _assert_same_position(draws, theirs)
+        # Every pass but each take's last ends at a _child.
+        assert passes["passes"] > 2 and passes["child"] >= passes["passes"] - 2
+
+    def test_pop11_trial_takes_one_pass_per_chunk(self, passes):
+        # 281 generations of 11 are four chunks of up to 93 generations.
+        config = GaConfig(population_size=11, mutation_rate=0.1, max_generations=281,
+                          max_stall_generations=281, crossover_variant="reversal_invariant",
+                          elitism=True, seed=5)
+        run_ga(bundled_instance("att48"), config)
+        assert passes == {"passes": 4, "children": 3_091}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_pass_per_generation_above_a_chunk(self, passes, n):
+        for _ in _Draws(make_rng(n), n, 2, 1.0).generations(2_000, 5):
+            pass
+        assert passes == {"passes": 5, "children": 10_000}
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
