@@ -10,7 +10,6 @@ exactly two length evaluations per offspring instead of one.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -279,8 +278,8 @@ class _Draws:
 
         Returns five lists and a child: the hit children; the halves each
         hit takes for i, j and their redraws; the word of each hit's last
-        fresh half; each hit's (i, j); and the child the pass ends before,
-        ``count`` or the first whose words run past ``words``.
+        fresh half; each hit's (i, j); and the child the pass ends before:
+        ``count``, or a child whose words run past ``words``.
         """
         full, halves, n, limit = self.full, self.halves, self.n, self.swap_limit
         # Without a hit, the rate words of children ``every`` apart lie
@@ -305,9 +304,10 @@ class _Draws:
                 if 0 <= found and child + k + every * (found - start) < first:
                     first = child + k + every * (found - start)
             if first == count:
-                # No hit before ``count``: the pass ends at the first child whose rate word it did not draw.
-                end = child + bisect.bisect_left(range(count - child), len(words), key=rate_word)
-                return hit, drawn, last, pairs, end
+                # No hit before ``count``, unless the words ran out first:
+                # then the pass ends at ``child``.
+                drew = child == count or rate_word(count - 1 - child) < len(words)
+                return hit, drawn, last, pairs, count if drew else child
             # The hit's halves follow its splits and its rate word.
             t += (first + 1 - child) * halves
             before, ready = t, (t + has) % 2
