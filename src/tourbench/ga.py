@@ -160,12 +160,13 @@ class _Draws:
     each child takes ``halves`` halves, so the rate words of children two
     apart lie ``2 * full + halves`` words apart (of adjacent children, half
     that when ``halves`` is even), and one ``bytes.find`` per lane of rate
-    tests laid out by residue finds the next hit. At each hit the walk decodes i, j, their rejections and the ``j == i``
-    redraws from the pass's words, as Python ints, and moves T on by the
-    halves they take. One array expression then decodes every child's spins
-    and splits from T. A split that Lemire's draw rejects (below n / 2**32
-    a draw), or a child whose words the pass did not draw, ends the pass;
-    ``_child`` draws that child with the Generator's own calls.
+    tests laid out by residue finds the next hit. At each hit the walk
+    decodes i, j, their rejections and the ``j == i`` redraws from the
+    pass's words, as Python ints, and moves T on by the halves they take.
+    One array expression then decodes every child's spins and splits from
+    T. A split that Lemire's draw rejects (below n / 2**32 a draw), or a
+    child whose words the pass did not draw, ends the pass; ``_child``
+    draws that child with the Generator's own calls.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
@@ -212,22 +213,22 @@ class _Draws:
         for the hits' swap halves: ``per_hit`` halves for each of the h
         expected hits, for 8 * sqrt(h) more and for eight more (at n = 2 and
         rate 1, 17 standard deviations past the mean of 1,024 children's
-        halves). A child whose split is rejected or whose words were not drawn ends the
-        pass, and ``_child`` draws it. The pass then steps the bit generator
-        back over the words it did not hand out: PCG64's period is 2**128,
-        so advancing by 2**128 - k steps back k words. The step empties the
-        half-word cache, so the pass writes its cache after.
+        halves). A child whose split is rejected or whose words were not
+        drawn ends the pass, and ``_child`` draws it. The pass then steps the
+        bit generator back over the words it did not hand out: PCG64's period
+        is 2**128, so advancing by 2**128 - k steps back k words. The step
+        empties the half-word cache, so the pass writes its cache after.
         """
         full, halves = self.full, self.halves
         units, splits, swaps = rows
         count = len(units)
         state = self.bits.state
         has, cached = state["has_uint32"], state["uinteger"]
-        hits = count * self.rate
-        spare = int(self.per_hit * (hits + 8 * math.sqrt(hits) + 8)) if hits else 0
+        expected = count * self.rate  # hits
+        spare = int(self.per_hit * (expected + 8 * math.sqrt(expected) + 8)) if expected else 0
         words = self.bits.random_raw(count * full + (count * halves + spare + 1 - has) // 2)
         hit, drawn, last, pairs, end = (
-            self._walk(words, count, has, cached) if hits else ([], [], [], [], count)
+            self._walk(words, count, has, cached) if expected else ([], [], [], [], count)
         )
         hit = np.array(hit, dtype=np.intp)
         # T: each child's halves, and each hit's swap halves after its child.

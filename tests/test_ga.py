@@ -554,12 +554,14 @@ class TestGenerationDraws:
         _Draws(make_rng(1), n, 2, rate).take(count)
         assert passes == {"passes": 1, "children": count}
 
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("primed", [False, True])
-    def test_two_point_redraw_chains(self, passes, primed):
+    def test_redraw_chains_take_one_pass_per_generation(self, passes, n, primed):
         # At n = 2 half the j draws equal i, so a hit takes three halves on
-        # average and some take ten or more; the pass's spare words cover them.
-        self._assert_matches(21, 2_000, 2, 2, 1.0, primed, generations=1)
-        assert passes == {"passes": 1, "children": 2_000}
+        # average and some take ten or more; the pass's spare words cover
+        # them. A generation of 2,000 is a take of its own.
+        self._assert_matches(21, 2_000, n, 2, 1.0, primed, generations=2, by_generation=True)
+        assert passes == {"passes": 2, "children": 4_000}
 
     @pytest.mark.parametrize("n", [2, 3, 48])
     @pytest.mark.parametrize("rate", [0.5, 1.0])
@@ -587,12 +589,6 @@ class TestGenerationDraws:
                           elitism=True, seed=5)
         run_ga(bundled_instance("att48"), config)
         assert passes == {"passes": 4, "children": 3_091}
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_pass_per_generation_above_a_chunk(self, passes, n):
-        for _ in _Draws(make_rng(n), n, 2, 1.0).generations(2_000, 5):
-            pass
-        assert passes == {"passes": 5, "children": 10_000}
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
