@@ -224,7 +224,7 @@ class _Draws:
         count = len(units)
         state = self.bits.state
         has, cached = state["has_uint32"], state["uinteger"]
-        expected = count * self.rate  # hits
+        expected = count * self.rate  # the pass's mean number of hits
         spare = int(self.per_hit * (expected + 8 * math.sqrt(expected) + 8)) if expected else 0
         words = self.bits.random_raw(count * full + (count * halves + spare + 1 - has) // 2)
         hit, drawn, last, pairs, end = (
@@ -240,7 +240,7 @@ class _Draws:
         # One row of slots per child: its split halves, then its hit's last
         # fresh word. A fresh half is the low half of its word, and any
         # other half the high half of the latest fresh word, whose position
-        # only grows along the rows; before the first, the half is cached.
+        # only grows along the rows; before the first, it is the cached half.
         whole = np.arange(end) * full
         t = taken[:end, None] + np.arange(halves)
         fresh = (t + has) % 2 == 0
