@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,8 +53,10 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         return load_instance(source, metric=metric)
     if source in bundled_names():
         return bundled_instance(source, metric=metric)
+    # The path as typed: argv's bytes read as UTF-8, not a non-UTF-8 locale's surrogate escapes.
+    typed = os.fsencode(source).decode("utf-8", "backslashreplace")
     raise ConfigurationError(
-        f"no instance file at {source!r} and no bundled instance by that name "
+        f"no instance file at {typed!r} and no bundled instance by that name "
         f"(bundled: {', '.join(bundled_names())})"
     )
 
@@ -308,21 +311,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write a report's UTF-8 bytes to ``out``, or to stdout for None or '-', whatever the locale.
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8; argv and file-system strings' undecodable bytes go back as they were."""
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _put(text: str, stream) -> None:
+    """Write ``text`` to ``stream`` as ``_utf8`` bytes, whatever the locale.
 
     A text stream with no byte buffer under it, such as ``io.StringIO``,
     takes the text itself.
     """
-    if out is not None and out != "-":
-        Path(out).write_bytes(text.encode())
-        return
-    buffer = getattr(sys.stdout, "buffer", None)
+    buffer = getattr(stream, "buffer", None)
     if buffer is None:
-        sys.stdout.write(text)
+        stream.write(text)
         return
-    sys.stdout.flush()
-    buffer.write(text.encode())
+    stream.flush()
+    buffer.write(_utf8(text))
+    buffer.flush()
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write a report to ``out``, or to stdout for None or '-', as ``_utf8`` bytes."""
+    if out is not None and out != "-":
+        Path(out).write_bytes(_utf8(text))
+    else:
+        _put(text, sys.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -332,14 +346,13 @@ def main(argv: list[str] | None = None) -> int:
         _write(args.func(args), args.out)
         return EXIT_OK
     except (ConfigurationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, err
     except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        code, error = EXIT_PARSE, err
     except RunAbortedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ABORTED
+        code, error = EXIT_ABORTED, err
+    _put(f"error: {error}\n", sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -147,11 +147,11 @@ class _Draws:
     Each child has one row in each of ``take``'s arrays, and a child the
     rate draw missed has the swap (0, 0), which changes nothing.
 
-    The Generator holds the stream between passes: each pass reads the
-    half-word cache from ``bit_generator.state``, draws its words with
-    ``random_raw``, and hands back the words its children did not take and
-    the cache they leave, so between passes the Generator stands where
-    per-child calls would. ``take`` decodes a chunk in one pass.
+    The Generator holds the stream between chunks: ``take`` decodes a chunk
+    in one pass, which reads the half-word cache from
+    ``bit_generator.state``, draws its words with ``random_raw``, and hands
+    back the words its children did not take and the cache they leave, so
+    between chunks the Generator stands where per-child calls would.
 
     A 32-bit draw starts a fresh word exactly when an even number of halves
     lies between it and an empty cache, so every word a child takes follows
@@ -164,9 +164,9 @@ class _Draws:
     decodes i, j, their rejections and the ``j == i`` redraws from the
     pass's words, as Python ints, and moves T on by the halves they take.
     One array expression then decodes every child's spins and splits from
-    T. A split that Lemire's draw rejects (below n / 2**32 a draw), or a
-    child whose words the pass did not draw, ends the pass; ``_child``
-    draws that child with the Generator's own calls.
+    T. If a split is one that Lemire's draw rejects (below n / 2**32 a
+    draw), or a child's words run past the pass's draw, ``_child`` draws
+    the whole chunk again with the Generator's own calls.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, columns: int, rate: float) -> None:
@@ -181,18 +181,76 @@ class _Draws:
         self.per_hit = (1 + n / (n - 1)) / (1 - self.swap_limit / (1 << 32))
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``count`` children's draws, one row per child.
+        """The next ``count`` children's draws, one row per child, decoded in one pass.
 
         Returns the spins as unit floats, (count, 2); the splits,
         (count, columns), in ``_narrow(n)``; and the swap positions,
         (count, 2): a hit always has j != i, and a child the rate draw
         missed has (0, 0).
+
+        The pass draws the words its children take without a hit, and room
+        for the hits' swap halves: ``per_hit`` halves for each of the h
+        expected hits, for 8 * sqrt(h) more and for eight more (at n = 2 and
+        rate 1, 17 standard deviations past the mean of 1,024 children's
+        halves). It then steps the bit generator back over the words its
+        children did not take: PCG64's period is 2**128, so advancing by
+        2**128 - k steps back k words. The step empties the half-word cache,
+        so the pass writes its cache after. If the children's words run past
+        the draw, or a split is rejected, the bit generator is set back to
+        where the pass found it and ``_child`` draws every child instead.
         """
-        rows = (np.empty((count, 2)), np.empty((count, self.columns), dtype=_narrow(self.n)),
-                np.zeros((count, 2), dtype=np.intp))
-        done = 0
-        while done < count:
-            done += self._pass([part[done:] for part in rows])
+        full, halves = self.full, self.halves
+        units, splits, swaps = rows = (
+            np.empty((count, 2)), np.empty((count, self.columns), dtype=_narrow(self.n)),
+            np.zeros((count, 2), dtype=np.intp),
+        )
+        state = self.bits.state
+        has, cached = state["has_uint32"], state["uinteger"]
+        expected = count * self.rate  # the pass's mean number of hits
+        spare = int(self.per_hit * (expected + 8 * math.sqrt(expected) + 8)) if expected else 0
+        words = self.bits.random_raw(count * full + (count * halves + spare + 1 - has) // 2)
+        walked = self._walk(words, count, has, cached) if expected else ([], [], [], [])
+        if walked is None:
+            return self._redraw(rows, state)
+        hit, drawn, last, pairs = walked
+        hit = np.array(hit, dtype=np.intp)
+        # T: each child's halves, and each hit's swap halves after its child.
+        taken = np.arange(count + 1) * halves
+        if hit.size:
+            extra = np.zeros(count + 1, dtype=np.intp)
+            extra[hit + 1] = drawn
+            taken += np.cumsum(extra)
+        # One row of slots per child: its split halves, then its hit's last
+        # fresh word. A fresh half is the low half of its word, and any
+        # other half the high half of the latest fresh word, whose position
+        # only grows along the rows; before the first, it is the cached half.
+        whole = np.arange(count) * full
+        t = taken[:-1, None] + np.arange(halves)
+        fresh = (t + has) % 2 == 0
+        at = np.full((count, halves + 1), -1, dtype=np.intp)
+        at[:, :halves] = np.where(fresh, whole[:, None] + 2 + (t + 1 - has) // 2, -1)
+        at[hit, halves] = last
+        source = np.maximum.accumulate(at.ravel()).reshape(count, halves + 1)
+        word = words[source[:, :halves]]
+        value = np.where(fresh, word & _LOW32, word >> 32)
+        value[source[:, :halves] < 0] = cached
+        # Lemire's multiply-shift on every split at once.
+        product = value * (self.n - 1)
+        if (product & _LOW32 < self.split_limit).any():
+            return self._redraw(rows, state)
+
+        spin = whole + (taken[:-1] + 1 - has) // 2
+        units[:] = (words[spin[:, None] + np.arange(2)] >> 11) * _UNIT
+        splits[:] = (product >> 32) + 1 if halves else 1
+        if hit.size:
+            swaps[hit] = pairs
+        if source[-1, -1] >= 0:
+            cached = int(words[source[-1, -1]] >> 32)
+        used = count * full + (int(taken[-1]) + 1 - has) // 2
+        self.bits.advance((1 << 128) - (len(words) - used))
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = (has + int(taken[-1])) % 2, cached
+        self.bits.state = state
         return rows
 
     def generations(self, size: int, limit: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -206,81 +264,13 @@ class _Draws:
             count = min(per_pass, limit - first)
             yield from zip(*(part.reshape(count, size, -1) for part in self.take(count * size)))
 
-    def _pass(self, rows: list[np.ndarray]) -> int:
-        """Decode children into ``rows`` from one draw of words; return how many.
-
-        The pass draws the words its children take without a hit, and room
-        for the hits' swap halves: ``per_hit`` halves for each of the h
-        expected hits, for 8 * sqrt(h) more and for eight more (at n = 2 and
-        rate 1, 17 standard deviations past the mean of 1,024 children's
-        halves). A child whose split is rejected or whose words were not
-        drawn ends the pass, and ``_child`` draws it. The pass then steps the
-        bit generator back over the words it did not hand out: PCG64's period
-        is 2**128, so advancing by 2**128 - k steps back k words. The step
-        empties the half-word cache, so the pass writes its cache after.
-        """
-        full, halves = self.full, self.halves
-        units, splits, swaps = rows
-        count = len(units)
-        state = self.bits.state
-        has, cached = state["has_uint32"], state["uinteger"]
-        expected = count * self.rate  # the pass's mean number of hits
-        spare = int(self.per_hit * (expected + 8 * math.sqrt(expected) + 8)) if expected else 0
-        words = self.bits.random_raw(count * full + (count * halves + spare + 1 - has) // 2)
-        hit, drawn, last, pairs, end = (
-            self._walk(words, count, has, cached) if expected else ([], [], [], [], count)
-        )
-        hit = np.array(hit, dtype=np.intp)
-        # T: each child's halves, and each hit's swap halves after its child.
-        taken = np.arange(end + 1) * halves
-        if hit.size:
-            extra = np.zeros(end + 1, dtype=np.intp)
-            extra[hit + 1] = drawn
-            taken += np.cumsum(extra)
-        # One row of slots per child: its split halves, then its hit's last
-        # fresh word. A fresh half is the low half of its word, and any
-        # other half the high half of the latest fresh word, whose position
-        # only grows along the rows; before the first, it is the cached half.
-        whole = np.arange(end) * full
-        t = taken[:end, None] + np.arange(halves)
-        fresh = (t + has) % 2 == 0
-        at = np.full((end, halves + 1), -1, dtype=np.intp)
-        at[:, :halves] = np.where(fresh, whole[:, None] + 2 + (t + 1 - has) // 2, -1)
-        at[hit, halves] = last
-        source = np.maximum.accumulate(at.ravel()).reshape(end, halves + 1)
-        word = words[source[:, :halves]]
-        value = np.where(fresh, word & _LOW32, word >> 32)
-        value[source[:, :halves] < 0] = cached
-        # Lemire's multiply-shift on every split at once.
-        product = value * (self.n - 1)
-        bad = np.flatnonzero((product & _LOW32 < self.split_limit).any(axis=1))
-        stop = int(bad[0]) if bad.size else end
-
-        spin = whole[:stop] + (taken[:stop] + 1 - has) // 2
-        units[:stop] = (words[spin[:, None] + np.arange(2)] >> 11) * _UNIT
-        splits[:stop] = (product[:stop] >> 32) + 1 if halves else 1
-        kept = hit < stop
-        if kept.any():
-            swaps[hit[kept]] = np.array(pairs)[kept]
-        if stop and source[stop - 1, -1] >= 0:
-            cached = int(words[source[stop - 1, -1]] >> 32)
-        used = stop * full + (int(taken[stop]) + 1 - has) // 2
-        self.bits.advance((1 << 128) - (len(words) - used))
-        state = self.bits.state
-        state["has_uint32"], state["uinteger"] = (has + int(taken[stop])) % 2, cached
-        self.bits.state = state
-        if stop == count:
-            return count
-        self._child([part[stop] for part in rows])
-        return stop + 1
-
-    def _walk(self, words: np.ndarray, count: int, has: int, cached: int) -> tuple:
+    def _walk(self, words: np.ndarray, count: int, has: int, cached: int) -> tuple | None:
         """Find a pass's mutation hits among ``count`` children and decode their swaps.
 
-        Returns five lists and a child: the hit children; the halves each
-        hit takes for i, j and their redraws; the word of each hit's last
-        fresh half; each hit's (i, j); and the child the pass ends before:
-        ``count``, or a child whose words run past ``words``.
+        Returns four lists: the hit children; the halves each hit takes for
+        i, j and their redraws; the word of each hit's last fresh half; and
+        each hit's (i, j). Returns None if the children's words run past
+        ``words``.
         """
         full, halves, n, limit = self.full, self.halves, self.n, self.swap_limit
         # Without a hit, the rate words of children ``every`` apart lie
@@ -305,10 +295,10 @@ class _Draws:
                 if 0 <= found and child + k + every * (found - start) < first:
                     first = child + k + every * (found - start)
             if first == count:
-                # No hit before ``count``, unless the words ran out first:
-                # then the pass ends at ``child``.
-                drew = child == count or rate_word(count - 1 - child) < len(words)
-                return hit, drawn, last, pairs, count if drew else child
+                # No hit before ``count``, unless the words ran out first.
+                if child == count or rate_word(count - 1 - child) < len(words):
+                    return hit, drawn, last, pairs
+                return None
             # The hit's halves follow its splits and its rate word.
             t += (first + 1 - child) * halves
             before, ready = t, (t + has) % 2
@@ -323,7 +313,7 @@ class _Draws:
                     word = int(words[q])
                     x, cached, ready, q = word & _LOW32, word >> 32, 1, q + 1
                 else:
-                    return hit, drawn, last, pairs, first
+                    return None
                 t += 1
                 product = x * n
                 if product & _LOW32 < limit:
@@ -337,6 +327,13 @@ class _Draws:
             last.append(q - 1)
             pairs.append((i, product >> 32))
             child = first + 1
+
+    def _redraw(self, rows: tuple[np.ndarray, ...], state: dict) -> tuple[np.ndarray, ...]:
+        """Set the bit generator back to ``state`` and draw every child of ``rows`` with ``_child``."""
+        self.bits.state = state
+        for row in zip(*rows):
+            self._child(row)
+        return rows
 
     def _child(self, row: list[np.ndarray]) -> None:
         """Draw one child into ``row`` with per-child Generator calls, redraws included."""

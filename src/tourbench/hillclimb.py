@@ -27,18 +27,17 @@ a local minimum, re-arms strictly below the length that spent its
 allowance, never steps straight back to the tour it just left, and stops
 at a step that does not improve with its allowance spent.
 
-Each modified climb in turn then takes up, against the shared set, the
-prefix of its path x_0 .. x_L that the climb over the set also takes. From
-x_u that climb takes the path's step if x_{u-1} is stored and the step's
-tour is not: the set then masks x_{u-1}, as the path did, and otherwise
-only neighbors the path did not step to, so the first shortest neighbor
-left is the path's. The climb counts the stored neighbors
-of each row it takes exactly: those stored before it, with one
-``_forbidden`` over the path, plus x_{u-1} and the earlier path rows next to
-x_u, which ``_path_neighbors`` finds by a length and a parity test. Where
-the path stopped, the climb stops too, since its pick is no shorter. Only
-from the first step where the two part does it step on alone, one masked
-step at a time.
+Each modified climb in turn then walks over the shared set from the start
+x_0 of its path x_0 .. x_L. From x_u the walk takes the path's step while
+it is still on the path, the set kept x_{u-1} and x_{u+1} is not stored:
+the set then masks x_{u-1}, as the path did, and otherwise only neighbors
+the path did not step to, so the first shortest neighbor left is the
+path's. Such a step counts the stored neighbors of x_u exactly: those
+stored before the climb, with one ``_forbidden`` over the path, plus
+x_{u-1} and the earlier path rows next to x_u, which ``_path_neighbors``
+finds by a length and a parity test. Where the path stopped, the walk stops
+too, since its pick is no shorter. Every other step is one masked step, and
+from the first one the walk steps on alone.
 
 Climbs walk on int64 order rows. A ``Tour`` is built only for what a climb
 hands out: its best, RunAbortedError and the ``on_visit`` hook.
@@ -414,7 +413,7 @@ def _descend(
     max_steps: int,
     record: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
     escape: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Steepest descent from every row of ``tours`` at once, in place.
 
     ``tours`` is a (k, n) int64 block of start rows and ``lengths`` their
@@ -433,11 +432,9 @@ def _descend(
     stops. While every live row improves and none has spent its allowance,
     a pass keeps no escape state.
 
-    Returns each row's steps, whether it aborted (at ``max_steps`` steps the
-    rows that would step again stop there) and, with ``escape``, the pair
-    index of the step each aborted row would have taken, -1 for the others
-    (None without it, whose passes do no escape work). ``record``, if given,
-    is called after each pass with the stepping rows' indices into ``tours``
+    Returns each row's steps and whether it aborted: at ``max_steps`` steps
+    the rows that would step again stop there. ``record``, if given, is
+    called after each pass with the stepping rows' indices into ``tours``
     and the rows and lengths they stepped to.
     """
     k, n = tours.shape
@@ -445,9 +442,8 @@ def _descend(
     steps, aborted = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
     live = np.arange(k)
     current, current_lengths = tours, lengths  # the live rows
-    ban, last, spending = _NO_PAIRS, None, False
-    if escape:  # each aborted row's next pick; whether each live row is spent, and at what length
-        last = np.full(k, -1, dtype=np.intp)
+    ban, spending = _NO_PAIRS, False
+    if escape:  # whether each live row is spent, and at what length
         spent, trigger = np.zeros(k, dtype=bool), np.zeros(k)
         offsets = np.arange(k) * _pairs(n).flat.size
     for step in itertools.count():
@@ -458,15 +454,13 @@ def _descend(
             moving = better | ~spent  # a row that does not improve escapes once
         if step == max_steps:  # the rows that would step again abort instead
             aborted[live] = moving
-            if escape:
-                last[live[moving]] = picked[moving]
             moving = np.zeros_like(moving)
         if np.count_nonzero(moving) < moving.size:
             done = ~moving
             stop = live[done]
             tours[stop], lengths[stop], steps[stop] = current[done], current_lengths[done], step
             if not np.count_nonzero(moving):
-                return steps, aborted, last
+                return steps, aborted
             live, following, best = live[moving], following[moving], best[moving]
             if watch:  # with escape, only a watched pass stops rows before max_steps
                 picked, better, spent = picked[moving], better[moving], spent[moving]
@@ -480,19 +474,6 @@ def _descend(
         current, current_lengths = following, best
         if record is not None:
             record(live, current, best)
-
-
-def _rearm(spent: bool, trigger: float, before: float, after: float) -> tuple[bool, float]:
-    """A modified climb's allowance after a step from length ``before`` to ``after``.
-
-    ``spent`` says whether the allowance was spent before the step and
-    ``trigger`` the length that spent it. A step that does not improve
-    spends it at ``before``; a step strictly below the trigger restores it.
-    ``_descend`` with ``escape`` applies the same rule to a block of rows.
-    """
-    if not after < before:
-        spent, trigger = True, before
-    return spent and not after < trigger, trigger
 
 
 def _path_neighbors(rows: np.ndarray, lengths: list[float]) -> list[int]:
@@ -516,54 +497,6 @@ def _path_neighbors(rows: np.ndarray, lengths: list[float]) -> list[int]:
     return counts
 
 
-def _take_up(
-    visited: VisitedSet, rows: np.ndarray, lengths: list[float], keys: list[bytes], pick: int
-) -> tuple[int, int, bool]:
-    """Store the prefix of a modified climb's path that the climb over ``visited`` takes.
-
-    ``rows`` is the path x_0 .. x_L that ``_descend`` with ``escape`` took
-    from a start the set does not hold, ``lengths`` their lengths, ``keys``
-    their ``_keys``, and ``pick`` the pair of the step after ``max_steps``
-    if the path aborted, -1 if it stopped. Returns the steps taken up, their
-    evaluations and whether the climb took the whole path and ended as the
-    path did.
-
-    The climb at x_u takes the path's step if x_{u-1} is stored and the
-    step's tour is not: the neighbors it may take are then among those the
-    path's step could take and include the path's pick, which is thus the
-    climb's too. Where the path stopped, at a step that did not improve with
-    its allowance spent, the climb's pick is no shorter and stops it too.
-    Each step's evaluations are n(n-1)/2 less the stored neighbors of x_u:
-    those stored before the climb, found with one ``_forbidden`` over the
-    rows that may be taken up, x_{u-1} and the earlier path rows that
-    ``_path_neighbors`` finds next to x_u. A path row stored before the
-    climb ends the rows that may be taken up, since no step goes there.
-    """
-    seen = visited._seen
-    neighborhood = _pairs(rows.shape[1]).flat.size
-    end = next((u for u in range(1, len(keys)) if keys[u] in seen), len(keys))
-    stored = visited._forbidden(rows[:end])
-    held = np.bincount(stored // neighborhood, minlength=end).tolist()
-    own = _path_neighbors(rows[:end], lengths[:end])
-    hashes = visited._hashes(rows[:end])
-    kept, evaluations = True, 0  # whether the set took x_{u-1}; x_0 has none
-    for u in range(len(keys)):
-        arrived = visited._store(keys[u], hashes[u])
-        if not kept:
-            return u, evaluations, False
-        kept = arrived
-        if u + 1 < len(keys):
-            following = keys[u + 1]
-        elif pick >= 0:  # the step after max_steps, which the climb would take too
-            (following,) = visited._keys(_neighbor_rows(rows[u:], np.zeros(1, np.intp), [pick]))
-        else:  # the climb's pick, no shorter than the path's, ends it as well
-            following = None
-        if following in seen:
-            return u, evaluations, False
-        evaluations += neighborhood - held[u] - own[u] - (u > 0)
-    return len(keys) - 1, evaluations, True
-
-
 def _memoised(
     instance: Instance,
     visited: VisitedSet,
@@ -576,70 +509,91 @@ def _memoised(
 
     ``lengths`` are the rows' ``row_lengths`` lengths. The whole block
     climbs in one ``_descend`` with ``escape``, which sees no visited set
-    but bans each row's step straight back. Each climb in turn then takes up
-    the prefix of its path that ``_take_up`` verifies against the set, and
-    steps on one masked step at a time only from the first step where the
-    climb over the set parts from the path. Yields, for each climb, the best
-    row, its length, the steps, the evaluations, whether the start was
-    already stored (an early-out, with no work done) and whether the step
-    after ``max_steps`` would have moved the climb (an abort, which keeps
-    the best row before it).
+    but bans each row's step straight back. Each climb in turn then walks
+    over the set from its path's start x_0, one step at a time.
+
+    At x_u the walk takes the path's step while it is still on the path,
+    the set kept x_{u-1} and x_{u+1} is not stored: the set then masks
+    x_{u-1}, as the path did, and otherwise only neighbors the path did not
+    step to, so the first shortest neighbor left is the path's. That step
+    counts the stored neighbors of x_u exactly: those stored before the
+    climb, found with one ``_forbidden`` over the path rows up to the first
+    one stored, plus x_{u-1} and the earlier path rows that
+    ``_path_neighbors`` finds next to x_u. At the last row of a path that
+    stopped, the walk stops too, since its pick is no shorter. Every other
+    step, the one after an aborted path's last row included, is one masked
+    step, and the walk stays off its path from there.
+
+    Yields, for each climb, the best row, its length, the steps, the
+    evaluations, whether the start was already stored (an early-out, with
+    no work done) and whether the step after ``max_steps`` would have moved
+    the climb (an abort, which keeps the best row before it).
     """
     neighborhood = _pairs(starts.shape[1]).flat.size
     dmax = float(instance.distance_table().max())
+    seen = visited._seen
     paths = [[(row, length)] for row, length in zip(starts, lengths.tolist())]
 
     def record(live, following, best):
         for r, *step in zip(live.tolist(), following, best.tolist()):
             paths[r].append(step)
 
-    _, ran_out, last = _descend(instance, starts.copy(), lengths.copy(), max_steps, record, True)
-    for path, aborted, pick in zip(paths, ran_out.tolist(), last.tolist()):
+    _, ran_out = _descend(instance, starts.copy(), lengths.copy(), max_steps, record, True)
+    for path, stopped in zip(paths, (~ran_out).tolist()):
         rows, lengths = zip(*path)
         rows = np.array(rows)
         keys = visited._keys(rows)
-        if keys[0] in visited._seen:
+        if keys[0] in seen:
             yield rows[0], lengths[0], 0, 0, True, False
             continue
-        steps, evaluations, finished = _take_up(visited, rows, lengths, keys, pick)
-        if on_visit is not None:
-            for row, length in zip(rows[: steps + 1], lengths):
-                on_visit(Tour(row), length)
-        best_at = min(range(steps + 1), key=lengths.__getitem__)  # the first of the shortest
-        best, best_length = rows[best_at], lengths[best_at]
-        if finished:
-            yield best, best_length, steps, evaluations, False, aborted
-            continue
-        # The path's escape state at x_steps, and on from there one masked step at a time.
-        allowance_spent, trigger_length = False, -np.inf
-        for before, after in zip(lengths[:steps], lengths[1 : steps + 1]):
-            allowance_spent, trigger_length = _rearm(allowance_spent, trigger_length, before, after)
-        current_length = lengths[steps]
-        rows, lengths, aborted = rows[steps : steps + 1], np.array([current_length]), False
+        # No path step reaches past the first path row stored before the climb.
+        end = next((u for u in range(1, len(keys)) if keys[u] in seen), len(keys))
+        held = np.bincount(visited._forbidden(rows[:end]) // neighborhood, minlength=end).tolist()
+        own = _path_neighbors(rows[:end], lengths[:end])
+        hashes = visited._hashes(rows[:end])
+        row, length, key, key_hash = rows[:1], lengths[0], keys[0], hashes[0]
+        steps = evaluations = 0
+        on_path, aborted, spent, trigger, best_length = True, False, False, -np.inf, np.inf
         while True:
-            stored = visited._forbidden(rows)
-            if stored.size == neighborhood:
-                break  # every neighbor already visited
-            neighbor, neighbor_lengths, _ = _step(instance, rows, lengths, dmax, stored)
-            neighbor_length = float(neighbor_lengths[0])
-            evaluations += neighborhood - stored.size
-            if allowance_spent and not neighbor_length < current_length:
+            visited._store(key, key_hash)
+            if on_visit is not None:
+                on_visit(Tour(row[0]), length)
+            if length < best_length:
+                best, best_length = row, length
+            u = steps  # the walk is at x_u while on its path
+            on_path = on_path and (u == 0 or keys[u - 1] in seen)
+            last = u + 1 == len(keys)
+            if on_path and (stopped if last else keys[u + 1] not in seen):
+                evaluations += neighborhood - held[u] - own[u] - (u > 0)
+                if last:
+                    break  # the path stopped here, and so does the walk
+                following, following_length = rows[u + 1 : u + 2], lengths[u + 1]
+            else:
+                on_path = False
+                stored = visited._forbidden(row)
+                if stored.size == neighborhood:
+                    break  # every neighbor already visited
+                following, following_lengths, _ = _step(
+                    instance, row, np.array([length]), dmax, stored
+                )
+                following_length = float(following_lengths[0])
+                evaluations += neighborhood - stored.size
+            better = following_length < length
+            if spent and not better:
                 break
             if steps >= max_steps:
                 aborted = True
                 break
-            allowance_spent, trigger_length = _rearm(
-                allowance_spent, trigger_length, current_length, neighbor_length
-            )
-            rows, lengths, current_length = neighbor, neighbor_lengths, neighbor_length
+            trigger = trigger if better else length
+            spent = (spent or not better) and not following_length < trigger
+            row, length = following, following_length
             steps += 1
-            (key,) = visited._keys(rows)
-            visited._store(key, visited._hashes(rows[0]))
-            if on_visit is not None:
-                on_visit(Tour(rows[0]), current_length)
-            if current_length < best_length:
-                best, best_length = rows[0], current_length
-        yield best, best_length, steps, evaluations, False, aborted
+            if on_path:
+                key, key_hash = keys[steps], hashes[steps]
+            else:
+                (key,) = visited._keys(row)
+                key_hash = visited._hashes(row[0])
+        yield best[0], best_length, steps, evaluations, False, aborted
 
 
 def steepest_step(
@@ -680,10 +634,9 @@ def hill_climb(
     allowed at a local minimum and re-armed once the walk gets strictly
     below it, no permutation is revisited, and early_out is True (with no
     work done) when ``start`` was already in it; this is ``run_hc``'s
-    modified climb on one row, which takes up its lockstep path at once.
+    modified climb on one row, its lockstep path walked over the set.
     ``on_visit``, if given, is called with each tour the climb visits and its
-    length, ``start`` included: after each step, but for the modified climb
-    only once its lockstep path is taken up, for the tours along it.
+    length: with ``start``, then after each step.
     Raises ConfigurationError unless ``max_steps`` is an integer of at least
     1, and RunAbortedError if the next step would exceed it.
     """
@@ -700,7 +653,7 @@ def hill_climb(
         if on_visit is not None:
             on_visit(start, float(lengths[0]))
             record = lambda _, rows, ls: on_visit(Tour(rows[0]), float(ls[0]))  # noqa: E731
-        (steps,), (aborted,), _ = _descend(instance, tours, lengths, max_steps, record)
+        (steps,), (aborted,) = _descend(instance, tours, lengths, max_steps, record)
         best, length, steps = tours[0], float(lengths[0]), int(steps)
         evaluations = (steps + 1) * _pairs(start.order.size).flat.size
     if aborted:
@@ -736,8 +689,8 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
     Starts are drawn a block at a time as they climb, so memory does not
     grow with restarts. Both variants climb each block in one batched
     lockstep climb, the modified variant by its rule with no visited set.
-    The modified variant then takes up the block's climbs one after
-    another, threading one shared VisitedSet through all climbs.
+    The modified variant then walks the block's climbs over the set one
+    after another, threading one shared VisitedSet through all climbs.
     A climb that exhausts its step budget contributes its best-so-far tour
     and counts in ``aborted``; RunAbortedError propagates only if every
     climb aborts. Ties between climbs go to the earliest.
@@ -756,7 +709,7 @@ def run_hc(instance: Instance, config: HcConfig) -> RunResult:
         starts = random_rows(instance.n, min(block, runs - first), rng)
         lengths = row_lengths(instance, starts)
         if visited is None:
-            steps, ran_out, _ = _descend(instance, starts, lengths, config.max_steps_per_run)
+            steps, ran_out = _descend(instance, starts, lengths, config.max_steps_per_run)
             total_steps += int(steps.sum())
             total_evaluations += int((steps + 1).sum()) * _pairs(instance.n).flat.size
             aborted += int(np.count_nonzero(ran_out))

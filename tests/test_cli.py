@@ -36,6 +36,20 @@ def square_file(tmp_path):
     return str(path)
 
 
+def _run_in_c_locale(args, cwd):
+    """Run the CLI on byte ``args`` in a subprocess under the C locale with UTF-8 mode off.
+
+    Python's stdio and argv encoding is then ASCII, and argv's other bytes
+    arrive as surrogates.
+    """
+    src = str(Path(tourbench.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONIOENCODING", None)
+    argv = [sys.executable.encode(), b"-m", b"tourbench.cli", *args]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, check=False)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
@@ -486,14 +500,23 @@ class TestOracle:
         # ASCII; the report is still written as UTF-8, to stdout and --out.
         path = tmp_path / "cafe.tsp"
         path.write_bytes(TSPLIB_SQUARE.replace("square", "café").encode())
-        src = str(Path(tourbench.__file__).resolve().parents[1])
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONIOENCODING", None)
         out = tmp_path / "o.txt"
-        argv = [sys.executable, "-m", "tourbench.cli", "oracle", "--instance", str(path)]
-        done = subprocess.run(argv + (["--out", str(out)] if to_file else []),
-                              env=env, capture_output=True, check=False)
+        args = [b"oracle", b"--instance", bytes(path)]
+        done = _run_in_c_locale(args + ([b"--out", bytes(out)] if to_file else []), tmp_path)
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
         report = out.read_bytes() if to_file else done.stdout
         assert report.decode().splitlines()[0] == "instance café"
+
+    def test_error_names_the_path_as_typed(self, tmp_path):
+        done = _run_in_c_locale([b"oracle", b"--instance", "nowhere_café.tsp".encode()], tmp_path)
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, b"")
+        message = "error: no instance file at 'nowhere_café.tsp' and no bundled instance"
+        assert done.stderr.startswith(message.encode())
+        assert done.stderr.endswith(b")\n")
+
+    def test_report_names_a_file_by_its_stem_as_typed(self, tmp_path):
+        # A file with no NAME field is named by its stem, which comes from argv.
+        (tmp_path / os.fsdecode("plain_café.txt".encode())).write_text(SQUARE_TEXT)
+        done = _run_in_c_locale([b"oracle", b"--instance", "plain_café.txt".encode()], tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout.decode().splitlines()[0] == "instance plain_café"

@@ -489,11 +489,13 @@ class TestGenerationDraws:
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
-    def test_lemire_rejections(self, rate, primed):
+    def test_lemire_rejections(self, passes, rate, primed):
         # At n = 3 * 2**30 about a quarter of the 32-bit draws are rejected
-        # and redrawn, both for the splits and for the swap positions.
+        # and redrawn, both for the splits and for the swap positions; a
+        # rejected split hands the whole chunk to _child.
         n, size, columns = 3 << 30, 64, 2
         draws, start = self._assert_matches(5, size, n, columns, rate, primed, generations=1)
+        assert passes == {"takes": 1, "children": size, "child": size}
         fewest = size * (2 + (rate > 0.0)) + (size * columns - primed + 1) // 2
         # Count the words taken by stepping a probe from the start to where
         # the bit generator stands.
@@ -511,7 +513,7 @@ class TestGenerationDraws:
     @pytest.mark.parametrize("n", [3, 48])
     @pytest.mark.parametrize("primed", [False, True])
     def test_child_makes_the_generator_calls(self, passed, n, primed):
-        # _child takes over from the start or after a pass of ``passed``
+        # _child takes over from the start or after a take of ``passed``
         # children, which hands the stream back where the reference's calls
         # leave it; at n = 3 and rate 1 about every third swap redraws j.
         for seed in range(20):
@@ -521,38 +523,39 @@ class TestGenerationDraws:
             draws = _Draws(ours, n, 2, 1.0)
             rows = (np.empty((passed + 1, 2)), np.empty((passed + 1, 2), dtype=np.intp),
                     np.zeros((passed + 1, 2), dtype=np.intp))
-            done = draws._pass([part[:passed] for part in rows]) if passed else 0
-            assert done == passed
-            draws._child([part[done] for part in rows])
-            decoded = _decoded(*(part[: done + 1] for part in rows))
-            assert decoded == _reference_draws(theirs, done + 1, n, 2, 1.0)
+            if passed:
+                for part, taken in zip(rows, draws.take(passed)):
+                    part[:passed] = taken
+            draws._child([part[passed] for part in rows])
+            decoded = _decoded(*rows)
+            assert decoded == _reference_draws(theirs, passed + 1, n, 2, 1.0)
             _assert_same_position(draws, theirs)
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Counts of ``_Draws``' passes, the children they span, and ``_child`` calls."""
+        """Counts of ``_Draws``' takes, the children they span, and ``_child`` calls."""
         counts = collections.Counter()
-        one_pass, child = _Draws._pass, _Draws._child
+        take, child = _Draws.take, _Draws._child
 
-        def counting_pass(draws, rows):
-            counts["passes"] += 1
-            counts["children"] += len(rows[0])
-            return one_pass(draws, rows)
+        def counting_take(draws, count):
+            counts["takes"] += 1
+            counts["children"] += count
+            return take(draws, count)
 
         def counting_child(draws, row):
             counts["child"] += 1
             return child(draws, row)
 
-        monkeypatch.setattr(_Draws, "_pass", counting_pass)
+        monkeypatch.setattr(_Draws, "take", counting_take)
         monkeypatch.setattr(_Draws, "_child", counting_child)
         return counts
 
     @pytest.mark.parametrize("n, rate, count", [(3, 1.0, 1_000), (48, 0.1, 1_023)])
     def test_one_pass_per_take(self, passes, n, rate, count):
         # At n = 3 and rate 1 about every third swap redraws j, and no
-        # redraw ends the pass; at n = 48 every child is decoded once.
+        # redraw sends the chunk to _child; at n = 48 every child is decoded once.
         _Draws(make_rng(1), n, 2, rate).take(count)
-        assert passes == {"passes": 1, "children": count}
+        assert passes == {"takes": 1, "children": count}
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("primed", [False, True])
@@ -561,26 +564,28 @@ class TestGenerationDraws:
         # average and some take ten or more; the pass's spare words cover
         # them. A generation of 2,000 is a take of its own.
         self._assert_matches(21, 2_000, n, 2, 1.0, primed, generations=2, by_generation=True)
-        assert passes == {"passes": 2, "children": 4_000}
+        assert passes == {"takes": 2, "children": 4_000}
 
     @pytest.mark.parametrize("n", [2, 3, 48])
     @pytest.mark.parametrize("rate", [0.5, 1.0])
     @pytest.mark.parametrize("primed", [False, True])
     def test_pass_that_runs_out_of_words(self, passes, n, rate, primed):
         # With no spare words for the hits' halves, a pass runs out partway
-        # (at a hit's swap halves, or at a rate word past its draw); _child
-        # draws the child it stopped before, and the next pass goes on.
+        # (at a hit's swap halves, or at a rate word past its draw), and
+        # _child draws the whole chunk from where the pass found the stream.
         ours, theirs = make_rng(n), make_rng(n)
         if primed:
             ours.integers(5), theirs.integers(5)
         draws = _Draws(ours, n, 2, rate)
         draws.per_hit = 0.0
         for count in (1, 300):
+            passes.clear()
             decoded = _decoded(*draws.take(count))
             assert decoded == _reference_draws(theirs, count, n, 2, rate)
             _assert_same_position(draws, theirs)
-        # Every pass but each take's last ends at a _child.
-        assert passes["passes"] > 2 and passes["child"] >= passes["passes"] - 2
+            assert passes["child"] in (0, count)
+        # 300 children at these rates always outrun a draw with no spare words.
+        assert passes == {"takes": 1, "children": 300, "child": 300}
 
     def test_pop11_trial_takes_one_pass_per_chunk(self, passes):
         # 281 generations of 11 are four chunks of up to 93 generations.
@@ -588,7 +593,7 @@ class TestGenerationDraws:
                           max_stall_generations=281, crossover_variant="reversal_invariant",
                           elitism=True, seed=5)
         run_ga(bundled_instance("att48"), config)
-        assert passes == {"passes": 4, "children": 3_091}
+        assert passes == {"takes": 4, "children": 3_091}
 
     @pytest.mark.parametrize("variant", CROSSOVER_VARIANTS)
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
